@@ -14,6 +14,11 @@ code's output around the center.
     r = sqrt(x * x + y * y)                  # range expanded around (-3.5, 0)
     evaluate(r, [0.1, -0.2])                 # polynomial evaluation
 
+A :class:`DAScalar` is an array of polynomials: one dense coefficient block
+of shape ``(*shape, basis size)``.  It indexes, broadcasts and multiplies
+like a numpy array over its leading axes, so one piece of model code serves
+float vectors, particle batches and polynomial states alike.
+
 Monomials are ordered graded-lexicographically (total degree first, then
 the variable multiset), which fixes iteration order, printing, and the
 textual dump format.  Coefficients are plain float64; every operation
@@ -33,13 +38,12 @@ __all__ = [
     "DAScalar",
     "DAVector",
     "DomainError",
-    "add",
-    "sub",
-    "mul",
-    "scale",
     "constant",
     "make_variable",
     "identity_map",
+    "asarray",
+    "stack",
+    "concatenate",
     "intrinsic",
     "reciprocal",
     "sqrt",
@@ -104,6 +108,7 @@ class AlgebraContext:
         self._parent = np.array(parent, dtype=np.intp)
         self._parent_var = np.array(parent_var, dtype=np.intp)
         self._mul_table = None
+        self._mul_starts = None
         self._diff_tables = {}
 
     def __repr__(self):
@@ -117,7 +122,7 @@ class AlgebraContext:
 
     def multiplication_table(self):
         """(i, j, k) index triples with ``basis[i] * basis[j] = basis[k]``,
-        restricted to products that survive truncation."""
+        restricted to products that survive truncation, sorted by k."""
         if self._mul_table is None:
             deg = self.degrees
             k = self.max_order
@@ -131,11 +136,11 @@ class AlgebraContext:
                     kk.append(self._index[tuple(ei + self.exponents[j])])
                 ii.extend([i] * jend)
                 jj.extend(range(jend))
-            self._mul_table = (
-                np.array(ii, dtype=np.intp),
-                np.array(jj, dtype=np.intp),
-                np.array(kk, dtype=np.intp),
-            )
+            # a stable sort keeps each k's terms in (i, j) order, so the
+            # per-k sums run in the same order whichever kernel adds them
+            order = np.argsort(kk, kind="stable")
+            self._mul_table = tuple(np.array(t, dtype=np.intp)[order] for t in (ii, jj, kk))
+            self._mul_starts = np.searchsorted(self._mul_table[2], np.arange(self.size))
         return self._mul_table
 
     def diff_table(self, var: int):
@@ -173,13 +178,29 @@ def _check_context(a: "DAScalar", b: "DAScalar") -> None:
         raise ValueError(f"context mismatch: {a.ctx!r} vs {b.ctx!r}")
 
 
-class DAScalar:
-    """A single truncated Taylor polynomial.
+def _is_constant(value) -> bool:
+    """A real number or a float array, taken as constant polynomials."""
+    # float and int first: the numbers.Real check alone is ~20x slower
+    return isinstance(value, (float, int, numbers.Real)) or (
+        isinstance(value, np.ndarray) and value.dtype.kind in "biuf")
 
-    Stores a dense coefficient vector over the context's graded-lex
-    monomial basis; the sparse exponent-to-coefficient view is available
-    through :attr:`terms`.  Instances are immutable by convention: all
-    arithmetic returns new values.
+
+def _coeff_axis(axis: int) -> int:
+    """Coefficient-block axis of a leading axis (the basis axis is last)."""
+    return axis - 1 if axis < 0 else axis
+
+
+class DAScalar:
+    """An array of truncated Taylor polynomials; ``shape == ()`` is a single
+    polynomial.
+
+    ``coeffs`` is a dense float block of shape ``(*shape, basis size)`` over
+    the context's graded-lex monomial basis.  Indexing, ``+``, ``-``, ``*``
+    (the truncated polynomial product, elementwise) and ``/`` act on the
+    leading axes with numpy broadcasting; real numbers and float arrays
+    enter as constant polynomials.  ``@`` follows numpy's matmul rules
+    against float matrices and other polynomial arrays.  Instances are
+    immutable by convention: all arithmetic returns new values.
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -193,86 +214,129 @@ class DAScalar:
         self.coeffs = coeffs
 
     @property
-    def constant(self) -> float:
-        """Coefficient of the all-zeros multi-index."""
-        return float(self.coeffs[0])
+    def shape(self) -> tuple:
+        return self.coeffs.shape[:-1]
+
+    @property
+    def ndim(self) -> int:
+        return self.coeffs.ndim - 1
+
+    @property
+    def constant(self):
+        """Coefficients of the all-zeros multi-index: a float for a single
+        polynomial, an array of the polynomial array's shape otherwise."""
+        if self.coeffs.ndim == 1:
+            return float(self.coeffs[0])
+        return self.coeffs[..., 0].copy()
 
     @property
     def terms(self) -> dict:
-        """Nonzero coefficients keyed by exponent multi-index, graded-lex order."""
+        """Nonzero coefficients of a single polynomial keyed by exponent
+        multi-index, graded-lex order."""
         return {
             tuple(int(e) for e in self.ctx.exponents[m]): float(c)
             for m, c in enumerate(self.coeffs)
             if c != 0.0
         }
 
-    def _coerce(self, other):
-        if isinstance(other, DAScalar):
-            _check_context(self, other)
-            return other.coeffs
-        if isinstance(other, numbers.Real):
-            c = np.zeros(self.ctx.size)
-            c[0] = float(other)
-            return c
-        return None
+    @property
+    def T(self) -> "DAScalar":
+        axes = tuple(reversed(range(self.ndim))) + (self.ndim,)
+        return DAScalar(self.ctx, self.coeffs.transpose(axes))
+
+    def __getitem__(self, key):
+        if not isinstance(key, tuple):
+            key = (key,)
+        if not any(k is Ellipsis for k in key):
+            key = key + (Ellipsis,)
+        return DAScalar(self.ctx, self.coeffs[key + (slice(None),)])
+
+    def __iter__(self):
+        if self.ndim == 0:
+            raise TypeError("iteration over a single polynomial")
+        return (self[i] for i in range(self.shape[0]))
+
+    def reshape(self, *shape) -> "DAScalar":
+        return DAScalar(self.ctx, self.coeffs.reshape(shape + (self.ctx.size,)))
+
+    def sum(self, axis: int) -> "DAScalar":
+        return DAScalar(self.ctx, self.coeffs.sum(axis=_coeff_axis(axis)))
+
+    def _plus_constant(self, coeffs: np.ndarray, value) -> "DAScalar":
+        """``coeffs`` (a fresh or read-only block) plus a constant."""
+        if isinstance(value, np.ndarray):
+            shape = np.broadcast_shapes(coeffs.shape[:-1], value.shape)
+            out = np.array(np.broadcast_to(coeffs, shape + coeffs.shape[-1:]))
+            value = np.broadcast_to(value, shape).T
+        else:
+            out = coeffs.copy()
+        # out.T[0] is out[..., 0] with the leading axes reversed, and faster
+        out.T[0] += value
+        return DAScalar(self.ctx, out)
 
     def __add__(self, other):
-        c = self._coerce(other)
-        if c is None:
+        if isinstance(other, DAScalar):
+            _check_context(self, other)
+            return DAScalar(self.ctx, self.coeffs + other.coeffs)
+        if not _is_constant(other):
             return NotImplemented
-        return DAScalar(self.ctx, self.coeffs + c)
+        return self._plus_constant(self.coeffs, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        c = self._coerce(other)
-        if c is None:
+        if isinstance(other, DAScalar):
+            _check_context(self, other)
+            return DAScalar(self.ctx, self.coeffs - other.coeffs)
+        if not _is_constant(other):
             return NotImplemented
-        return DAScalar(self.ctx, self.coeffs - c)
+        return self._plus_constant(self.coeffs, -other)
 
     def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is None:
+        if not _is_constant(other):
             return NotImplemented
-        return DAScalar(self.ctx, c - self.coeffs)
+        return self._plus_constant(-self.coeffs, other)
 
     def __neg__(self):
         return DAScalar(self.ctx, -self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, numbers.Real):
-            return DAScalar(self.ctx, self.coeffs * float(other))
         if isinstance(other, DAScalar):
             _check_context(self, other)
             ii, jj, kk = self.ctx.multiplication_table()
-            return DAScalar(
-                self.ctx,
-                np.bincount(kk, weights=self.coeffs[ii] * other.coeffs[jj],
-                            minlength=self.ctx.size),
-            )
-        return NotImplemented
+            a, b = self.coeffs, other.coeffs
+            if a.ndim == b.ndim == 1:
+                return DAScalar(self.ctx, np.bincount(kk, weights=a[ii] * b[jj],
+                                                      minlength=self.ctx.size))
+            terms = a.take(ii, axis=-1) * b.take(jj, axis=-1)
+            return DAScalar(self.ctx, np.add.reduceat(terms, self.ctx._mul_starts, axis=-1))
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
-        if isinstance(other, numbers.Real):
-            return DAScalar(self.ctx, self.coeffs * float(other))
-        return NotImplemented
+        if not _is_constant(other):
+            return NotImplemented
+        if isinstance(other, np.ndarray):
+            other = other[..., None]
+        return DAScalar(self.ctx, self.coeffs * other)
 
     def __truediv__(self, other):
-        if isinstance(other, numbers.Real):
-            return DAScalar(self.ctx, self.coeffs / float(other))
         if isinstance(other, DAScalar):
             return self * intrinsic("reciprocal", other)
-        return NotImplemented
+        if not _is_constant(other):
+            return NotImplemented
+        if isinstance(other, np.ndarray):
+            other = other[..., None]
+        return DAScalar(self.ctx, self.coeffs / other)
 
     def __rtruediv__(self, other):
-        if isinstance(other, numbers.Real):
-            return intrinsic("reciprocal", self) * float(other)
+        if _is_constant(other):
+            return intrinsic("reciprocal", self) * other
         return NotImplemented
 
     def __pow__(self, n):
         if not isinstance(n, numbers.Integral) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = constant(self.ctx, 1.0)
+        out = constant(self.ctx, np.ones(self.shape))
         base = self
         n = int(n)
         while n:
@@ -282,7 +346,25 @@ class DAScalar:
             n >>= 1
         return out
 
+    def __matmul__(self, other):
+        if isinstance(other, DAScalar):
+            return _poly_matmul(self, other)
+        if not _is_constant(other):
+            return NotImplemented
+        # contract the last leading axis with the matrix's first
+        c = np.swapaxes(self.coeffs, -1, -2) @ other
+        return DAScalar(self.ctx, c if other.ndim == 1 else np.swapaxes(c, -1, -2))
+
+    def __rmatmul__(self, other):
+        if not _is_constant(other):
+            return NotImplemented
+        if self.ndim == 1:
+            return DAScalar(self.ctx, other @ self.coeffs)
+        return DAScalar(self.ctx, np.moveaxis(other @ np.moveaxis(self.coeffs, -1, 0), 0, -1))
+
     def __repr__(self):
+        if self.ndim:
+            return f"<DAScalar shape={self.shape} ctx={self.ctx!r}>"
         parts = []
         for exps, c in self.terms.items():
             mono = "*".join(
@@ -297,10 +379,27 @@ class DAScalar:
         return f"<DAScalar {body}>"
 
 
-def constant(ctx: AlgebraContext, value: float) -> DAScalar:
-    out = DAScalar(ctx)
-    out.coeffs[0] = float(value)
+def _poly_matmul(a: DAScalar, b: DAScalar) -> DAScalar:
+    """numpy matmul rules on the leading axes, polynomial products inside."""
+    a_vec, b_vec = a.ndim == 1, b.ndim == 1
+    if a_vec:
+        a = a[None, :]
+    if b_vec:
+        b = b[:, None]
+    out = (a[..., :, :, None] * b[..., None, :, :]).sum(axis=-2)
+    if a_vec:
+        out = out[..., 0, :]
+    if b_vec:
+        out = out[..., 0]
     return out
+
+
+def constant(ctx: AlgebraContext, value) -> DAScalar:
+    """Constant polynomials: one for a number, one per entry of an array."""
+    value = np.asarray(value, dtype=float)
+    out = np.zeros(value.shape + (ctx.size,))
+    out.T[0] = value.T
+    return DAScalar(ctx, out)
 
 
 def make_variable(ctx: AlgebraContext, center: float, var_index: int) -> DAScalar:
@@ -314,20 +413,36 @@ def make_variable(ctx: AlgebraContext, center: float, var_index: int) -> DAScala
     return out
 
 
-def add(a: DAScalar, b: DAScalar) -> DAScalar:
-    return a + b
+def asarray(x):
+    """``x`` itself for a polynomial array, ``np.asarray(x)`` otherwise."""
+    return x if isinstance(x, DAScalar) else np.asarray(x)
 
 
-def sub(a: DAScalar, b: DAScalar) -> DAScalar:
-    return a - b
+def _join(np_join, items, axis: int):
+    """``np_join`` over floats, or over polynomials mixed with numbers
+    (which enter as constants)."""
+    items = list(items)
+    first = next((x for x in items if isinstance(x, DAScalar)), None)
+    if first is None:
+        return np_join(items, axis=axis)
+    blocks = []
+    for x in items:
+        if isinstance(x, DAScalar):
+            _check_context(first, x)
+        else:
+            x = constant(first.ctx, x)
+        blocks.append(x.coeffs)
+    return DAScalar(first.ctx, np_join(blocks, axis=_coeff_axis(axis)))
 
 
-def mul(a: DAScalar, b: DAScalar) -> DAScalar:
-    return a * b
+def stack(items, axis: int):
+    """``np.stack`` over floats, or over polynomials and numbers."""
+    return _join(np.stack, items, axis)
 
 
-def scale(a: DAScalar, s: float) -> DAScalar:
-    return a * float(s)
+def concatenate(items, axis: int):
+    """``np.concatenate`` over floats, or over polynomials and numbers."""
+    return _join(np.concatenate, items, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +499,19 @@ _INTRINSICS = {
 
 
 def intrinsic(name: str, a: DAScalar) -> DAScalar:
-    """Apply a standard nonlinear function to a polynomial by univariate
+    """Apply a standard nonlinear function to each polynomial by univariate
     series recomposition (Horner on the nilpotent part)."""
     try:
         series_of = _INTRINSICS[name]
     except KeyError:
         raise ValueError(f"unknown intrinsic {name!r}") from None
-    series = series_of(a.constant, a.ctx.max_order)
-    p = DAScalar(a.ctx, a.coeffs.copy())
-    p.coeffs[0] = 0.0
+    k = a.ctx.max_order
+    # (k + 1, *shape): one series per polynomial
+    per_entry = [series_of(float(c), k) for c in np.ravel(a.coeffs[..., 0])]
+    series = np.array(per_entry).T.reshape((k + 1,) + a.shape)
+    p = a.coeffs.copy()
+    p[..., 0] = 0.0
+    p = DAScalar(a.ctx, p)
     acc = constant(a.ctx, series[-1])
     for c in series[-2::-1]:
         acc = acc * p + c
@@ -439,25 +558,26 @@ def _as_deviation(deviation, n_vars: int) -> np.ndarray:
 def evaluate(obj, deviation):
     """Substitute numbers for the deviation variables.
 
-    DAScalar -> float, DAVector -> 1-d array.  ``evaluate(obj, 0)`` returns
-    the constant part(s).
+    Single polynomial -> float; polynomial array or DAVector -> array of
+    its shape.  ``evaluate(obj, 0)`` returns the constant part(s).
     """
     if isinstance(obj, DAVector):
-        return obj.evaluate(deviation)
+        obj = obj.components
     dev = _as_deviation(deviation, obj.ctx.n_vars)
-    vals = obj.ctx.monomial_values(dev[None, :])[0]
-    return float(vals @ obj.coeffs)
+    out = evaluate_many(obj, dev[None, :])[0]
+    return float(out) if obj.ndim == 0 else out
 
 
 def evaluate_many(obj, deviations: np.ndarray) -> np.ndarray:
-    """Evaluate at a batch of deviation rows.
-
-    DAVector -> (N, n_components); DAScalar -> (N,).
-    """
+    """Evaluate at a batch of deviation rows: (N, n_vars) -> (N, *shape);
+    a DAVector gives (N, n_components)."""
     if isinstance(obj, DAVector):
-        return obj.evaluate_many(deviations)
-    devs = np.asarray(deviations, dtype=float)
-    return obj.ctx.monomial_values(devs) @ obj.coeffs
+        obj = obj.components
+    vals = obj.ctx.monomial_values(np.asarray(deviations, dtype=float))
+    flat = obj.coeffs.reshape(-1, obj.ctx.size)
+    if obj.ndim == 0:
+        return vals @ flat[0]
+    return (vals @ flat.T).reshape(vals.shape[:1] + obj.shape)
 
 
 def truncation_indicator(vec: "DAVector", deviations: np.ndarray) -> np.ndarray:
@@ -479,13 +599,14 @@ def truncation_indicator(vec: "DAVector", deviations: np.ndarray) -> np.ndarray:
 
 
 def partial_derive(a: DAScalar, var_index: int) -> DAScalar:
-    """Formal partial derivative with respect to one deviation variable."""
+    """Formal partial derivative of each polynomial with respect to one
+    deviation variable."""
     if not 0 <= var_index < a.ctx.n_vars:
         raise ValueError(f"var_index {var_index} out of range for {a.ctx!r}")
     src, dst, fac = a.ctx.diff_table(var_index)
-    out = DAScalar(a.ctx)
-    out.coeffs[dst] = a.coeffs[src] * fac
-    return out
+    out = np.zeros_like(a.coeffs)
+    out[..., dst] = a.coeffs[..., src] * fac
+    return DAScalar(a.ctx, out)
 
 
 # ---------------------------------------------------------------------------
@@ -493,23 +614,27 @@ def partial_derive(a: DAScalar, var_index: int) -> DAScalar:
 
 
 class DAVector:
-    """Ordered bundle of polynomials sharing one context.
+    """A polynomial map: a 1-d polynomial array with its expansion center.
 
-    ``center`` records the numeric expansion point the leading deviation
-    variables measure from (its length may be smaller than ``n_vars``;
-    trailing variables are free parameters).  ``metadata`` is a free-form
-    label, e.g. the time interval a map spans.
+    ``components`` is a :class:`DAScalar` of shape ``(n_components,)``
+    (a sequence of single polynomials is stacked into one).  ``center``
+    records the numeric expansion point the leading deviation variables
+    measure from (its length may be smaller than ``n_vars``; trailing
+    variables are free parameters).  ``metadata`` is a free-form label, e.g.
+    the time interval a map spans.
     """
 
     __slots__ = ("components", "center", "metadata")
 
     def __init__(self, components, center, metadata: str | None = None):
-        components = list(components)
-        if not components:
-            raise ValueError("DAVector needs at least one component")
-        ctx = components[0].ctx
-        for c in components[1:]:
-            _check_context(components[0], c)
+        if not isinstance(components, DAScalar):
+            components = list(components)
+            if not components:
+                raise ValueError("DAVector needs at least one component")
+            components = stack(components, 0)
+        if not isinstance(components, DAScalar) or components.ndim != 1:
+            raise ValueError("DAVector components must form a 1-d polynomial array")
+        ctx = components.ctx
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if center.ndim != 1 or len(center) > ctx.n_vars:
             raise ValueError(
@@ -521,38 +646,31 @@ class DAVector:
 
     @property
     def context(self) -> AlgebraContext:
-        return self.components[0].ctx
+        return self.components.ctx
 
     def __len__(self):
-        return len(self.components)
+        return self.components.shape[0]
 
     def __iter__(self):
         return iter(self.components)
 
     @property
     def constant_part(self) -> np.ndarray:
-        return np.array([c.constant for c in self.components])
+        return self.components.constant
 
     def coefficient_matrix(self) -> np.ndarray:
         """(n_components, basis size) dense coefficient stack."""
-        return np.stack([c.coeffs for c in self.components])
-
-    def as_object_array(self) -> np.ndarray:
-        out = np.empty(len(self.components), dtype=object)
-        out[:] = self.components
-        return out
+        return self.components.coeffs.copy()
 
     def evaluate(self, deviation) -> np.ndarray:
-        dev = _as_deviation(deviation, self.context.n_vars)
-        return self.evaluate_many(dev[None, :])[0]
+        return evaluate(self.components, deviation)
 
     def evaluate_many(self, deviations: np.ndarray) -> np.ndarray:
-        vals = self.context.monomial_values(np.asarray(deviations, dtype=float))
-        return vals @ self.coefficient_matrix().T
+        return evaluate_many(self.components, deviations)
 
     def __repr__(self):
         return (
-            f"<DAVector n={len(self.components)} ctx={self.context!r} "
+            f"<DAVector n={len(self)} ctx={self.context!r} "
             f"center={np.array2string(self.center, precision=4)} "
             f"metadata={self.metadata!r}>"
         )
@@ -579,7 +697,7 @@ def compose(outer: DAVector, inner: DAVector) -> DAVector:
     """
     octx = outer.context
     ictx = inner.context
-    n_sub = len(inner.components)
+    n_sub = len(inner)
     if len(outer.center) != n_sub:
         raise ValueError(
             f"outer map expands {len(outer.center)} variables but inner has "
@@ -590,30 +708,28 @@ def compose(outer: DAVector, inner: DAVector) -> DAVector:
             "inner context too small to host outer's parameter variables"
         )
 
-    subs = []
-    for comp in inner.components:
-        g = DAScalar(ictx, comp.coeffs.copy())
-        g.coeffs[0] = 0.0
-        subs.append(g)
-    for i in range(n_sub, octx.n_vars):
-        subs.append(make_variable(ictx, 0.0, i))
+    subs = inner.components.coeffs.copy()
+    subs[:, 0] = 0.0
+    # outer's trailing variables are parameters: d_i passes through as d_i
+    extra = np.arange(n_sub, octx.n_vars)
+    params = np.zeros((len(extra), ictx.size))
+    params[np.arange(len(extra)), 1 + extra] = 1.0
+    subs = np.concatenate([subs, params])
 
-    # values of outer's basis monomials in the inner algebra, one multiply each
-    vals = np.empty((octx.size, ictx.size))
-    vals[0] = 0.0
+    # values of outer's basis monomials in the inner algebra, one degree at a
+    # time: each monomial is its parent monomial times one variable
+    vals = np.zeros((octx.size, ictx.size))
     vals[0, 0] = 1.0
-    hold = [constant(ictx, 1.0)]
-    for m in range(1, octx.size):
-        v = hold[octx._parent[m]] * subs[octx._parent_var[m]]
-        hold.append(v)
-        vals[m] = v.coeffs
+    for degree in range(1, octx.max_order + 1):
+        sel = np.nonzero(octx.degrees == degree)[0]
+        parents = DAScalar(ictx, vals[octx._parent[sel]])
+        vals[sel] = (parents * DAScalar(ictx, subs[octx._parent_var[sel]])).coeffs
 
     if octx.max_order < ictx.max_order:
         vals[:, ictx.degrees > octx.max_order] = 0.0
 
-    coeffs = outer.coefficient_matrix() @ vals
-    components = [DAScalar(ictx, row) for row in coeffs]
-    return DAVector(components, inner.center, metadata=outer.metadata)
+    coeffs = outer.components.coeffs @ vals
+    return DAVector(DAScalar(ictx, coeffs), inner.center, metadata=outer.metadata)
 
 
 def dump(v: DAVector) -> str:
@@ -625,12 +741,12 @@ def dump(v: DAVector) -> str:
     """
     ctx = v.context
     lines = []
-    for ci, comp in enumerate(v.components):
-        cmax = np.abs(comp.coeffs).max()
+    for ci, coeffs in enumerate(v.components.coeffs):
+        cmax = np.abs(coeffs).max()
         if cmax == 0.0:
             continue
-        keep = np.abs(comp.coeffs) >= PRUNE_REL * cmax
+        keep = np.abs(coeffs) >= PRUNE_REL * cmax
         for m in np.nonzero(keep)[0]:
             es = " ".join(str(int(e)) for e in ctx.exponents[m])
-            lines.append(f"{ci}, {comp.coeffs[m]:.17g}, {es}")
+            lines.append(f"{ci}, {coeffs[m]:.17g}, {es}")
     return "\n".join(lines) + "\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .harness import (
@@ -32,11 +33,7 @@ def _load_config(args) -> ScenarioConfig:
         for name in ("order", "method", "seed")
         if getattr(args, name, None) is not None
     }
-    if overrides:
-        data = cfg.__dict__ | overrides
-        data["lambda_schedule"] = tuple(data["lambda_schedule"])
-        cfg = ScenarioConfig(**data)
-    return cfg
+    return dataclasses.replace(cfg, **overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:

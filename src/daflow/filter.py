@@ -54,8 +54,9 @@ CENTER_MATCH_TOL = 1e-9
 @dataclass
 class DynamicsModel:
     """Equations of motion dx/dt = f(x, t), evaluable on real vectors,
-    (N, n) batches, and polynomial states; optional additive process noise
-    covariance (zero when None)."""
+    (N, n) batches, and polynomial states ((n,) DAScalar arrays), returning
+    the same kind; optional additive process noise covariance (zero when
+    None)."""
 
     f: Callable
     process_noise_cov: np.ndarray | None = None
@@ -113,9 +114,8 @@ def build_stpm(center, dynamics: DynamicsModel, t0: float, t1: float,
         raise ValueError(f"need t1 > t0, got {t0} -> {t1}")
     center = np.atleast_1d(np.asarray(center, dtype=float))
     ctx = AlgebraContext(len(center), order)
-    x0 = identity_map(ctx, center).as_object_array()
-    out = integrate(dynamics.f, x0, t0, t1, spec)
-    return DAVector(list(out), center=center, metadata=f"dynamics t {t0:g}->{t1:g}")
+    out = integrate(dynamics.f, identity_map(ctx, center).components, t0, t1, spec)
+    return DAVector(out, center=center, metadata=f"dynamics t {t0:g}->{t1:g}")
 
 
 def propagate_ensemble_map(stpm: DAVector, ensemble: Ensemble, center) -> Ensemble:

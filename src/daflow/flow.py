@@ -37,9 +37,11 @@ from .algebra import (
     DAScalar,
     DAVector,
     compose,
+    concatenate,
     constant,
     identity_map,
     partial_derive,
+    stack,
 )
 from .integrate import IntegratorSpec, Stacked, integrate
 
@@ -105,16 +107,18 @@ class MeasurementModel:
     """Nonlinear measurement y = h(x) + v with Gaussian noise covariance R.
 
     ``h`` must accept a real state vector, a (N, n) batch, or a polynomial
-    state (object array of DAScalar) and return the matching kind.  ``jac``
-    optionally supplies the analytic Jacobian for the real paths; the
-    polynomial path always differentiates the polynomial image of h.
+    state (a (n,) :class:`DAScalar` array) and return the matching kind:
+    (m,), (N, m) or an (m,) polynomial array.  ``jac`` optionally supplies
+    the analytic Jacobian for the real paths; the polynomial path always
+    differentiates the polynomial image of h.  ``noise_inv`` is R^-1,
+    computed from ``noise_cov``.
     """
 
     h: Callable
     noise_cov: np.ndarray
     dim: int
     jac: Callable | None = None
-    _noise_inv: np.ndarray | None = field(default=None, repr=False)
+    noise_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.noise_cov = np.asarray(self.noise_cov, dtype=float)
@@ -125,12 +129,7 @@ class MeasurementModel:
             raise ValueError("noise_cov must be symmetric")
         if np.linalg.eigvalsh(self.noise_cov).min() <= 0:
             raise ValueError("noise_cov must be positive definite")
-
-    @property
-    def noise_inv(self) -> np.ndarray:
-        if self._noise_inv is None:
-            self._noise_inv = np.linalg.inv(self.noise_cov)
-        return self._noise_inv
+        self.noise_inv = np.linalg.inv(self.noise_cov)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """dh/dx at a real state (or (N, n) batch -> (N, m, n))."""
@@ -145,23 +144,11 @@ class MeasurementModel:
 def da_jacobian(h: Callable, x: np.ndarray, m: int) -> np.ndarray:
     """Jacobian of h at x extracted from a first-order polynomial expansion."""
     x = np.asarray(x, dtype=float)
-    ctx = AlgebraContext(len(x), 1)
-    xp = identity_map(ctx, x).as_object_array()
-    hx = _object_vector(h(xp), ctx, m)
-    out = np.empty((m, len(x)))
-    for i in range(m):
-        for j in range(len(x)):
-            out[i, j] = partial_derive(hx[i], j).constant
-    return out
-
-
-def _object_vector(values, ctx: AlgebraContext, length: int) -> np.ndarray:
-    """Normalize a model output to an object array of DAScalar (constants
-    may degrade to plain floats when a component does not depend on x)."""
-    arr = np.empty(length, dtype=object)
-    for i, v in enumerate(np.asarray(values, dtype=object)):
-        arr[i] = v if isinstance(v, DAScalar) else constant(ctx, float(v))
-    return arr
+    hx = h(identity_map(AlgebraContext(len(x), 1), x).components)
+    if hx.shape != (m,):
+        raise ValueError(f"h returned shape {hx.shape}, expected ({m},)")
+    # at order 1 the coefficients after the constant are the first derivatives
+    return hx.coeffs[:, 1:].copy()
 
 
 @dataclass
@@ -230,66 +217,29 @@ class Ensemble:
 # drift / covariance right-hand sides
 
 
-def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Matrix * vector where either factor may hold DAScalar entries."""
-    vec = np.asarray(vec)
-    mat = np.asarray(mat)
-    if vec.dtype != object and mat.dtype != object:
-        return mat.astype(float) @ vec
-    out = np.empty(mat.shape[0], dtype=object)
-    for i in range(mat.shape[0]):
-        acc = mat[i, 0] * vec[0]
-        for j in range(1, mat.shape[1]):
-            acc = acc + mat[i, j] * vec[j]
-        out[i] = acc
-    return out
-
-
-def _h_and_jac_poly(model: MeasurementModel, x: np.ndarray):
-    """h and its Jacobian evaluated at a polynomial state.
+def _drift_poly(x: DAScalar, P, model: MeasurementModel, y, innovation):
+    """Drift P H^T R^-1 (y - h(x)) at a polynomial state, and the (m, n)
+    polynomial Jacobian H it used.  ``P`` is a float or polynomial matrix.
 
     Differentiating h's polynomial image yields the true Jacobian only at an
     identity state (elsewhere it gives the chain-rule composite H * dx/dd),
-    so both are expanded around the state's running mean and composed with
-    the actual polynomials.
+    so h and H are expanded around the state's running mean and composed
+    with the actual polynomials.
     """
-    ctx = x[0].ctx
-    n = len(x)
-    m = model.dim
-    xbar = np.array([xi.constant for xi in x])
-    xloc = identity_map(ctx, xbar).as_object_array()
-    hloc = _object_vector(model.h(xloc), ctx, m)
-    comps = list(hloc)
-    for i in range(m):
-        for j in range(n):
-            comps.append(partial_derive(hloc[i], j))
-    composed = compose(
-        DAVector(comps, center=xbar), DAVector(list(x), center=xbar)
-    ).components
-    hx = np.empty(m, dtype=object)
-    hx[:] = composed[:m]
-    hjx = np.empty((m, n), dtype=object)
-    for i in range(m):
-        for j in range(n):
-            hjx[i, j] = composed[m + i * n + j]
-    return hx, hjx
-
-
-def _innovation_poly(x, hx, hjx, y, innovation):
-    m = len(hx)
-    innov = np.empty(m, dtype=object)
+    n, m = x.shape[0], model.dim
+    xbar = x.constant
+    hloc = model.h(identity_map(x.ctx, xbar).components)
+    jloc = stack([partial_derive(hloc, j) for j in range(n)], axis=-1)
+    local = DAVector(concatenate([hloc, jloc.reshape(m * n)], 0), center=xbar)
+    composed = compose(local, DAVector(x, center=xbar)).components
+    hx, hjx = composed[:m], composed[m:].reshape(m, n)
     if innovation == "nonlinear":
-        for i in range(m):
-            innov[i] = y[i] - hx[i]
+        innov = y - hx
     else:
         # first-order expansion of h about the running mean
-        xbar = np.array([xi.constant for xi in x])
-        for i in range(m):
-            acc = y[i] - hx[i].constant
-            for j in range(len(x)):
-                acc = acc - hjx[i, j].constant * (x[j] - xbar[j])
-            innov[i] = acc
-    return innov
+        innov = (y - hx.constant) - (x - x.constant) @ hjx.constant.T
+    u = (innov @ model.noise_inv.T) @ hjx
+    return P @ u, hjx
 
 
 def flow_rhs(x, P, model: MeasurementModel, y, innovation: str = "nonlinear",
@@ -297,9 +247,9 @@ def flow_rhs(x, P, model: MeasurementModel, y, innovation: str = "nonlinear",
     """Drift P H^T R^-1 (y - h(x)) of the measurement flow.
 
     Accepts a real state (n,), a particle batch (N, n), or a polynomial
-    state (object array), with H taken at the state itself (polynomial H in
-    the polynomial case).  ``P`` may likewise be a constant matrix, a
-    (N, n, n) per-particle stack, or an object matrix of polynomials.
+    state (a (n,) DAScalar array), with H taken at the state itself
+    (polynomial H in the polynomial case).  ``P`` may likewise be a constant
+    matrix, a (N, n, n) per-particle stack, or an (n, n) polynomial array.
     ``innovation='linearized'`` replaces h(x) by its first-order expansion
     about the running mean (``center`` for the real paths).
     """
@@ -308,19 +258,9 @@ def flow_rhs(x, P, model: MeasurementModel, y, innovation: str = "nonlinear",
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (model.dim,):
         raise ValueError(f"measurement shape {y.shape} does not match model dim {model.dim}")
-    x = np.asarray(x)
-    if x.dtype == object:
-        hx, hjx = _h_and_jac_poly(model, x)
-        innov = _innovation_poly(x, hx, hjx, y, innovation)
-        w = _matvec(model.noise_inv, innov)
-        u = np.empty(len(x), dtype=object)
-        for j in range(len(x)):
-            acc = hjx[0, j] * w[0]
-            for i in range(1, model.dim):
-                acc = acc + hjx[i, j] * w[i]
-            u[j] = acc
-        return _matvec(P, u)
-    x = x.astype(float)
+    if isinstance(x, DAScalar):
+        return _drift_poly(x, P, model, y, innovation)[0]
+    x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return _flow_rhs_real(x[None, :], P, model, y, innovation, center)[0]
     return _flow_rhs_real(x, P, model, y, innovation, center)
@@ -353,34 +293,6 @@ def cov_rhs(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
     hp = H @ P
     out = -hp.T @ np.linalg.solve(np.asarray(R, dtype=float), hp)
     return 0.5 * (out + out.T)
-
-
-def _cov_rhs_poly(Ppoly: np.ndarray, hjx: np.ndarray, noise_inv: np.ndarray) -> np.ndarray:
-    """Polynomial-valued -P H^T R^-1 H P via G = P H^T."""
-    n = Ppoly.shape[0]
-    m = hjx.shape[0]
-    G = np.empty((n, m), dtype=object)
-    for i in range(n):
-        for k in range(m):
-            acc = Ppoly[i, 0] * hjx[k, 0]
-            for j in range(1, n):
-                acc = acc + Ppoly[i, j] * hjx[k, j]
-            G[i, k] = acc
-    GR = np.empty((n, m), dtype=object)
-    for i in range(n):
-        for k in range(m):
-            acc = G[i, 0] * noise_inv[0, k]
-            for p in range(1, m):
-                acc = acc + G[i, p] * noise_inv[p, k]
-            GR[i, k] = acc
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(i, n):
-            acc = GR[i, 0] * G[j, 0]
-            for p in range(1, m):
-                acc = acc + GR[i, p] * G[j, p]
-            out[i, j] = out[j, i] = -1.0 * acc
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -454,16 +366,14 @@ def build_flow_map(prior: GaussianBelief, model: MeasurementModel, y,
         raise ValueError("measurement must be finite")
     n = prior.dim
     ctx = AlgebraContext(n, order)
-    x0 = identity_map(ctx, prior.mean).as_object_array()
+    x0 = identity_map(ctx, prior.mean).components
 
     if cov_coupling == "mean":
         def rhs(s, lam):
             x, P = s.parts
-            xbar = np.array([xi.constant for xi in x])
-            hbar = model.jacobian(xbar)
             return Stacked(
                 flow_rhs(x, P, model, y, innovation),
-                cov_rhs(P, hbar, model.noise_cov),
+                cov_rhs(P, model.jacobian(x.constant), model.noise_cov),
             )
 
         def fix(s):
@@ -472,41 +382,23 @@ def build_flow_map(prior: GaussianBelief, model: MeasurementModel, y,
         out = _run_segments(rhs, Stacked(x0, prior.cov.copy()), schedule, spec, fix)
         post_cov = out.parts[1]
     else:
-        P0 = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                P0[i, j] = constant(ctx, prior.cov[i, j])
-
         def rhs(s, lam):
-            x, Ppoly = s.parts
-            hx, hjx = _h_and_jac_poly(model, x)
-            innov = _innovation_poly(x, hx, hjx, y, innovation)
-            w = _matvec(model.noise_inv, innov)
-            u = np.empty(n, dtype=object)
-            for j in range(n):
-                acc = hjx[0, j] * w[0]
-                for i in range(1, model.dim):
-                    acc = acc + hjx[i, j] * w[i]
-                u[j] = acc
-            return Stacked(_matvec(Ppoly, u),
-                           _cov_rhs_poly(Ppoly, hjx, model.noise_inv))
+            x, P = s.parts
+            dx, hjx = _drift_poly(x, P, model, y, innovation)
+            # polynomial -P H^T R^-1 H P, via G = P H^T
+            G = P @ hjx.T
+            dP = -((G @ model.noise_inv) @ G.T)
+            return Stacked(dx, 0.5 * (dP + dP.T))
 
         def fix(s):
-            x, Ppoly = s.parts
-            Pbar = np.array([[Ppoly[i, j].constant for j in range(n)] for i in range(n)])
-            _fix_cov(Pbar)
-            sym = np.empty((n, n), dtype=object)
-            for i in range(n):
-                sym[i, i] = Ppoly[i, i]
-                for j in range(i + 1, n):
-                    sym[i, j] = sym[j, i] = 0.5 * (Ppoly[i, j] + Ppoly[j, i])
-            return Stacked(x, sym)
+            x, P = s.parts
+            _fix_cov(P.constant)
+            return Stacked(x, 0.5 * (P + P.T))
 
-        out = _run_segments(rhs, Stacked(x0, P0), schedule, spec, fix)
+        out = _run_segments(rhs, Stacked(x0, constant(ctx, prior.cov)), schedule, spec, fix)
         post_cov = None
 
-    fmap = DAVector(list(out.parts[0]), center=prior.mean,
-                    metadata="flow lambda 0->1")
+    fmap = DAVector(out.parts[0], center=prior.mean, metadata="flow lambda 0->1")
     return (fmap, post_cov) if return_cov else fmap
 
 

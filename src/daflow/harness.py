@@ -25,6 +25,8 @@ from .filter import (
     daruff_step,
 )
 from .flow import (
+    COV_COUPLINGS,
+    INNOVATION_MODES,
     Ensemble,
     FlowError,
     GaussianBelief,
@@ -33,7 +35,7 @@ from .flow import (
     flow_ensemble_ode,
     geometric_schedule,
 )
-from .integrate import IntegrationError, IntegratorSpec
+from .integrate import METHODS as INTEGRATORS, IntegrationError, IntegratorSpec
 
 __all__ = [
     "ConfigError",
@@ -112,13 +114,13 @@ class ScenarioConfig:
         first, last, count = self.lambda_schedule
         if not (0.0 < first < last <= 1.0) or int(count) < 2:
             raise ConfigError("lambda_schedule must satisfy 0 < first < last <= 1, count >= 2")
-        if self.integrator not in ("rk4_fixed", "rk78_adaptive"):
+        if self.integrator not in INTEGRATORS:
             raise ConfigError(f"unknown integrator {self.integrator!r}")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ConfigError("tolerances must be positive")
-        if self.innovation not in ("nonlinear", "linearized"):
+        if self.innovation not in INNOVATION_MODES:
             raise ConfigError(f"unknown innovation {self.innovation!r}")
-        if self.cov_coupling not in ("mean", "particle"):
+        if self.cov_coupling not in COV_COUPLINGS:
             raise ConfigError(f"unknown cov_coupling {self.cov_coupling!r}")
         if self.cov_coupling == "particle" and self.innovation == "linearized":
             raise ConfigError("innovation 'linearized' requires cov_coupling 'mean'")
@@ -541,8 +543,12 @@ def _emit_mc(summary: MCSummary, out: Path) -> list:
     coverage_path = _write_csv(out / "coverage.csv",
                                ["method", "component", "coverage_3sigma"],
                                cov_rows)
-    seeds_path = _write_csv(out / "runs.csv", ["run_index", "seed"],
-                            ([i, s] for i, s in enumerate(summary.run_seeds)))
+    failed = {}
+    for i, method, _ in summary.failed_runs:
+        failed.setdefault(i, []).append(method)
+    seeds_path = _write_csv(out / "runs.csv", ["run_index", "seed", "failed_methods"],
+                            ([i, s, ";".join(failed.get(i, []))]
+                             for i, s in enumerate(summary.run_seeds)))
     return [rmse_path, coverage_path, seeds_path]
 
 

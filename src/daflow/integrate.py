@@ -1,10 +1,10 @@
 """Explicit Runge-Kutta integration over duck-typed state algebras.
 
 One integrator body serves plain float vectors, batches of particles,
-polynomial states (numpy object arrays of DAScalar), and heterogeneous
-bundles (:class:`Stacked`): the state only has to support ``a + b`` and
-``scalar * a``.  Two methods are provided, a fixed-step classic RK4 and the
-Fehlberg 7(8) embedded adaptive pair.
+polynomial states (:class:`~daflow.algebra.DAScalar` arrays), and
+heterogeneous bundles (:class:`Stacked`): the state only has to support
+``a + b`` and ``scalar * a``.  Two methods are provided, a fixed-step
+classic RK4 and the Fehlberg 7(8) embedded adaptive pair.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .algebra import DAScalar
 
 __all__ = ["IntegratorSpec", "IntegrationError", "Stacked", "integrate"]
 
@@ -54,8 +56,8 @@ class IntegratorSpec:
 class Stacked:
     """Fixed-shape bundle of states integrated as one ODE state.
 
-    Parts may be float arrays or object arrays of DAScalar; elementwise add
-    and scalar multiply distribute over the parts.
+    Parts may be float arrays or polynomial arrays; elementwise add and
+    scalar multiply distribute over the parts.
     """
 
     __slots__ = ("parts",)
@@ -80,18 +82,15 @@ def _leading_values(y) -> np.ndarray:
     polynomial entries, the raw values otherwise."""
     if isinstance(y, Stacked):
         return np.concatenate([_leading_values(p) for p in y.parts])
-    arr = np.asarray(y)
-    if arr.dtype == object:
-        return np.array([el.constant for el in arr.ravel()])
-    return arr.ravel().astype(float)
+    if isinstance(y, DAScalar):
+        return y.coeffs[..., 0].ravel()
+    return np.asarray(y).ravel().astype(float)
 
 
 def _state_finite(y) -> bool:
     if isinstance(y, Stacked):
         return all(_state_finite(p) for p in y.parts)
-    arr = np.asarray(y)
-    if arr.dtype == object:
-        return all(np.isfinite(el.coeffs).all() for el in arr.ravel())
+    arr = y.coeffs if isinstance(y, DAScalar) else np.asarray(y)
     return bool(np.isfinite(arr).all())
 
 

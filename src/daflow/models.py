@@ -1,8 +1,10 @@
 """Benchmark models: planar range measurement and CubeSat attitude.
 
 All model functions are written against a small set of generic operations
-(slicing, arithmetic, :mod:`daflow.algebra` intrinsics) so one definition
-serves plain state vectors, (N, n) particle batches, and polynomial states.
+(slicing, unpacking the components along the last axis with ``x.T``,
+arithmetic, and the :mod:`daflow.algebra` intrinsics and
+``stack``/``concatenate``) so one definition serves plain state vectors,
+(N, n) particle batches, and polynomial arrays.
 Quaternions are stored vector-first, scalar-last: q = (qi, qj, qk, qs).
 """
 
@@ -48,33 +50,14 @@ STAR_NOISE_SIGMA = 0.01
 GYRO_NOISE_SIGMA = 0.2 * np.pi / 180.0  # rad/s
 
 
-def _pack(comps, template):
-    """Stack per-component results into the same kind as the input state."""
-    t = np.asarray(template)
-    if t.dtype == object:
-        out = np.empty(len(comps), dtype=object)
-        out[:] = comps
-        return out
-    return np.stack([np.asarray(c, dtype=float) for c in comps], axis=-1)
-
-
-def _comp(x, i):
-    """x[..., i], unwrapping the 0-d array numpy returns for 1-d object input."""
-    v = x[..., i]
-    if isinstance(v, np.ndarray) and v.ndim == 0:
-        return v.item()
-    return v
-
-
 # ---------------------------------------------------------------------------
 # planar range toy
 
 
 def range_h(x):
     """Euclidean norm of a 2-d state; singular when expanded around the origin."""
-    x = np.asarray(x)
-    x0, x1 = _comp(x, 0), _comp(x, 1)
-    return _pack([algebra.sqrt(x0 * x0 + x1 * x1)], x)
+    x0, x1 = algebra.asarray(x).T
+    return algebra.sqrt(x0 * x0 + x1 * x1)[..., None]
 
 
 def range_model(noise_sigma: float = 0.1) -> MeasurementModel:
@@ -165,31 +148,27 @@ INITIAL_STATE_COV = np.diag([0.1 ** 2] * 4 + [0.05 ** 2] * 3 + [0.01 ** 2] * 3)
 
 def quat_mul(a, b):
     """Hamilton product, vector-first scalar-last component order."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    ai, aj, ak, asc = (_comp(a, i) for i in range(4))
-    bi, bj, bk, bsc = (_comp(b, i) for i in range(4))
-    return _pack(
+    ai, aj, ak, asc = algebra.asarray(a).T
+    bi, bj, bk, bsc = algebra.asarray(b).T
+    return algebra.stack(
         [
             asc * bi + bsc * ai + aj * bk - ak * bj,
             asc * bj + bsc * aj + ak * bi - ai * bk,
             asc * bk + bsc * ak + ai * bj - aj * bi,
             asc * bsc - ai * bi - aj * bj - ak * bk,
         ],
-        a if a.dtype == object else b,
+        axis=-1,
     )
 
 
 def attitude_rhs(x, params: RigidBodyParams = DEFAULT_PARAMS):
     """Quaternion kinematics, Euler rigid-body rates, constant bias."""
-    x = np.asarray(x)
     j = params.inertia
     jinv = params.inertia_inv
     m = params.external_torque
 
     # q' = 0.5 [w; 0] (x) q, written out so polynomial states pass through
-    wi, wj, wk = _comp(x, 4), _comp(x, 5), _comp(x, 6)
-    qi, qj, qk, qs = (_comp(x, i) for i in range(4))
+    qi, qj, qk, qs, wi, wj, wk = algebra.asarray(x).T[0:7]
     dq = [
         0.5 * (qs * wi + wj * qk - wk * qj),
         0.5 * (qs * wj + wk * qi - wi * qk),
@@ -209,7 +188,7 @@ def attitude_rhs(x, params: RigidBodyParams = DEFAULT_PARAMS):
     ]
 
     zero = 0.0 * qi
-    return _pack(dq + dw + [zero, zero, zero], x)
+    return algebra.stack(dq + dw + [zero, zero, zero], axis=-1)
 
 
 def attitude_dynamics(params: RigidBodyParams = DEFAULT_PARAMS) -> DynamicsModel:
@@ -222,8 +201,7 @@ def dcm_from_quat(q):
     Returns a 3x3 nested list so entries may be polynomials; exactly
     orthogonal for unit quaternions.
     """
-    q = np.asarray(q)
-    qi, qj, qk, qs = (_comp(q, i) for i in range(4))
+    qi, qj, qk, qs = algebra.asarray(q).T
     ii, jj, kk, ss = qi * qi, qj * qj, qk * qk, qs * qs
     ij, ik, is_ = qi * qj, qi * qk, qi * qs
     jk, js = qj * qk, qj * qs
@@ -237,18 +215,17 @@ def dcm_from_quat(q):
 
 def star_tracker_h(x, r):
     """Body-frame direction of an inertial star: C(q) r."""
-    x = np.asarray(x)
-    c = dcm_from_quat(x[..., 0:4] if x.ndim > 1 else x[0:4])
-    return _pack(
+    c = dcm_from_quat(algebra.asarray(x)[..., 0:4])
+    return algebra.stack(
         [c[row][0] * r[0] + c[row][1] * r[1] + c[row][2] * r[2] for row in range(3)],
-        x,
+        axis=-1,
     )
 
 
 def gyro_h(x):
     """Rate-gyro reading: body rates plus bias."""
-    x = np.asarray(x)
-    return _pack([_comp(x, 4 + i) + _comp(x, 7 + i) for i in range(3)], x)
+    x = algebra.asarray(x)
+    return x[..., 4:7] + x[..., 7:10]
 
 
 def star_tracker_jacobian(q, r):
@@ -298,13 +275,9 @@ def stacked_measurement(catalog: StarCatalog = DEFAULT_CATALOG) -> MeasurementMo
     """Two star trackers and a rate gyro as one 9-dimensional measurement."""
 
     def h(x):
-        x = np.asarray(x)
-        s1 = star_tracker_h(x, catalog.r1)
-        s2 = star_tracker_h(x, catalog.r2)
-        g = gyro_h(x)
-        if x.dtype == object:
-            return np.concatenate([s1, s2, g])
-        return np.concatenate([s1, s2, g], axis=-1)
+        return algebra.concatenate(
+            [star_tracker_h(x, catalog.r1), star_tracker_h(x, catalog.r2), gyro_h(x)],
+            axis=-1)
 
     noise = np.diag(
         [STAR_NOISE_SIGMA ** 2] * 6 + [GYRO_NOISE_SIGMA ** 2] * 3

@@ -54,27 +54,27 @@ class TestRingOps:
     def test_binomial(self):
         ctx = da.AlgebraContext(1, 2)
         one_plus = da.make_variable(ctx, 1.0, 0)
-        assert da.mul(one_plus, one_plus).terms == {(0,): 1.0, (1,): 2.0, (2,): 1.0}
+        assert (one_plus * one_plus).terms == {(0,): 1.0, (1,): 2.0, (2,): 1.0}
 
     def test_truncation_drops_high_degree(self):
         ctx = da.AlgebraContext(1, 1)
         one_plus = da.make_variable(ctx, 1.0, 0)
-        assert da.mul(one_plus, one_plus).terms == {(0,): 1.0, (1,): 2.0}
+        assert (one_plus * one_plus).terms == {(0,): 1.0, (1,): 2.0}
 
     def test_mul_by_zero(self):
         ctx = da.AlgebraContext(2, 3)
         a = da.make_variable(ctx, 2.0, 0)
         zero = da.DAScalar(ctx)
-        assert da.mul(a, zero).terms == {}
+        assert (a * zero).terms == {}
 
     def test_add_sub_scale(self):
         ctx = da.AlgebraContext(2, 2)
         a = da.make_variable(ctx, 1.0, 0)
         b = da.make_variable(ctx, -2.0, 1)
-        s = da.add(a, b)
+        s = a + b
         assert s.terms == {(0, 0): -1.0, (1, 0): 1.0, (0, 1): 1.0}
-        assert da.sub(s, b).terms == a.terms
-        assert da.scale(a, 3.0).terms == {(0, 0): 3.0, (1, 0): 3.0}
+        assert (s - b).terms == a.terms
+        assert (a * 3.0).terms == {(0, 0): 3.0, (1, 0): 3.0}
 
     def test_commutativity_and_associativity(self):
         rng = np.random.default_rng(11)
@@ -417,3 +417,94 @@ class TestEvaluationHomomorphism:
             if e2 > 1e-14:
                 ratios.append(e1 / e2)
         assert np.median(ratios) > 2 ** (k + 1) / 2
+
+
+class TestPolynomialArrays:
+    """Array-shaped DAScalar: each operation against the same operation on
+    its single-polynomial entries."""
+
+    def rand_array(self, ctx, rng, shape, const=0.0):
+        coeffs = rng.normal(size=shape + (ctx.size,))
+        coeffs[..., 0] += const
+        return da.DAScalar(ctx, coeffs)
+
+    def test_broadcast_product_matches_single_products(self):
+        rng = np.random.default_rng(20)
+        for n, k in ((10, 2), (2, 8)):
+            ctx = da.AlgebraContext(n, k)
+            a = self.rand_array(ctx, rng, (3, 1))
+            b = self.rand_array(ctx, rng, (4,))
+            ab = a * b
+            assert ab.shape == (3, 4)
+            for i in range(3):
+                for j in range(4):
+                    np.testing.assert_allclose(ab[i, j].coeffs, (a[i, 0] * b[j]).coeffs,
+                                               rtol=1e-13, atol=1e-13)
+
+    def test_constants_and_float_arrays(self):
+        rng = np.random.default_rng(21)
+        ctx = da.AlgebraContext(2, 3)
+        x = self.rand_array(ctx, rng, (3,))
+        v = np.array([1.0, -2.0, 0.5])
+        for got, want in (((v - x)[1], v[1] - x[1]), ((x * v)[2], x[2] * v[2]),
+                          ((x / v)[0], x[0] / v[0]), ((x + 2.0)[1], x[1] + 2.0)):
+            np.testing.assert_array_equal(got.coeffs, want.coeffs)
+        # a float array broadcasts against the trailing leading axes
+        X = self.rand_array(ctx, rng, (2, 3))
+        np.testing.assert_array_equal((X - v)[1, 2].coeffs, (X[1, 2] - v[2]).coeffs)
+        np.testing.assert_array_equal((v[:, None] + x).coeffs[2, 1], (v[2] + x[1]).coeffs)
+
+    def test_matmul_matches_explicit_sums(self):
+        rng = np.random.default_rng(22)
+        ctx = da.AlgebraContext(3, 2)
+        x = self.rand_array(ctx, rng, (3,))
+        P = self.rand_array(ctx, rng, (2, 3))
+        A = rng.normal(size=(3, 2))
+        xa = x @ A
+        pa = P @ A
+        ax = A.T @ x
+        px = P @ x
+        for j in range(2):
+            want = x[0] * A[0, j] + x[1] * A[1, j] + x[2] * A[2, j]
+            np.testing.assert_allclose(xa[j].coeffs, want.coeffs, atol=1e-13)
+            np.testing.assert_allclose(ax[j].coeffs, want.coeffs, atol=1e-13)
+            want = P[j, 0] * x[0] + P[j, 1] * x[1] + P[j, 2] * x[2]
+            np.testing.assert_allclose(px[j].coeffs, want.coeffs, atol=1e-13)
+            for i in range(2):
+                want = P[i, 0] * A[0, j] + P[i, 1] * A[1, j] + P[i, 2] * A[2, j]
+                np.testing.assert_allclose(pa[i, j].coeffs, want.coeffs, atol=1e-13)
+        assert (P @ P.T).shape == (2, 2)
+
+    def test_intrinsic_and_derivative_per_entry(self):
+        rng = np.random.default_rng(23)
+        ctx = da.AlgebraContext(2, 5)
+        x = self.rand_array(ctx, rng, (2, 2), const=3.0)
+        s = da.sqrt(x)
+        d = da.partial_derive(x, 1)
+        for i in range(2):
+            for j in range(2):
+                np.testing.assert_allclose(s[i, j].coeffs, da.sqrt(x[i, j]).coeffs,
+                                           rtol=1e-12, atol=1e-12)
+                np.testing.assert_array_equal(d[i, j].coeffs,
+                                              da.partial_derive(x[i, j], 1).coeffs)
+
+    def test_stack_concatenate_and_evaluate(self):
+        rng = np.random.default_rng(24)
+        ctx = da.AlgebraContext(2, 3)
+        x = self.rand_array(ctx, rng, (2,))
+        s = da.stack([x[1], 4.0, x[0]], axis=-1)
+        assert s.shape == (3,)
+        np.testing.assert_array_equal(s[1].coeffs, da.constant(ctx, 4.0).coeffs)
+        c = da.concatenate([x, s], 0)
+        devs = rng.normal(size=(5, 2))
+        vals = da.evaluate_many(c, devs)
+        assert vals.shape == (5, 5)
+        np.testing.assert_allclose(vals[:, 4], da.evaluate_many(x[0], devs), rtol=1e-14)
+        np.testing.assert_array_equal(da.stack([1.0, 2.0], axis=0), [1.0, 2.0])
+
+    def test_numpy_sees_one_object(self):
+        # numpy must not iterate a polynomial array: np.asarray gives a 0-d
+        # object array, which is how float and polynomial inputs are told apart
+        x = da.identity_map(da.AlgebraContext(3, 2), [1.0, 2.0, 3.0]).components
+        arr = np.asarray(x)
+        assert arr.dtype == object and arr.shape == ()

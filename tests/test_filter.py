@@ -35,15 +35,6 @@ def linear_dynamics(A):
     A = np.asarray(A, dtype=float)
 
     def f(x, t):
-        x = np.asarray(x)
-        if x.dtype == object:
-            out = np.empty(len(x), dtype=object)
-            for i in range(len(x)):
-                acc = A[i, 0] * x[0]
-                for j in range(1, A.shape[1]):
-                    acc = acc + A[i, j] * x[j]
-                out[i] = acc
-            return out
         return x @ A.T
 
     return DynamicsModel(f=f)

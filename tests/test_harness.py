@@ -1,11 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from daflow import harness
 from daflow.algebra import truncation_indicator
 from daflow.cli import main
-from daflow.flow import GaussianBelief, build_flow_map, flow_ensemble_ode
+from daflow.filter import daruff_step
+from daflow.flow import FlowError, GaussianBelief, build_flow_map, flow_ensemble_ode
 from daflow.harness import (
     TOY_NOISE_SIGMA,
     TOY_PRIOR_COV,
@@ -209,7 +212,25 @@ class TestAttitudeMc:
         assert cov_lines[0] == "method,component,coverage_3sigma"
         assert len(cov_lines) == 1 + 2 * 10
         runs_lines = paths[2].read_text().splitlines()
-        assert runs_lines[1] == "0,0:0"
+        assert runs_lines[0] == "run_index,seed,failed_methods"
+        assert runs_lines[1] == "0,0:0,"
+
+    def test_failed_run_is_reported(self, tiny_mc, tmp_path, monkeypatch):
+        # three epochs per run: the fourth step is run 1's first epoch
+        calls = []
+
+        def step(*args):
+            calls.append(None)
+            if len(calls) == 4:
+                raise FlowError("injected failure")
+            return daruff_step(*args)
+
+        monkeypatch.setattr(harness, "daruff_step", step)
+        summary = run_attitude_mc(dataclasses.replace(tiny_mc, n_mc=2, method="da"))
+        assert summary.failed_runs == [(1, "da", "injected failure")]
+        assert [r.seed_label for r in summary.runs["da"]] == ["0:0"]
+        runs_lines = emit_csv(summary, tmp_path)[2].read_text().splitlines()
+        assert runs_lines == ["run_index,seed,failed_methods", "0,0:0,", "1,0:1,da"]
 
 
 class TestCli:

@@ -18,20 +18,20 @@ class TestRangeH:
 
     def test_da_gradient_at_prior_mean(self):
         ctx = da.AlgebraContext(2, 1)
-        xp = da.identity_map(ctx, [-3.5, 0.0]).as_object_array()
+        xp = da.identity_map(ctx, [-3.5, 0.0]).components
         h = models.range_h(xp)[0]
         grads = [da.partial_derive(h, j).constant for j in range(2)]
         np.testing.assert_allclose(grads, [-1.0, 0.0], atol=1e-15)
 
     def test_singular_expansion_at_origin(self):
         ctx = da.AlgebraContext(2, 2)
-        xp = da.identity_map(ctx, [0.0, 0.0]).as_object_array()
+        xp = da.identity_map(ctx, [0.0, 0.0]).components
         with pytest.raises(da.DomainError):
             models.range_h(xp)
 
     def test_da_expansion_tracks_direct_norm(self):
         ctx = da.AlgebraContext(2, 4)
-        xp = da.identity_map(ctx, [-3.5, 0.0]).as_object_array()
+        xp = da.identity_map(ctx, [-3.5, 0.0]).components
         h = models.range_h(xp)[0]
         rng = np.random.default_rng(0)
         for _ in range(10):
@@ -100,7 +100,7 @@ class TestAttitudeRhs:
     def test_polynomial_state_passthrough(self):
         x0 = models.DEFAULT_INITIAL_STATE.as_vector()
         ctx = da.AlgebraContext(10, 2)
-        xp = da.identity_map(ctx, x0).as_object_array()
+        xp = da.identity_map(ctx, x0).components
         rp = models.attitude_rhs(xp)
         rng = np.random.default_rng(4)
         d = 0.01 * rng.standard_normal(10)
@@ -206,7 +206,7 @@ class TestStackedMeasurement:
         model = models.stacked_measurement()
         x0 = models.DEFAULT_INITIAL_STATE.as_vector()
         ctx = da.AlgebraContext(10, 2)
-        hp = model.h(da.identity_map(ctx, x0).as_object_array())
+        hp = model.h(da.identity_map(ctx, x0).components)
         rng = np.random.default_rng(10)
         d = 0.01 * rng.standard_normal(10)
         evald = np.array([da.evaluate(c, d) for c in hp])
