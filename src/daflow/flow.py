@@ -358,6 +358,8 @@ def build_flow_map(prior: GaussianBelief, model: MeasurementModel, y,
     """
     if cov_coupling not in COV_COUPLINGS:
         raise ValueError(f"cov_coupling must be one of {COV_COUPLINGS}")
+    if innovation not in INNOVATION_MODES:
+        raise ValueError(f"innovation must be one of {INNOVATION_MODES}")
     if cov_coupling == "particle" and innovation == "linearized":
         raise ValueError("linearized innovation is defined about the running mean, "
                          "which the particle coupling does not carry")
@@ -419,6 +421,8 @@ def flow_ensemble_ode(particles, prior: GaussianBelief, model: MeasurementModel,
     """
     if cov_coupling not in COV_COUPLINGS:
         raise ValueError(f"cov_coupling must be one of {COV_COUPLINGS}")
+    if innovation not in INNOVATION_MODES:
+        raise ValueError(f"innovation must be one of {INNOVATION_MODES}")
     if cov_coupling == "particle" and innovation == "linearized":
         raise ValueError("linearized innovation is defined about the running mean, "
                          "which the particle coupling does not carry")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import models
-from .algebra import truncation_indicator
+from .algebra import DomainError, truncation_indicator
 from .filter import (
     FilterConfig,
     FilterState,
@@ -370,7 +370,7 @@ def run_attitude_mc(cfg: ScenarioConfig) -> MCSummary:
             try:
                 est, covs, errors, timing = _attitude_filter_run(
                     method, cfg, truth, xhat0, particles)
-            except (FlowError, IntegrationError) as exc:
+            except (FlowError, IntegrationError, DomainError) as exc:
                 failed.append((i, method, str(exc)))
                 continue
             runs[method].append(AttitudeRun(seed_label, truth.times, est, covs,

@@ -1,10 +1,12 @@
 """Benchmark models: planar range measurement and CubeSat attitude.
 
-All model functions are written against a small set of generic operations
-(slicing, unpacking the components along the last axis with ``x.T``,
-arithmetic, and the :mod:`daflow.algebra` intrinsics and
-``stack``/``concatenate``) so one definition serves plain state vectors,
-(N, n) particle batches, and polynomial arrays.
+Each model function has one body that serves plain state vectors, (N, n)
+particle batches, and polynomial arrays.  The range model unpacks the
+components along the last axis with ``x.T`` and applies the
+:mod:`daflow.algebra` intrinsics.  Every attitude function is at most
+quadratic in the state, so each is one gathered pair product
+``x[..., a] * x[..., b]`` times a constant matrix, built once from
+:func:`quat_mul`, the cross product and :func:`dcm_from_quat`.
 Quaternions are stored vector-first, scalar-last: q = (qi, qj, qk, qs).
 """
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import algebra
 from .filter import DynamicsModel
-from .flow import MeasurementModel
+from .flow import MeasurementModel, da_jacobian
 from .integrate import IntegratorSpec, integrate
 
 __all__ = [
@@ -33,8 +35,6 @@ __all__ = [
     "star_tracker_h",
     "gyro_h",
     "stacked_measurement",
-    "star_tracker_jacobian",
-    "stacked_jacobian",
     "simulate_truth",
     "normalize_quaternion_block",
     "DEFAULT_PARAMS",
@@ -78,6 +78,63 @@ def range_model(noise_sigma: float = 0.1) -> MeasurementModel:
 # attitude problem
 
 
+def quat_mul(a, b):
+    """Hamilton product, vector-first scalar-last component order."""
+    ai, aj, ak, asc = algebra.asarray(a).T
+    bi, bj, bk, bsc = algebra.asarray(b).T
+    return algebra.stack(
+        [
+            asc * bi + bsc * ai + aj * bk - ak * bj,
+            asc * bj + bsc * aj + ak * bi - ai * bk,
+            asc * bk + bsc * ak + ai * bj - aj * bi,
+            asc * bsc - ai * bi - aj * bj - ak * bk,
+        ],
+        axis=-1,
+    )
+
+
+def dcm_from_quat(q):
+    """Direction cosine matrix rotating inertial vectors into the body frame.
+
+    Returns a 3x3 nested list so entries may be polynomials; exactly
+    orthogonal for unit quaternions.
+    """
+    qi, qj, qk, qs = algebra.asarray(q).T
+    ii, jj, kk, ss = qi * qi, qj * qj, qk * qk, qs * qs
+    ij, ik, is_ = qi * qj, qi * qk, qi * qs
+    jk, js = qj * qk, qj * qs
+    ks = qk * qs
+    return [
+        [ss + ii - jj - kk, 2.0 * (ij + ks), 2.0 * (ik - js)],
+        [2.0 * (ij - ks), ss - ii + jj - kk, 2.0 * (jk + is_)],
+        [2.0 * (ik + js), 2.0 * (jk - is_), ss - ii - jj + kk],
+    ]
+
+
+# State-index pairs of the quadratic attitude terms: (w_a, q_b) of the
+# kinematics and (w_a, w_b), a <= b, of the Euler term; (q_a, q_b), a <= b,
+# of the star trackers.
+_RHS_A, _RHS_B = np.array([(4 + a, b) for a in range(3) for b in range(4)]
+                          + [(4 + a, 4 + b) for a in range(3) for b in range(a, 3)]).T
+_Q_A, _Q_B = np.array([(a, b) for a in range(4) for b in range(a, 4)]).T
+
+
+def _dcm_pairs() -> np.ndarray:
+    """(10, 3, 3) coefficients of q_a q_b in C(q), one per quaternion pair,
+    by polarizing :func:`dcm_from_quat` on unit quaternions (exact: the
+    entries are small integers)."""
+    e = np.eye(4)
+
+    def c(q):
+        return np.array(dcm_from_quat(q))
+
+    return np.stack([c(e[a]) if a == b else c(e[a] + e[b]) - c(e[a]) - c(e[b])
+                     for a, b in zip(_Q_A, _Q_B)])
+
+
+_DCM_PAIRS = _dcm_pairs()
+
+
 @dataclass
 class AttitudeState:
     """Quaternion (vector-first), body rates, and gyro bias."""
@@ -106,7 +163,12 @@ class AttitudeState:
 
 @dataclass
 class RigidBodyParams:
-    """Inertia matrix (kg m^2) and constant external torque (N m)."""
+    """Inertia matrix (kg m^2) and constant external torque (N m).
+
+    ``rhs_quadratic`` (18, 10) and ``rhs_constant`` (10,) hold
+    :func:`attitude_rhs` as a quadratic form: the products of its 18 state
+    pairs times ``rhs_quadratic``, plus ``rhs_constant``.
+    """
 
     inertia: np.ndarray
     external_torque: np.ndarray
@@ -121,6 +183,23 @@ class RigidBodyParams:
         if np.linalg.eigvalsh(self.inertia).min() <= 0:
             raise ValueError("inertia must be positive definite")
         self.inertia_inv = np.linalg.inv(self.inertia)
+
+        e = np.eye(4)
+        quad = np.zeros((len(_RHS_A), STATE_DIM))
+        for p, (a, b) in enumerate(zip(_RHS_A - 4, _RHS_B)):
+            if b < 4:
+                # w_a q_b in 0.5 [w; 0] (x) q
+                quad[p, 0:4] = 0.5 * quat_mul(e[a], e[b])
+            else:
+                # w_a w_b in -J^-1 (w x J w); a pair a != b holds both orders
+                wa, wb = e[a, :3], e[b - 4, :3]
+                cross = np.cross(wa, self.inertia @ wb)
+                if a != b - 4:
+                    cross = cross + np.cross(wb, self.inertia @ wa)
+                quad[p, 4:7] = -self.inertia_inv @ cross
+        self.rhs_quadratic = quad
+        self.rhs_constant = np.zeros(STATE_DIM)
+        self.rhs_constant[4:7] = self.inertia_inv @ self.external_torque
 
 
 @dataclass
@@ -146,129 +225,27 @@ DEFAULT_INITIAL_STATE = AttitudeState(
 INITIAL_STATE_COV = np.diag([0.1 ** 2] * 4 + [0.05 ** 2] * 3 + [0.01 ** 2] * 3)
 
 
-def quat_mul(a, b):
-    """Hamilton product, vector-first scalar-last component order."""
-    ai, aj, ak, asc = algebra.asarray(a).T
-    bi, bj, bk, bsc = algebra.asarray(b).T
-    return algebra.stack(
-        [
-            asc * bi + bsc * ai + aj * bk - ak * bj,
-            asc * bj + bsc * aj + ak * bi - ai * bk,
-            asc * bk + bsc * ak + ai * bj - aj * bi,
-            asc * bsc - ai * bi - aj * bj - ak * bk,
-        ],
-        axis=-1,
-    )
-
-
 def attitude_rhs(x, params: RigidBodyParams = DEFAULT_PARAMS):
-    """Quaternion kinematics, Euler rigid-body rates, constant bias."""
-    j = params.inertia
-    jinv = params.inertia_inv
-    m = params.external_torque
-
-    # q' = 0.5 [w; 0] (x) q, written out so polynomial states pass through
-    qi, qj, qk, qs, wi, wj, wk = algebra.asarray(x).T[0:7]
-    dq = [
-        0.5 * (qs * wi + wj * qk - wk * qj),
-        0.5 * (qs * wj + wk * qi - wi * qk),
-        0.5 * (qs * wk + wi * qj - wj * qi),
-        0.5 * (-wi * qi - wj * qj - wk * qk),
-    ]
-
-    jw = [j[r, 0] * wi + j[r, 1] * wj + j[r, 2] * wk for r in range(3)]
-    torque = [
-        m[0] - (wj * jw[2] - wk * jw[1]),
-        m[1] - (wk * jw[0] - wi * jw[2]),
-        m[2] - (wi * jw[1] - wj * jw[0]),
-    ]
-    dw = [
-        jinv[r, 0] * torque[0] + jinv[r, 1] * torque[1] + jinv[r, 2] * torque[2]
-        for r in range(3)
-    ]
-
-    zero = 0.0 * qi
-    return algebra.stack(dq + dw + [zero, zero, zero], axis=-1)
+    """Quaternion kinematics 0.5 [w; 0] (x) q, Euler rigid-body rates
+    J^-1 (m - w x J w), constant bias."""
+    x = algebra.asarray(x)
+    return (x[..., _RHS_A] * x[..., _RHS_B]) @ params.rhs_quadratic + params.rhs_constant
 
 
 def attitude_dynamics(params: RigidBodyParams = DEFAULT_PARAMS) -> DynamicsModel:
     return DynamicsModel(f=lambda x, t: attitude_rhs(x, params))
 
 
-def dcm_from_quat(q):
-    """Direction cosine matrix rotating inertial vectors into the body frame.
-
-    Returns a 3x3 nested list so entries may be polynomials; exactly
-    orthogonal for unit quaternions.
-    """
-    qi, qj, qk, qs = algebra.asarray(q).T
-    ii, jj, kk, ss = qi * qi, qj * qj, qk * qk, qs * qs
-    ij, ik, is_ = qi * qj, qi * qk, qi * qs
-    jk, js = qj * qk, qj * qs
-    ks = qk * qs
-    return [
-        [ss + ii - jj - kk, 2.0 * (ij + ks), 2.0 * (ik - js)],
-        [2.0 * (ij - ks), ss - ii + jj - kk, 2.0 * (jk + is_)],
-        [2.0 * (ik + js), 2.0 * (jk - is_), ss - ii - jj + kk],
-    ]
-
-
 def star_tracker_h(x, r):
     """Body-frame direction of an inertial star: C(q) r."""
-    c = dcm_from_quat(algebra.asarray(x)[..., 0:4])
-    return algebra.stack(
-        [c[row][0] * r[0] + c[row][1] * r[1] + c[row][2] * r[2] for row in range(3)],
-        axis=-1,
-    )
+    x = algebra.asarray(x)
+    return (x[..., _Q_A] * x[..., _Q_B]) @ (_DCM_PAIRS @ r)
 
 
 def gyro_h(x):
     """Rate-gyro reading: body rates plus bias."""
     x = algebra.asarray(x)
     return x[..., 4:7] + x[..., 7:10]
-
-
-def star_tracker_jacobian(q, r):
-    """d(C(q) r)/dq, rows stacked over the measurement components."""
-    q = np.asarray(q, dtype=float)
-    qi, qj, qk, qs = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    r0, r1, r2 = r
-    rows = [
-        [
-            2 * (qi * r0 + qj * r1 + qk * r2),
-            2 * (-qj * r0 + qi * r1 - qs * r2),
-            2 * (-qk * r0 + qs * r1 + qi * r2),
-            2 * (qs * r0 + qk * r1 - qj * r2),
-        ],
-        [
-            2 * (qj * r0 - qi * r1 + qs * r2),
-            2 * (qi * r0 + qj * r1 + qk * r2),
-            2 * (-qs * r0 - qk * r1 + qj * r2),
-            2 * (-qk * r0 + qs * r1 + qi * r2),
-        ],
-        [
-            2 * (qk * r0 - qs * r1 - qi * r2),
-            2 * (qs * r0 + qk * r1 - qj * r2),
-            2 * (qi * r0 + qj * r1 + qk * r2),
-            2 * (qj * r0 - qi * r1 + qs * r2),
-        ],
-    ]
-    return np.stack([np.stack([np.asarray(c, dtype=float) for c in row], axis=-1)
-                     for row in rows], axis=-2)
-
-
-def stacked_jacobian(x, catalog: StarCatalog):
-    """Analytic Jacobian of the stacked star/star/gyro measurement."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = np.atleast_2d(x)
-    n = xb.shape[0]
-    out = np.zeros((n, 9, STATE_DIM))
-    out[:, 0:3, 0:4] = star_tracker_jacobian(xb[:, 0:4], catalog.r1)
-    out[:, 3:6, 0:4] = star_tracker_jacobian(xb[:, 0:4], catalog.r2)
-    out[:, 6:9, 4:7] = np.eye(3)
-    out[:, 6:9, 7:10] = np.eye(3)
-    return out[0] if single else out
 
 
 def stacked_measurement(catalog: StarCatalog = DEFAULT_CATALOG) -> MeasurementModel:
@@ -279,11 +256,22 @@ def stacked_measurement(catalog: StarCatalog = DEFAULT_CATALOG) -> MeasurementMo
             [star_tracker_h(x, catalog.r1), star_tracker_h(x, catalog.r2), gyro_h(x)],
             axis=-1)
 
+    # h is quadratic, so its Jacobian is affine: H(x) = H(0) + sum_i x_i (H(e_i) - H(0))
+    h0 = da_jacobian(h, np.zeros(STATE_DIM), 9)
+    slope = np.stack([da_jacobian(h, e, 9) - h0 for e in np.eye(STATE_DIM)])
+    slope = slope.reshape(STATE_DIM, -1)
+
+    def jac(x):
+        x = np.asarray(x, dtype=float)
+        out = x @ slope
+        # in place: a second batch-sized temporary costs more than the product
+        out += h0.ravel()
+        return out.reshape(x.shape[:-1] + h0.shape)
+
     noise = np.diag(
         [STAR_NOISE_SIGMA ** 2] * 6 + [GYRO_NOISE_SIGMA ** 2] * 3
     )
-    return MeasurementModel(h=h, noise_cov=noise, dim=9,
-                            jac=lambda x: stacked_jacobian(x, catalog))
+    return MeasurementModel(h=h, noise_cov=noise, dim=9, jac=jac)
 
 
 def normalize_quaternion_block(x):

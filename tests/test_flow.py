@@ -277,6 +277,13 @@ class TestBuildFlowMap:
             build_flow_map(GaussianBelief(x0, P0), model, y, DENSE, 1, ONE_STEP,
                            innovation="linearized", cov_coupling="particle")
 
+    def test_unknown_innovation_rejected_under_particle_coupling(self, linear_case):
+        A, R, P0, x0, y = linear_case
+        model = linear_model(A, R)
+        with pytest.raises(ValueError, match="innovation"):
+            build_flow_map(GaussianBelief(x0, P0), model, y, DENSE, 1, ONE_STEP,
+                           innovation="typo", cov_coupling="particle")
+
 
 class TestFlowEnsembleOde:
     def test_particle_at_mean_does_not_move(self):
@@ -351,6 +358,14 @@ class TestFlowEnsembleOde:
         b = flow_ensemble_ode(X0, GaussianBelief(x0, P0), model, y, DENSE, ONE_STEP,
                               cov_coupling="particle")
         np.testing.assert_allclose(a, b, atol=1e-8)
+
+    def test_unknown_innovation_rejected_under_particle_coupling(self, linear_case):
+        A, R, P0, x0, y = linear_case
+        model = linear_model(A, R)
+        X0 = np.random.default_rng(12).multivariate_normal(x0, P0, size=4)
+        with pytest.raises(ValueError, match="innovation"):
+            flow_ensemble_ode(X0, GaussianBelief(x0, P0), model, y, DENSE, ONE_STEP,
+                              innovation="typo", cov_coupling="particle")
 
 
 class TestValidation:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from daflow import harness
-from daflow.algebra import truncation_indicator
+from daflow.algebra import DomainError, truncation_indicator
 from daflow.cli import main
 from daflow.filter import daruff_step
 from daflow.flow import FlowError, GaussianBelief, build_flow_map, flow_ensemble_ode
@@ -231,6 +231,23 @@ class TestAttitudeMc:
         assert [r.seed_label for r in summary.runs["da"]] == ["0:0"]
         runs_lines = emit_csv(summary, tmp_path)[2].read_text().splitlines()
         assert runs_lines == ["run_index,seed,failed_methods", "0,0:0,", "1,0:1,da"]
+
+    def test_domain_error_run_is_reported(self, tiny_mc, tmp_path, monkeypatch):
+        # three epochs per run: the second step is run 0's second epoch
+        calls = []
+
+        def step(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise DomainError("injected domain error")
+            return daruff_step(*args)
+
+        monkeypatch.setattr(harness, "daruff_step", step)
+        summary = run_attitude_mc(dataclasses.replace(tiny_mc, n_mc=2, method="da"))
+        assert summary.failed_runs == [(0, "da", "injected domain error")]
+        assert [r.seed_label for r in summary.runs["da"]] == ["0:1"]
+        runs_lines = emit_csv(summary, tmp_path)[2].read_text().splitlines()
+        assert runs_lines == ["run_index,seed,failed_methods", "0,0:0,da", "1,0:1,"]
 
 
 class TestCli:

@@ -116,6 +116,62 @@ class TestAttitudeRhs:
             np.testing.assert_array_equal(batch[i], models.attitude_rhs(X[i]))
 
 
+# full symmetric inertia and a nonzero torque: every (w_a, w_b) pair of the
+# Euler term has both orders, which the diagonal default inertia hides
+GENERAL_PARAMS = models.RigidBodyParams(
+    [[90.0, 4.0, -3.0], [4.0, 70.0, 6.0], [-3.0, 6.0, 55.0]], [1e-3, -2e-3, 5e-4])
+
+
+def direct_rhs(x, params):
+    """0.5 [w; 0] (x) q and J^-1 (m - w x J w) evaluated on one float state."""
+    q, w = x[0:4], x[4:7]
+    dq = 0.5 * models.quat_mul(np.append(w, 0.0), q)
+    dw = params.inertia_inv @ (params.external_torque - np.cross(w, params.inertia @ w))
+    return np.concatenate([dq, dw, np.zeros(3)])
+
+
+class TestQuadraticForms:
+    def test_rhs_float_state(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            x = rng.normal(size=10)
+            np.testing.assert_allclose(models.attitude_rhs(x, GENERAL_PARAMS),
+                                       direct_rhs(x, GENERAL_PARAMS), rtol=1e-13, atol=1e-15)
+
+    def test_rhs_batch(self):
+        X = np.random.default_rng(13).normal(size=(6, 10))
+        expected = np.array([direct_rhs(x, GENERAL_PARAMS) for x in X])
+        np.testing.assert_allclose(models.attitude_rhs(X, GENERAL_PARAMS), expected,
+                                   rtol=1e-13, atol=1e-15)
+
+    def test_rhs_polynomial_state_exact_at_order_two(self):
+        rng = np.random.default_rng(14)
+        x0 = rng.normal(size=10)
+        ctx = da.AlgebraContext(10, 2)
+        rp = models.attitude_rhs(da.identity_map(ctx, x0).components, GENERAL_PARAMS)
+        D = 0.5 * rng.normal(size=(5, 10))
+        expected = np.array([direct_rhs(x0 + d, GENERAL_PARAMS) for d in D])
+        np.testing.assert_allclose(da.evaluate_many(rp, D), expected, rtol=1e-12, atol=1e-14)
+
+    def test_star_tracker_against_dcm(self):
+        rng = np.random.default_rng(15)
+        r = rng.normal(size=3)
+        X = rng.normal(size=(6, 10))
+        expected = np.array([np.array(models.dcm_from_quat(x[0:4])) @ r for x in X])
+        np.testing.assert_allclose(models.star_tracker_h(X, r), expected, rtol=1e-13, atol=1e-15)
+        for x, e in zip(X, expected):
+            np.testing.assert_allclose(models.star_tracker_h(x, r), e, rtol=1e-13, atol=1e-15)
+
+    def test_stacked_jacobian_batch_with_non_unit_quaternions(self):
+        model = models.stacked_measurement(models.StarCatalog([1.0, -2.0, 0.5], [0.3, 0.2, 4.0]))
+        X = 2.0 * np.random.default_rng(16).normal(size=(6, 10))
+        J = model.jacobian(X)
+        assert J.shape == (6, 9, 10)
+        for x, jx in zip(X, J):
+            np.testing.assert_allclose(jx, da_jacobian(model.h, x, 9), rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(model.jacobian(X[0]), J[0], rtol=1e-13, atol=1e-14)
+
+
 class TestDcm:
     def test_identity_quaternion(self):
         np.testing.assert_array_equal(
