@@ -244,6 +244,11 @@ class DAScalar:
         axes = tuple(reversed(range(self.ndim))) + (self.ndim,)
         return DAScalar(self.ctx, self.coeffs.transpose(axes))
 
+    @property
+    def mT(self) -> "DAScalar":
+        """Transpose of the last two leading axes, as ``ndarray.mT``."""
+        return DAScalar(self.ctx, np.swapaxes(self.coeffs, -2, -3))
+
     def __getitem__(self, key):
         if not isinstance(key, tuple):
             key = (key,)
@@ -263,16 +268,10 @@ class DAScalar:
         return DAScalar(self.ctx, self.coeffs.sum(axis=_coeff_axis(axis)))
 
     def _plus_constant(self, coeffs: np.ndarray, value) -> "DAScalar":
-        """``coeffs`` (a fresh or read-only block) plus a constant."""
-        if isinstance(value, np.ndarray):
-            shape = np.broadcast_shapes(coeffs.shape[:-1], value.shape)
-            out = np.array(np.broadcast_to(coeffs, shape + coeffs.shape[-1:]))
-            value = np.broadcast_to(value, shape).T
-        else:
-            out = coeffs.copy()
-        # out.T[0] is out[..., 0] with the leading axes reversed, and faster
-        out.T[0] += value
-        return DAScalar(self.ctx, out)
+        """``coeffs`` plus a number or a float array of constants."""
+        pad = np.zeros(np.shape(value) + coeffs.shape[-1:])
+        pad[..., 0] = value
+        return DAScalar(self.ctx, coeffs + pad)
 
     def __add__(self, other):
         if isinstance(other, DAScalar):

@@ -6,23 +6,26 @@ prior) to 1 (the posterior) along a stochastic flow:
     dx = P H^T R^-1 (y - h(x)) dl + dw,   E[dw dw^T] = P H^T R^-1 H P dl
     dP/dl = -P H^T R^-1 H P
 
-This module integrates the drift only.  Both a per-particle numeric route
-(:func:`flow_ensemble_ode`) and the polynomial-map route
-(:func:`build_flow_map`) are provided; the map route integrates a single
-polynomial state alongside the covariance and replaces every particle
-integration with one polynomial evaluation.  The drift alone carries
-deviations by Phi = P1 P0^-1, so a drift-flowed ensemble has covariance
-P1 P0^-1 P1 rather than P1; the filters restore the diffusion's share with
-:func:`daflow.filter.spread_correction`, from the P1 that both routes
-return on request (``return_cov=True``).
+This module integrates the drift only, with one driver for every route.
+The state it carries is either a polynomial state, which the map route
+(:func:`build_flow_map`) starts as the identity around the prior mean and
+which replaces every particle integration with one polynomial evaluation,
+or a batch of particles (:func:`flow_ensemble_ode`, and
+:func:`flow_mean_cov` on the one-row batch of the prior mean).  The drift
+alone carries deviations by Phi = P1 P0^-1, so a drift-flowed ensemble has
+covariance P1 P0^-1 P1 rather than P1; the filters restore the diffusion's
+share with :func:`daflow.filter.spread_correction`, from the P1 that both
+routes return on request (``return_cov=True``).
 
 Two covariance couplings are supported (``cov_coupling``):
 
 * ``"mean"`` -- one shared covariance trajectory, with H frozen at the
-  running mean (the polynomial state's constant part).
+  running mean.  The running mean is the image of the prior mean, so it
+  is read off the state: the polynomial state's constant part, or row 0
+  of a batch that starts with the prior mean.
 * ``"particle"`` -- the covariance rides along the flow as part of the
-  state: per particle in the numeric route, as polynomials in the map
-  route, with H evaluated wherever the state is.
+  state: as polynomials in the map route, as an (N, n, n) stack in the
+  batch route, with H evaluated wherever the state is.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ __all__ = [
     "flow_mean_cov",
     "build_flow_map",
     "flow_ensemble_ode",
+    "check_flow_options",
     "da_jacobian",
 ]
 
@@ -66,6 +70,26 @@ COV_COUPLINGS = ("mean", "particle")
 
 class FlowError(RuntimeError):
     """The flow integration produced an invalid covariance or state."""
+
+
+def check_flow_options(innovation: str, cov_coupling: str = "mean") -> None:
+    """Raise ValueError unless the innovation and coupling name a flow."""
+    if innovation not in INNOVATION_MODES:
+        raise ValueError(f"innovation must be one of {INNOVATION_MODES}, got {innovation!r}")
+    if cov_coupling not in COV_COUPLINGS:
+        raise ValueError(f"cov_coupling must be one of {COV_COUPLINGS}, got {cov_coupling!r}")
+    if cov_coupling == "particle" and innovation == "linearized":
+        raise ValueError("linearized innovation is defined about the running mean, "
+                         "which the particle coupling does not carry")
+
+
+def _measurement(model: MeasurementModel, y) -> np.ndarray:
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.shape != (model.dim,):
+        raise ValueError(f"measurement shape {y.shape} does not match model dim {model.dim}")
+    if not np.isfinite(y).all():
+        raise ValueError("measurement must be finite")
+    return y
 
 
 def _check_symmetric_psd(cov: np.ndarray, what: str) -> None:
@@ -253,20 +277,19 @@ def flow_rhs(x, P, model: MeasurementModel, y, innovation: str = "nonlinear",
     ``innovation='linearized'`` replaces h(x) by its first-order expansion
     about the running mean (``center`` for the real paths).
     """
-    if innovation not in INNOVATION_MODES:
-        raise ValueError(f"innovation must be one of {INNOVATION_MODES}")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (model.dim,):
-        raise ValueError(f"measurement shape {y.shape} does not match model dim {model.dim}")
+    check_flow_options(innovation)
+    y = _measurement(model, y)
     if isinstance(x, DAScalar):
         return _drift_poly(x, P, model, y, innovation)[0]
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        return _flow_rhs_real(x[None, :], P, model, y, innovation, center)[0]
-    return _flow_rhs_real(x, P, model, y, innovation, center)
+        return _drift_batch(x[None, :], P, model, y, innovation, center)[0][0]
+    return _drift_batch(x, P, model, y, innovation, center)[0]
 
 
-def _flow_rhs_real(x, P, model, y, innovation, center):
+def _drift_batch(x, P, model, y, innovation, center):
+    """Drift at each row of an (N, n) batch, and the (N, m, n) Jacobians H
+    it used.  ``P`` is one (n, n) matrix or an (N, n, n) stack."""
     hx = np.atleast_2d(np.asarray(model.h(x), dtype=float))
     hj = model.jacobian(x)
     if hj.ndim == 2:
@@ -282,8 +305,8 @@ def _flow_rhs_real(x, P, model, y, innovation, center):
     u = np.einsum("nij,ni->nj", hj, w)
     P = np.asarray(P, dtype=float)
     if P.ndim == 3:
-        return np.einsum("njk,nk->nj", P, u)
-    return u @ P.T
+        return np.einsum("njk,nk->nj", P, u), hj
+    return u @ P.T, hj
 
 
 def cov_rhs(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -299,43 +322,77 @@ def cov_rhs(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
 # flow drivers
 
 
-def _fix_cov(P: np.ndarray) -> np.ndarray:
-    P = 0.5 * (P + P.T)
-    eigmin = float(np.linalg.eigvalsh(P).min())
-    if eigmin < -1e-10 * max(np.trace(P), 1e-300):
+def _fix_cov(P):
+    """Symmetrize a covariance, an (N, n, n) stack of them or an (n, n)
+    polynomial covariance, and check each (the constant part of a
+    polynomial one) for positive semidefiniteness."""
+    P = 0.5 * (P + P.mT)
+    C = P.constant if isinstance(P, DAScalar) else P
+    eigmin = np.atleast_1d(np.linalg.eigvalsh(C).min(axis=-1))
+    bad = eigmin < -1e-10 * np.maximum(np.trace(C, axis1=-2, axis2=-1), 1e-300)
+    if np.any(bad):
         raise FlowError(
-            f"flow covariance lost positive semidefiniteness (eigmin={eigmin:g}); "
+            f"flow covariance lost positive semidefiniteness (eigmin={eigmin[bad].min():g}); "
             "the pseudo-time steps are too large"
         )
     return P
 
 
-def _run_segments(rhs, state, schedule: LambdaSchedule, spec: IntegratorSpec, fix):
+def _drift(x, P, model, y, innovation):
+    """(drift, H) at a polynomial state or at a batch whose row 0 is the
+    running mean."""
+    if isinstance(x, DAScalar):
+        return _drift_poly(x, P, model, y, innovation)
+    return _drift_batch(x, P, model, y, innovation, x[0])
+
+
+def _flow(x, cov, model: MeasurementModel, y, schedule: LambdaSchedule,
+          spec: IntegratorSpec, innovation: str, cov_coupling: str):
+    """Carry the state ``x`` through the drift from pseudo-time 0 to 1.
+
+    ``x`` is a polynomial state whose constant part is the prior mean, or a
+    batch of particles whose row 0 is the prior mean; either way the image
+    of the prior mean, the running mean, rides along in ``x``.  ``cov`` is
+    the prior covariance.  Returns ``(x1, P1)``, with P1 None under the
+    particle coupling.
+    """
+    check_flow_options(innovation, cov_coupling)
+    y = _measurement(model, y)
+    poly = isinstance(x, DAScalar)
+
+    if cov_coupling == "mean":
+        def rhs(s, lam):
+            x, P = s.parts
+            dP = cov_rhs(P, model.jacobian(x.constant if poly else x[0]), model.noise_cov)
+            return Stacked(_drift(x, P, model, y, innovation)[0], dP)
+
+        P = cov
+    else:
+        def rhs(s, lam):
+            x, P = s.parts
+            dx, H = _drift(x, P, model, y, innovation)
+            # -P H^T R^-1 H P via G = P H^T, per polynomial or per particle
+            G = P @ H.mT
+            dP = -((G @ model.noise_inv) @ G.mT)
+            return Stacked(dx, 0.5 * (dP + dP.mT))
+
+        P = constant(x.ctx, cov) if poly else np.broadcast_to(cov, (len(x),) + cov.shape)
+
+    state = Stacked(x, P)
     for lam0, lam1 in schedule.segments():
         state = integrate(rhs, state, lam0, lam1, spec)
-        state = fix(state)
-    return state
+        state = Stacked(state.parts[0], _fix_cov(state.parts[1]))
+    x1, P1 = state.parts
+    return x1, (P1 if cov_coupling == "mean" else None)
 
 
 def flow_mean_cov(prior: GaussianBelief, model: MeasurementModel, y,
                   schedule: LambdaSchedule, spec: IntegratorSpec,
                   innovation: str = "nonlinear") -> GaussianBelief:
     """Integrate the mean/covariance flow ODEs from prior to posterior."""
-
-    def rhs(s, lam):
-        xbar, P = s.parts
-        hbar = model.jacobian(xbar)
-        return Stacked(
-            flow_rhs(xbar, P, model, y, innovation, center=xbar),
-            cov_rhs(P, hbar, model.noise_cov),
-        )
-
-    def fix(s):
-        return Stacked(s.parts[0], _fix_cov(s.parts[1]))
-
-    out = _run_segments(rhs, Stacked(prior.mean.copy(), prior.cov.copy()),
-                        schedule, spec, fix)
-    return GaussianBelief(out.parts[0], out.parts[1])
+    x1, P1 = _flow(prior.mean[None, :], prior.cov, model, y, schedule, spec,
+                   innovation, "mean")
+    return GaussianBelief(x1[0], P1)
 
 
 def build_flow_map(prior: GaussianBelief, model: MeasurementModel, y,
@@ -356,51 +413,9 @@ def build_flow_map(prior: GaussianBelief, model: MeasurementModel, y,
     1 from the same integration (None under the particle coupling, which
     has no shared covariance).
     """
-    if cov_coupling not in COV_COUPLINGS:
-        raise ValueError(f"cov_coupling must be one of {COV_COUPLINGS}")
-    if innovation not in INNOVATION_MODES:
-        raise ValueError(f"innovation must be one of {INNOVATION_MODES}")
-    if cov_coupling == "particle" and innovation == "linearized":
-        raise ValueError("linearized innovation is defined about the running mean, "
-                         "which the particle coupling does not carry")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if not np.isfinite(y).all():
-        raise ValueError("measurement must be finite")
-    n = prior.dim
-    ctx = AlgebraContext(n, order)
-    x0 = identity_map(ctx, prior.mean).components
-
-    if cov_coupling == "mean":
-        def rhs(s, lam):
-            x, P = s.parts
-            return Stacked(
-                flow_rhs(x, P, model, y, innovation),
-                cov_rhs(P, model.jacobian(x.constant), model.noise_cov),
-            )
-
-        def fix(s):
-            return Stacked(s.parts[0], _fix_cov(s.parts[1]))
-
-        out = _run_segments(rhs, Stacked(x0, prior.cov.copy()), schedule, spec, fix)
-        post_cov = out.parts[1]
-    else:
-        def rhs(s, lam):
-            x, P = s.parts
-            dx, hjx = _drift_poly(x, P, model, y, innovation)
-            # polynomial -P H^T R^-1 H P, via G = P H^T
-            G = P @ hjx.T
-            dP = -((G @ model.noise_inv) @ G.T)
-            return Stacked(dx, 0.5 * (dP + dP.T))
-
-        def fix(s):
-            x, P = s.parts
-            _fix_cov(P.constant)
-            return Stacked(x, 0.5 * (P + P.T))
-
-        out = _run_segments(rhs, Stacked(x0, constant(ctx, prior.cov)), schedule, spec, fix)
-        post_cov = None
-
-    fmap = DAVector(out.parts[0], center=prior.mean, metadata="flow lambda 0->1")
+    x0 = identity_map(AlgebraContext(prior.dim, order), prior.mean).components
+    x1, post_cov = _flow(x0, prior.cov, model, y, schedule, spec, innovation, cov_coupling)
+    fmap = DAVector(x1, center=prior.mean, metadata="flow lambda 0->1")
     return (fmap, post_cov) if return_cov else fmap
 
 
@@ -419,63 +434,11 @@ def flow_ensemble_ode(particles, prior: GaussianBelief, model: MeasurementModel,
     ``return_cov=True`` returns ``(flowed, P1)`` as :func:`build_flow_map`
     does.
     """
-    if cov_coupling not in COV_COUPLINGS:
-        raise ValueError(f"cov_coupling must be one of {COV_COUPLINGS}")
-    if innovation not in INNOVATION_MODES:
-        raise ValueError(f"innovation must be one of {INNOVATION_MODES}")
-    if cov_coupling == "particle" and innovation == "linearized":
-        raise ValueError("linearized innovation is defined about the running mean, "
-                         "which the particle coupling does not carry")
     wrap = isinstance(particles, Ensemble)
     x = particles.particles if wrap else np.atleast_2d(np.asarray(particles, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-
-    if cov_coupling == "mean":
-        def rhs(s, lam):
-            xbar, P, X = s.parts
-            hbar = model.jacobian(xbar)
-            return Stacked(
-                flow_rhs(xbar, P, model, y, innovation, center=xbar),
-                cov_rhs(P, hbar, model.noise_cov),
-                flow_rhs(X, P, model, y, innovation, center=xbar),
-            )
-
-        def fix(s):
-            return Stacked(s.parts[0], _fix_cov(s.parts[1]), s.parts[2])
-
-        out = _run_segments(
-            rhs, Stacked(prior.mean.copy(), prior.cov.copy(), x.copy()),
-            schedule, spec, fix)
-        flowed = out.parts[2]
-        post_cov = out.parts[1]
-    else:
-        PP0 = np.broadcast_to(prior.cov, (x.shape[0],) + prior.cov.shape).copy()
-
-        def rhs(s, lam):
-            X, PP = s.parts
-            hj = model.jacobian(X)
-            innov = y[None, :] - np.atleast_2d(np.asarray(model.h(X), dtype=float))
-            w = innov @ model.noise_inv.T
-            u = np.einsum("nij,ni->nj", hj, w)
-            dX = np.einsum("njk,nk->nj", PP, u)
-            G = np.einsum("nij,nkj->nik", PP, hj)
-            dPP = -np.einsum("nip,pq,njq->nij", G, model.noise_inv, G)
-            return Stacked(dX, dPP)
-
-        def fix(s):
-            X, PP = s.parts
-            PP = 0.5 * (PP + np.swapaxes(PP, 1, 2))
-            if np.min(np.diagonal(PP, axis1=1, axis2=2)) < -1e-10 * max(
-                float(np.trace(prior.cov)), 1e-300
-            ):
-                raise FlowError("a per-particle flow covariance lost positive "
-                                "semidefiniteness; the pseudo-time steps are too large")
-            return Stacked(X, PP)
-
-        out = _run_segments(rhs, Stacked(x.copy(), PP0), schedule, spec, fix)
-        flowed = out.parts[0]
-        post_cov = None
-
+    x1, post_cov = _flow(np.vstack([prior.mean, x]), prior.cov, model, y, schedule,
+                         spec, innovation, cov_coupling)
+    flowed = x1[1:]
     if not np.isfinite(flowed).all():
         raise FlowError("particle flow produced non-finite particles")
     if wrap:

@@ -25,13 +25,12 @@ from .filter import (
     daruff_step,
 )
 from .flow import (
-    COV_COUPLINGS,
-    INNOVATION_MODES,
     Ensemble,
     FlowError,
     GaussianBelief,
     LambdaSchedule,
     build_flow_map,
+    check_flow_options,
     flow_ensemble_ode,
     geometric_schedule,
 )
@@ -118,12 +117,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown integrator {self.integrator!r}")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ConfigError("tolerances must be positive")
-        if self.innovation not in INNOVATION_MODES:
-            raise ConfigError(f"unknown innovation {self.innovation!r}")
-        if self.cov_coupling not in COV_COUPLINGS:
-            raise ConfigError(f"unknown cov_coupling {self.cov_coupling!r}")
-        if self.cov_coupling == "particle" and self.innovation == "linearized":
-            raise ConfigError("innovation 'linearized' requires cov_coupling 'mean'")
+        try:
+            check_flow_options(self.innovation, self.cov_coupling)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.scenario == "attitude":
             ratio = self.meas_period / self.dt
             if abs(ratio - round(ratio)) > 1e-9:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,17 @@ from daflow.flow import (
     flow_rhs,
     geometric_schedule,
 )
+from daflow.harness import (
+    TOY_MEASUREMENT,
+    TOY_NOISE_SIGMA,
+    TOY_PRIOR_COV,
+    TOY_PRIOR_MEAN,
+    ScenarioConfig,
+)
 from daflow.integrate import IntegratorSpec, integrate
 from daflow.models import range_model
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 DENSE = LambdaSchedule(np.linspace(0.0, 1.0, 201))
 ONE_STEP = IntegratorSpec("rk4_fixed", step_size=1.0)
@@ -245,6 +256,11 @@ class TestBuildFlowMap:
         model = linear_model(A, R)
         with pytest.raises(ValueError, match="finite"):
             build_flow_map(GaussianBelief(x0, P0), model, [np.nan, 1.0], DENSE, 1, ONE_STEP)
+        with pytest.raises(ValueError, match="finite"):
+            flow_mean_cov(GaussianBelief(x0, P0), model, [np.nan, 1.0], DENSE, ONE_STEP)
+        with pytest.raises(ValueError, match="finite"):
+            flow_ensemble_ode(np.vstack([x0, x0 + 0.1]), GaussianBelief(x0, P0), model,
+                              [np.nan, 1.0], DENSE, ONE_STEP)
 
     def test_couplings_agree_for_linear_h(self, linear_case):
         A, R, P0, x0, y = linear_case
@@ -314,18 +330,32 @@ class TestFlowEnsembleOde:
 
     def test_return_cov_matches_map_route(self, linear_case):
         A, R, P0, x0, y = linear_case
-        model = linear_model(A, R)
-        prior = GaussianBelief(x0, P0)
-        X0 = np.random.default_rng(11).multivariate_normal(x0, P0, size=8)
-        flowed, p1 = flow_ensemble_ode(X0, prior, model, y, DENSE, ONE_STEP,
-                                       return_cov=True)
-        np.testing.assert_array_equal(
-            flowed, flow_ensemble_ode(X0, prior, model, y, DENSE, ONE_STEP))
-        _, p1_map = build_flow_map(prior, model, y, DENSE, 1, ONE_STEP, return_cov=True)
-        np.testing.assert_allclose(p1, p1_map, atol=1e-14)
-        _, none = flow_ensemble_ode(X0, prior, model, y, DENSE, ONE_STEP,
-                                    cov_coupling="particle", return_cov=True)
-        assert none is None
+        toy = ScenarioConfig.from_json(CONFIGS / "toy.json")
+        # (prior, model, y, schedule, map order, spec): the linear case, and
+        # the nonlinear toy range problem at its configs/toy.json setting
+        cases = [
+            (GaussianBelief(x0, P0), linear_model(A, R), y, DENSE, 1, ONE_STEP),
+            (GaussianBelief(TOY_PRIOR_MEAN, TOY_PRIOR_COV), range_model(TOY_NOISE_SIGMA),
+             [TOY_MEASUREMENT], toy.schedule(), toy.order, toy.flow_spec()),
+        ]
+        for prior, model, y, schedule, order, spec in cases:
+            X0 = np.random.default_rng(11).multivariate_normal(prior.mean, prior.cov, size=8)
+            flowed, p1 = flow_ensemble_ode(X0, prior, model, y, schedule, spec,
+                                           return_cov=True)
+            np.testing.assert_array_equal(
+                flowed, flow_ensemble_ode(X0, prior, model, y, schedule, spec))
+            fmap, p1_map = build_flow_map(prior, model, y, schedule, order, spec,
+                                          return_cov=True)
+            np.testing.assert_allclose(p1, p1_map, atol=1e-14)
+            # the running mean H is frozen at is the image of the prior mean
+            # on every route, so all three carry the same mean and covariance
+            post = flow_mean_cov(prior, model, y, schedule, spec)
+            np.testing.assert_allclose(fmap.constant_part, post.mean, rtol=1e-12)
+            np.testing.assert_allclose(p1_map, post.cov, rtol=1e-12)
+            np.testing.assert_allclose(p1, post.cov, rtol=1e-12)
+            _, none = flow_ensemble_ode(X0, prior, model, y, schedule, spec,
+                                        cov_coupling="particle", return_cov=True)
+            assert none is None
 
     def test_ensemble_wrapper_roundtrip(self, linear_case):
         A, R, P0, x0, y = linear_case
@@ -401,6 +431,30 @@ class TestValidation:
         prior = GaussianBelief([0.0], [[1.0]])
         with pytest.raises(FlowError, match="semidefinite"):
             flow_mean_cov(prior, model, [0.5], LambdaSchedule([0.0, 1.0]), ONE_STEP)
+
+    @pytest.mark.parametrize("kind, coupling", [
+        ("moments", "mean"), ("map", "mean"), ("map", "particle"),
+        ("ode", "mean"), ("ode", "particle")])
+    def test_flow_error_on_indefinite_step(self, kind, coupling):
+        # one unit step of a linear flow: P1 keeps a positive diagonal
+        # (0.513, 0.107) but has eigenvalues (-0.092, 0.712), and every
+        # route's per-particle covariance equals the shared one
+        model = linear_model([[0.8402512931077276, -1.3118265094485249],
+                              [0.20145912676069028, 0.056839705014396134]],
+                             np.diag([0.06907406862333866, 0.06589931642998445]))
+        prior = GaussianBelief([0.0, 0.0], [[0.9385325976516461, 0.5758117032171621],
+                                            [0.5758117032171621, 0.4955044426180122]])
+        one = LambdaSchedule([0.0, 1.0])
+        X0 = np.random.default_rng(13).multivariate_normal(prior.mean, prior.cov, size=4)
+        with pytest.raises(FlowError, match="semidefinite"):
+            if kind == "moments":
+                flow_mean_cov(prior, model, [0.3, -0.2], one, ONE_STEP)
+            elif kind == "map":
+                build_flow_map(prior, model, [0.3, -0.2], one, 1, ONE_STEP,
+                               cov_coupling=coupling)
+            else:
+                flow_ensemble_ode(X0, prior, model, [0.3, -0.2], one, ONE_STEP,
+                                  cov_coupling=coupling)
 
     def test_da_jacobian_matches_analytic(self):
         model = range_model()
