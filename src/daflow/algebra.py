@@ -244,11 +244,6 @@ class DAScalar:
         axes = tuple(reversed(range(self.ndim))) + (self.ndim,)
         return DAScalar(self.ctx, self.coeffs.transpose(axes))
 
-    @property
-    def mT(self) -> "DAScalar":
-        """Transpose of the last two leading axes, as ``ndarray.mT``."""
-        return DAScalar(self.ctx, np.swapaxes(self.coeffs, -2, -3))
-
     def __getitem__(self, key):
         if not isinstance(key, tuple):
             key = (key,)

@@ -9,10 +9,9 @@ same work with direct numerical integration of every particle.
 Both maps and ODE solves realize only the drift of the measurement flow,
 which carries deviations by Phi = P1 P0^-1 and leaves the ensemble with
 covariance P1 P0^-1 P1 instead of the flow's P1; the diffusion of the
-stochastic flow is what makes up the difference.  Under the mean coupling
-both filters add its deterministic stand-in, :func:`spread_correction`,
-to the flowed particles.  The particle coupling has no shared P1 and is
-left drift-only.
+stochastic flow is what makes up the difference.  Both filters add its
+deterministic stand-in, :func:`spread_correction`, to the flowed
+particles.
 """
 
 from __future__ import annotations
@@ -95,7 +94,6 @@ class FilterConfig:
     flow_spec: IntegratorSpec
     meas_period: float
     innovation: str = "nonlinear"
-    cov_coupling: str = "mean"
     particle_postprocess: Callable | None = None
     rng: np.random.Generator | None = None
 
@@ -209,7 +207,7 @@ def daruff_step(state: FilterState, dynamics: DynamicsModel,
     Deviations are stored against the current estimate, the dynamics map is
     built to the measurement time, the flow map at the propagated mean, both
     are composed, and every particle moves by one map evaluation plus its
-    :func:`spread_correction` (mean coupling only).
+    :func:`spread_correction`.
     """
     t0 = state.time
     t1 = t0 + cfg.meas_period
@@ -227,8 +225,7 @@ def daruff_step(state: FilterState, dynamics: DynamicsModel,
     tic = time.perf_counter()
     prior = GaussianBelief(stpm.constant_part, ensemble_stats(Ensemble(predicted)).cov)
     flow_map, post_cov = build_flow_map(prior, model, y, cfg.schedule, cfg.order,
-                                        cfg.flow_spec, cfg.innovation,
-                                        cfg.cov_coupling, return_cov=True)
+                                        cfg.flow_spec, cfg.innovation, return_cov=True)
     t_flow = time.perf_counter() - tic
 
     tic = time.perf_counter()
@@ -239,8 +236,7 @@ def daruff_step(state: FilterState, dynamics: DynamicsModel,
     else:
         combined = combine_maps(flow_map, stpm)
         posterior = evaluate_many(combined, devs)
-    if post_cov is not None:
-        posterior = posterior + spread_correction(predicted, prior.cov, post_cov)
+    posterior = posterior + spread_correction(predicted, prior.cov, post_cov)
     t_eval = time.perf_counter() - tic
 
     out = _finish_step(t1, posterior, cfg)
@@ -252,7 +248,7 @@ def baseline_pff_step(state: FilterState, dynamics: DynamicsModel,
                       model: MeasurementModel, y, cfg: FilterConfig) -> FilterState:
     """One measurement epoch of the per-particle ODE flow filter: every
     particle is integrated through the dynamics and the drift, then moved by
-    its :func:`spread_correction` (mean coupling only)."""
+    its :func:`spread_correction`."""
     t0 = state.time
     t1 = t0 + cfg.meas_period
 
@@ -265,10 +261,8 @@ def baseline_pff_step(state: FilterState, dynamics: DynamicsModel,
     tic = time.perf_counter()
     prior = ensemble_stats(Ensemble(predicted))
     flowed, post_cov = flow_ensemble_ode(predicted, prior, model, y, cfg.schedule,
-                                         cfg.flow_spec, cfg.innovation,
-                                         cfg.cov_coupling, return_cov=True)
-    if post_cov is not None:
-        flowed = flowed + spread_correction(predicted, prior.cov, post_cov)
+                                         cfg.flow_spec, cfg.innovation, return_cov=True)
+    flowed = flowed + spread_correction(predicted, prior.cov, post_cov)
     t_flow = time.perf_counter() - tic
 
     out = _finish_step(t1, flowed, cfg)

@@ -11,21 +11,16 @@ The state it carries is either a polynomial state, which the map route
 (:func:`build_flow_map`) starts as the identity around the prior mean and
 which replaces every particle integration with one polynomial evaluation,
 or a batch of particles (:func:`flow_ensemble_ode`, and
-:func:`flow_mean_cov` on the one-row batch of the prior mean).  The drift
-alone carries deviations by Phi = P1 P0^-1, so a drift-flowed ensemble has
-covariance P1 P0^-1 P1 rather than P1; the filters restore the diffusion's
-share with :func:`daflow.filter.spread_correction`, from the P1 that both
-routes return on request (``return_cov=True``).
+:func:`flow_mean_cov` on the one-row batch of the prior mean).  Next to the
+state rides one real (n, n) covariance, shared by every particle, whose
+law takes H at the running mean.  The running mean is the image of the
+prior mean, so it is read off the state: the polynomial state's constant
+part, or row 0 of a batch that starts with the prior mean.
 
-Two covariance couplings are supported (``cov_coupling``):
-
-* ``"mean"`` -- one shared covariance trajectory, with H frozen at the
-  running mean.  The running mean is the image of the prior mean, so it
-  is read off the state: the polynomial state's constant part, or row 0
-  of a batch that starts with the prior mean.
-* ``"particle"`` -- the covariance rides along the flow as part of the
-  state: as polynomials in the map route, as an (N, n, n) stack in the
-  batch route, with H evaluated wherever the state is.
+The drift alone carries deviations by Phi = P1 P0^-1, so a drift-flowed
+ensemble has covariance P1 P0^-1 P1 rather than P1; the filters restore
+the diffusion's share with :func:`daflow.filter.spread_correction`, from
+the P1 that both routes return on request (``return_cov=True``).
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from .algebra import (
     DAVector,
     compose,
     concatenate,
-    constant,
     identity_map,
     partial_derive,
     stack,
@@ -65,22 +59,16 @@ __all__ = [
 ]
 
 INNOVATION_MODES = ("nonlinear", "linearized")
-COV_COUPLINGS = ("mean", "particle")
 
 
 class FlowError(RuntimeError):
     """The flow integration produced an invalid covariance or state."""
 
 
-def check_flow_options(innovation: str, cov_coupling: str = "mean") -> None:
-    """Raise ValueError unless the innovation and coupling name a flow."""
+def check_flow_options(innovation: str) -> None:
+    """Raise ValueError unless ``innovation`` names a flow."""
     if innovation not in INNOVATION_MODES:
         raise ValueError(f"innovation must be one of {INNOVATION_MODES}, got {innovation!r}")
-    if cov_coupling not in COV_COUPLINGS:
-        raise ValueError(f"cov_coupling must be one of {COV_COUPLINGS}, got {cov_coupling!r}")
-    if cov_coupling == "particle" and innovation == "linearized":
-        raise ValueError("linearized innovation is defined about the running mean, "
-                         "which the particle coupling does not carry")
 
 
 def _measurement(model: MeasurementModel, y) -> np.ndarray:
@@ -242,8 +230,7 @@ class Ensemble:
 
 
 def _drift_poly(x: DAScalar, P, model: MeasurementModel, y, innovation):
-    """Drift P H^T R^-1 (y - h(x)) at a polynomial state, and the (m, n)
-    polynomial Jacobian H it used.  ``P`` is a float or polynomial matrix.
+    """Drift P H^T R^-1 (y - h(x)) at a polynomial state, with a polynomial H.
 
     Differentiating h's polynomial image yields the true Jacobian only at an
     identity state (elsewhere it gives the chain-rule composite H * dx/dd),
@@ -263,7 +250,7 @@ def _drift_poly(x: DAScalar, P, model: MeasurementModel, y, innovation):
         # first-order expansion of h about the running mean
         innov = (y - hx.constant) - (x - x.constant) @ hjx.constant.T
     u = (innov @ model.noise_inv.T) @ hjx
-    return P @ u, hjx
+    return P @ u
 
 
 def flow_rhs(x, P, model: MeasurementModel, y, innovation: str = "nonlinear",
@@ -272,24 +259,22 @@ def flow_rhs(x, P, model: MeasurementModel, y, innovation: str = "nonlinear",
 
     Accepts a real state (n,), a particle batch (N, n), or a polynomial
     state (a (n,) DAScalar array), with H taken at the state itself
-    (polynomial H in the polynomial case).  ``P`` may likewise be a constant
-    matrix, a (N, n, n) per-particle stack, or an (n, n) polynomial array.
-    ``innovation='linearized'`` replaces h(x) by its first-order expansion
-    about the running mean (``center`` for the real paths).
+    (polynomial H in the polynomial case), and the real (n, n) covariance
+    ``P``.  ``innovation='linearized'`` replaces h(x) by its first-order
+    expansion about the running mean (``center`` for the real paths).
     """
     check_flow_options(innovation)
     y = _measurement(model, y)
     if isinstance(x, DAScalar):
-        return _drift_poly(x, P, model, y, innovation)[0]
+        return _drift_poly(x, P, model, y, innovation)
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        return _drift_batch(x[None, :], P, model, y, innovation, center)[0][0]
-    return _drift_batch(x, P, model, y, innovation, center)[0]
+        return _drift_batch(x[None, :], P, model, y, innovation, center)[0]
+    return _drift_batch(x, P, model, y, innovation, center)
 
 
 def _drift_batch(x, P, model, y, innovation, center):
-    """Drift at each row of an (N, n) batch, and the (N, m, n) Jacobians H
-    it used.  ``P`` is one (n, n) matrix or an (N, n, n) stack."""
+    """Drift at each row of an (N, n) batch, with H taken at the row."""
     hx = np.atleast_2d(np.asarray(model.h(x), dtype=float))
     hj = model.jacobian(x)
     if hj.ndim == 2:
@@ -303,10 +288,7 @@ def _drift_batch(x, P, model, y, innovation, center):
         innov = (y - hc)[None, :] - (x - center[None, :]) @ hjc.T
     w = innov @ model.noise_inv.T
     u = np.einsum("nij,ni->nj", hj, w)
-    P = np.asarray(P, dtype=float)
-    if P.ndim == 3:
-        return np.einsum("njk,nk->nj", P, u), hj
-    return u @ P.T, hj
+    return u @ np.asarray(P, dtype=float).T
 
 
 def cov_rhs(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -323,121 +305,90 @@ def cov_rhs(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 def _fix_cov(P):
-    """Symmetrize a covariance, an (N, n, n) stack of them or an (n, n)
-    polynomial covariance, and check each (the constant part of a
-    polynomial one) for positive semidefiniteness."""
-    P = 0.5 * (P + P.mT)
-    C = P.constant if isinstance(P, DAScalar) else P
-    eigmin = np.atleast_1d(np.linalg.eigvalsh(C).min(axis=-1))
-    bad = eigmin < -1e-10 * np.maximum(np.trace(C, axis1=-2, axis2=-1), 1e-300)
-    if np.any(bad):
-        raise FlowError(
-            f"flow covariance lost positive semidefiniteness (eigmin={eigmin[bad].min():g}); "
-            "the pseudo-time steps are too large"
-        )
+    """Symmetrize the flow covariance and check it is positive semidefinite."""
+    P = 0.5 * (P + P.T)
+    try:
+        _check_symmetric_psd(P, "flow covariance")
+    except ValueError as exc:
+        raise FlowError(f"{exc}; the pseudo-time steps are too large") from None
     return P
 
 
 def _drift(x, P, model, y, innovation):
-    """(drift, H) at a polynomial state or at a batch whose row 0 is the
-    running mean."""
+    """Drift at a polynomial state or a batch whose row 0 is the running mean."""
     if isinstance(x, DAScalar):
         return _drift_poly(x, P, model, y, innovation)
     return _drift_batch(x, P, model, y, innovation, x[0])
 
 
 def _flow(x, cov, model: MeasurementModel, y, schedule: LambdaSchedule,
-          spec: IntegratorSpec, innovation: str, cov_coupling: str):
-    """Carry the state ``x`` through the drift from pseudo-time 0 to 1.
+          spec: IntegratorSpec, innovation: str):
+    """Carry the state ``x`` and the covariance from pseudo-time 0 to 1.
 
     ``x`` is a polynomial state whose constant part is the prior mean, or a
     batch of particles whose row 0 is the prior mean; either way the image
     of the prior mean, the running mean, rides along in ``x``.  ``cov`` is
-    the prior covariance.  Returns ``(x1, P1)``, with P1 None under the
-    particle coupling.
+    the prior covariance.  Returns ``(x1, P1)``.
     """
-    check_flow_options(innovation, cov_coupling)
+    check_flow_options(innovation)
     y = _measurement(model, y)
     poly = isinstance(x, DAScalar)
 
-    if cov_coupling == "mean":
-        def rhs(s, lam):
-            x, P = s.parts
-            dP = cov_rhs(P, model.jacobian(x.constant if poly else x[0]), model.noise_cov)
-            return Stacked(_drift(x, P, model, y, innovation)[0], dP)
+    def rhs(s, lam):
+        x, P = s.parts
+        dP = cov_rhs(P, model.jacobian(x.constant if poly else x[0]), model.noise_cov)
+        return Stacked(_drift(x, P, model, y, innovation), dP)
 
-        P = cov
-    else:
-        def rhs(s, lam):
-            x, P = s.parts
-            dx, H = _drift(x, P, model, y, innovation)
-            # -P H^T R^-1 H P via G = P H^T, per polynomial or per particle
-            G = P @ H.mT
-            dP = -((G @ model.noise_inv) @ G.mT)
-            return Stacked(dx, 0.5 * (dP + dP.mT))
-
-        P = constant(x.ctx, cov) if poly else np.broadcast_to(cov, (len(x),) + cov.shape)
-
-    state = Stacked(x, P)
+    state = Stacked(x, cov)
     for lam0, lam1 in schedule.segments():
         state = integrate(rhs, state, lam0, lam1, spec)
         state = Stacked(state.parts[0], _fix_cov(state.parts[1]))
-    x1, P1 = state.parts
-    return x1, (P1 if cov_coupling == "mean" else None)
+    return state.parts
 
 
 def flow_mean_cov(prior: GaussianBelief, model: MeasurementModel, y,
                   schedule: LambdaSchedule, spec: IntegratorSpec,
                   innovation: str = "nonlinear") -> GaussianBelief:
     """Integrate the mean/covariance flow ODEs from prior to posterior."""
-    x1, P1 = _flow(prior.mean[None, :], prior.cov, model, y, schedule, spec,
-                   innovation, "mean")
+    x1, P1 = _flow(prior.mean[None, :], prior.cov, model, y, schedule, spec, innovation)
     return GaussianBelief(x1[0], P1)
 
 
 def build_flow_map(prior: GaussianBelief, model: MeasurementModel, y,
                    schedule: LambdaSchedule, order: int, spec: IntegratorSpec,
-                   innovation: str = "nonlinear",
-                   cov_coupling: str = "mean", return_cov: bool = False):
+                   innovation: str = "nonlinear", *, return_cov: bool = False):
     """Polynomial flow map from prior deviations to posterior states.
 
     The polynomial state starts as the identity around the prior mean and is
-    integrated through the drift with a polynomial-valued H.  Under
-    ``cov_coupling="mean"`` the covariance entering the drift follows its
-    own real-valued ODE with H frozen at the running mean; under
-    ``"particle"`` the covariance is expanded in the deviation variables as
-    well, so evaluating the map reproduces per-particle covariance flows.
+    integrated through the drift with a polynomial-valued H.  The covariance
+    entering the drift follows its own real-valued ODE with H frozen at the
+    running mean.
 
     The map realizes the drift only.  ``return_cov=True`` returns
-    ``(map, P1)`` instead, where P1 is the shared covariance at pseudo-time
-    1 from the same integration (None under the particle coupling, which
-    has no shared covariance).
+    ``(map, P1)`` instead, where P1 is the covariance at pseudo-time 1 from
+    the same integration.
     """
     x0 = identity_map(AlgebraContext(prior.dim, order), prior.mean).components
-    x1, post_cov = _flow(x0, prior.cov, model, y, schedule, spec, innovation, cov_coupling)
+    x1, post_cov = _flow(x0, prior.cov, model, y, schedule, spec, innovation)
     fmap = DAVector(x1, center=prior.mean, metadata="flow lambda 0->1")
     return (fmap, post_cov) if return_cov else fmap
 
 
 def flow_ensemble_ode(particles, prior: GaussianBelief, model: MeasurementModel,
                       y, schedule: LambdaSchedule, spec: IntegratorSpec,
-                      innovation: str = "nonlinear",
-                      cov_coupling: str = "mean", return_cov: bool = False):
+                      innovation: str = "nonlinear", *, return_cov: bool = False):
     """Flow every particle through the drift ODE.
 
-    Under ``cov_coupling="mean"`` all particles share one covariance
-    trajectory, integrated from the prior covariance with H evaluated at the
-    running prior mean; under ``"particle"`` each particle carries its own
-    covariance (initialized at the prior covariance) with H evaluated at the
-    particle.  Each particle's drift always evaluates H at the particle
-    itself.  Returns the kind it was given (Ensemble in, Ensemble out);
-    ``return_cov=True`` returns ``(flowed, P1)`` as :func:`build_flow_map`
-    does.
+    All particles share one covariance trajectory, integrated from the
+    prior covariance with H evaluated at the running prior mean.  Each
+    particle's drift evaluates H at the particle itself.  Returns the kind
+    it was given (Ensemble in, Ensemble out); ``return_cov=True`` returns
+    ``(flowed, P1)`` as :func:`build_flow_map` does.
     """
     wrap = isinstance(particles, Ensemble)
     x = particles.particles if wrap else np.atleast_2d(np.asarray(particles, dtype=float))
     x1, post_cov = _flow(np.vstack([prior.mean, x]), prior.cov, model, y, schedule,
-                         spec, innovation, cov_coupling)
+                         spec, innovation)
     flowed = x1[1:]
     if not np.isfinite(flowed).all():
         raise FlowError("particle flow produced non-finite particles")

@@ -89,7 +89,6 @@ class ScenarioConfig:
     seed: int = 0
     method: str = "both"
     innovation: str = "nonlinear"
-    cov_coupling: str = "mean"
 
     def __post_init__(self):
         self.lambda_schedule = tuple(self.lambda_schedule)
@@ -118,7 +117,7 @@ class ScenarioConfig:
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ConfigError("tolerances must be positive")
         try:
-            check_flow_options(self.innovation, self.cov_coupling)
+            check_flow_options(self.innovation)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.scenario == "attitude":
@@ -190,7 +189,6 @@ class ScenarioConfig:
             flow_spec=self.flow_spec(),
             meas_period=self.meas_period,
             innovation=self.innovation,
-            cov_coupling=self.cov_coupling,
             particle_postprocess=particle_postprocess,
             rng=rng,
         )
@@ -234,7 +232,7 @@ def run_toy(cfg: ScenarioConfig) -> ToyResult:
     The DA route evaluates one flow map for the whole cloud, except at the
     particles whose truncation indicator exceeds ``TOY_TRUNCATION_BOUND``:
     those are flowed by the per-particle ODE with the same prior and
-    coupling.
+    schedule.
     """
     if cfg.scenario != "toy_range":
         raise ConfigError(f"run_toy needs scenario 'toy_range', got {cfg.scenario!r}")
@@ -249,19 +247,17 @@ def run_toy(cfg: ScenarioConfig) -> ToyResult:
 
     post_da = post_ode = n_fallback = None
     if cfg.method in ("da", "both"):
-        fmap = build_flow_map(prior, model, y, schedule, cfg.order, spec,
-                              cfg.innovation, cfg.cov_coupling)
+        fmap = build_flow_map(prior, model, y, schedule, cfg.order, spec, cfg.innovation)
         devs = prior_cloud - TOY_PRIOR_MEAN
         post_da = fmap.evaluate_many(devs)
         beyond = truncation_indicator(fmap, devs) > TOY_TRUNCATION_BOUND
         n_fallback = int(beyond.sum())
         if n_fallback:
             post_da[beyond] = flow_ensemble_ode(prior_cloud[beyond], prior, model, y,
-                                                schedule, spec, cfg.innovation,
-                                                cfg.cov_coupling)
+                                                schedule, spec, cfg.innovation)
     if cfg.method in ("ode", "both"):
         post_ode = flow_ensemble_ode(prior_cloud, prior, model, y, schedule,
-                                     spec, cfg.innovation, cfg.cov_coupling)
+                                     spec, cfg.innovation)
 
     rms = None
     if post_da is not None and post_ode is not None:

@@ -344,22 +344,6 @@ class TestSpreadCorrection:
         np.testing.assert_allclose(out.belief.mean, x_s, atol=1e-6)
         np.testing.assert_allclose(out.belief.cov, p_s, atol=1e-6)
 
-    def test_particle_coupling_is_left_drift_only(self):
-        rng = np.random.default_rng(22)
-        ens = Ensemble(rng.normal(size=(40, 2)))
-        state = FilterState(0.0, ensemble_stats(ens), ens)
-        model = models.range_model(0.5)
-        cfg = make_filter_config(order=2, cov_coupling="particle",
-                                 schedule=geometric_schedule())
-        prior = GaussianBelief(state.belief.mean, state.belief.cov)
-        fmap = build_flow_map(prior, model, [1.0], cfg.schedule, 2, ONE_STEP,
-                              cov_coupling="particle")
-        out = daruff_step(state, DynamicsModel(f=lambda x, t: 0.0 * x), model,
-                          [1.0], cfg)
-        np.testing.assert_allclose(out.ensemble.particles,
-                                   fmap.evaluate_many(ens.particles - prior.mean),
-                                   atol=1e-10)
-
 
 class TestAttitudeStepParity:
     def test_single_epoch_matches_baseline_within_one_percent(self):

@@ -262,16 +262,6 @@ class TestBuildFlowMap:
             flow_ensemble_ode(np.vstack([x0, x0 + 0.1]), GaussianBelief(x0, P0), model,
                               [np.nan, 1.0], DENSE, ONE_STEP)
 
-    def test_couplings_agree_for_linear_h(self, linear_case):
-        A, R, P0, x0, y = linear_case
-        model = linear_model(A, R)
-        m1 = build_flow_map(GaussianBelief(x0, P0), model, y, DENSE, 2, ONE_STEP,
-                            cov_coupling="mean")
-        m2 = build_flow_map(GaussianBelief(x0, P0), model, y, DENSE, 2, ONE_STEP,
-                            cov_coupling="particle")
-        np.testing.assert_allclose(m1.coefficient_matrix(), m2.coefficient_matrix(),
-                                   atol=1e-9)
-
     def test_return_cov_is_the_flowed_covariance(self, linear_case):
         A, R, P0, x0, y = linear_case
         model = linear_model(A, R)
@@ -282,23 +272,26 @@ class TestBuildFlowMap:
                                       plain.coefficient_matrix())
         np.testing.assert_allclose(p1, flow_mean_cov(prior, model, y, DENSE, ONE_STEP).cov,
                                    atol=1e-14)
-        _, none = build_flow_map(prior, model, y, DENSE, 1, ONE_STEP,
-                                 cov_coupling="particle", return_cov=True)
-        assert none is None
 
-    def test_linearized_with_particle_coupling_rejected(self, linear_case):
+    def test_return_cov_is_keyword_only(self, linear_case):
+        # an eighth positional argument must not land in return_cov and
+        # silently turn the result into a (map, P1) tuple
         A, R, P0, x0, y = linear_case
         model = linear_model(A, R)
-        with pytest.raises(ValueError, match="linearized"):
+        X0 = np.vstack([x0, x0 + 0.1])
+        with pytest.raises(TypeError):
             build_flow_map(GaussianBelief(x0, P0), model, y, DENSE, 1, ONE_STEP,
-                           innovation="linearized", cov_coupling="particle")
+                           "nonlinear", "mean")
+        with pytest.raises(TypeError):
+            flow_ensemble_ode(X0, GaussianBelief(x0, P0), model, y, DENSE, ONE_STEP,
+                              "nonlinear", True)
 
-    def test_unknown_innovation_rejected_under_particle_coupling(self, linear_case):
+    def test_unknown_innovation_rejected(self, linear_case):
         A, R, P0, x0, y = linear_case
         model = linear_model(A, R)
         with pytest.raises(ValueError, match="innovation"):
             build_flow_map(GaussianBelief(x0, P0), model, y, DENSE, 1, ONE_STEP,
-                           innovation="typo", cov_coupling="particle")
+                           innovation="typo")
 
 
 class TestFlowEnsembleOde:
@@ -353,9 +346,6 @@ class TestFlowEnsembleOde:
             np.testing.assert_allclose(fmap.constant_part, post.mean, rtol=1e-12)
             np.testing.assert_allclose(p1_map, post.cov, rtol=1e-12)
             np.testing.assert_allclose(p1, post.cov, rtol=1e-12)
-            _, none = flow_ensemble_ode(X0, prior, model, y, schedule, spec,
-                                        cov_coupling="particle", return_cov=True)
-            assert none is None
 
     def test_ensemble_wrapper_roundtrip(self, linear_case):
         A, R, P0, x0, y = linear_case
@@ -378,24 +368,13 @@ class TestFlowEnsembleOde:
         # particles may wrap past it)
         assert np.mean(out[:, 0] < 0) > 0.99
 
-    def test_couplings_give_same_mean_for_linear_h(self, linear_case):
-        A, R, P0, x0, y = linear_case
-        model = linear_model(A, R)
-        rng = np.random.default_rng(10)
-        X0 = rng.multivariate_normal(x0, P0, size=50)
-        a = flow_ensemble_ode(X0, GaussianBelief(x0, P0), model, y, DENSE, ONE_STEP,
-                              cov_coupling="mean")
-        b = flow_ensemble_ode(X0, GaussianBelief(x0, P0), model, y, DENSE, ONE_STEP,
-                              cov_coupling="particle")
-        np.testing.assert_allclose(a, b, atol=1e-8)
-
-    def test_unknown_innovation_rejected_under_particle_coupling(self, linear_case):
+    def test_unknown_innovation_rejected(self, linear_case):
         A, R, P0, x0, y = linear_case
         model = linear_model(A, R)
         X0 = np.random.default_rng(12).multivariate_normal(x0, P0, size=4)
         with pytest.raises(ValueError, match="innovation"):
             flow_ensemble_ode(X0, GaussianBelief(x0, P0), model, y, DENSE, ONE_STEP,
-                              innovation="typo", cov_coupling="particle")
+                              innovation="typo")
 
 
 class TestValidation:
@@ -432,13 +411,10 @@ class TestValidation:
         with pytest.raises(FlowError, match="semidefinite"):
             flow_mean_cov(prior, model, [0.5], LambdaSchedule([0.0, 1.0]), ONE_STEP)
 
-    @pytest.mark.parametrize("kind, coupling", [
-        ("moments", "mean"), ("map", "mean"), ("map", "particle"),
-        ("ode", "mean"), ("ode", "particle")])
-    def test_flow_error_on_indefinite_step(self, kind, coupling):
+    @pytest.mark.parametrize("kind", ["moments", "map", "ode"])
+    def test_flow_error_on_indefinite_step(self, kind):
         # one unit step of a linear flow: P1 keeps a positive diagonal
-        # (0.513, 0.107) but has eigenvalues (-0.092, 0.712), and every
-        # route's per-particle covariance equals the shared one
+        # (0.513, 0.107) but has eigenvalues (-0.092, 0.712)
         model = linear_model([[0.8402512931077276, -1.3118265094485249],
                               [0.20145912676069028, 0.056839705014396134]],
                              np.diag([0.06907406862333866, 0.06589931642998445]))
@@ -450,11 +426,9 @@ class TestValidation:
             if kind == "moments":
                 flow_mean_cov(prior, model, [0.3, -0.2], one, ONE_STEP)
             elif kind == "map":
-                build_flow_map(prior, model, [0.3, -0.2], one, 1, ONE_STEP,
-                               cov_coupling=coupling)
+                build_flow_map(prior, model, [0.3, -0.2], one, 1, ONE_STEP)
             else:
-                flow_ensemble_ode(X0, prior, model, [0.3, -0.2], one, ONE_STEP,
-                                  cov_coupling=coupling)
+                flow_ensemble_ode(X0, prior, model, [0.3, -0.2], one, ONE_STEP)
 
     def test_da_jacobian_matches_analytic(self):
         model = range_model()

@@ -33,8 +33,8 @@ REL_TOL = 1e-9
 @functools.cache
 def _attitude_maps():
     """STPM over one measurement period from the default initial state, and
-    the mean-coupling flow map at its constant part, at the
-    configs/attitude.json setting."""
+    the flow map at its constant part, at the configs/attitude.json
+    setting."""
     cfg = ScenarioConfig.from_json(CONFIGS / "attitude.json")
     x0 = models.DEFAULT_INITIAL_STATE.as_vector()
     stpm = build_stpm(x0, models.attitude_dynamics(), 0.0, cfg.meas_period,
@@ -45,23 +45,21 @@ def _attitude_maps():
     sigma = np.sqrt(np.diag(model.noise_cov))
     y = model.h(stpm.constant_part) + sigma * np.linspace(-1.0, 1.0, model.dim)
     fmap = build_flow_map(prior, model, y, cfg.schedule(), cfg.order, cfg.flow_spec(),
-                          cfg.innovation, "mean")
+                          cfg.innovation)
     return stpm, fmap
 
 
-def _toy_map(order, cov_coupling):
+def _toy_map(order):
     cfg = ScenarioConfig.from_json(CONFIGS / "toy.json")
     prior = GaussianBelief(TOY_PRIOR_MEAN, TOY_PRIOR_COV)
     return build_flow_map(prior, models.range_model(TOY_NOISE_SIGMA), [TOY_MEASUREMENT],
-                          cfg.schedule(), order, cfg.flow_spec(), cfg.innovation,
-                          cov_coupling)
+                          cfg.schedule(), order, cfg.flow_spec(), cfg.innovation)
 
 
 BUILDERS = {
     "attitude_stpm": lambda: _attitude_maps()[0],
     "attitude_flow_mean": lambda: _attitude_maps()[1],
-    "toy_flow_order8": lambda: _toy_map(8, "mean"),
-    "toy_flow_order4_particle": lambda: _toy_map(4, "particle"),
+    "toy_flow_order8": lambda: _toy_map(8),
 }
 
 

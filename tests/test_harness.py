@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from daflow.harness import (
     run_toy,
 )
 from daflow.models import range_model
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +64,6 @@ class TestScenarioConfig:
         {"integrator": "rk2"},
         {"rel_tol": 0.0},
         {"innovation": "cubic"},
-        {"cov_coupling": "shared"},
         {"dt": 0.03},
     ])
     def test_invalid_values_rejected(self, patch):
@@ -268,6 +270,12 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert main(["validate", "--config", str(path)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+    def test_committed_config_loads(self, path, capsys):
+        ScenarioConfig.from_json(path)
+        assert main(["validate", "--config", str(path)]) == 0
+        assert "OK" in capsys.readouterr().out
 
     def test_missing_file_fails(self, capsys):
         assert main(["validate", "--config", "/nonexistent/cfg.json"]) == 1
