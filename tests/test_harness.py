@@ -64,6 +64,7 @@ class TestScenarioConfig:
         {"integrator": "rk2"},
         {"rel_tol": 0.0},
         {"innovation": "cubic"},
+        {"cov_coupling": "particle"},  # retired key: stale configs must fail
         {"dt": 0.03},
     ])
     def test_invalid_values_rejected(self, patch):
