@@ -17,6 +17,10 @@ law takes H at the running mean.  The running mean is the image of the
 prior mean, so it is read off the state: the polynomial state's constant
 part, or row 0 of a batch that starts with the prior mean.
 
+One drift body serves every kind of state: the model's h and Jacobian run
+on the state as it is, and on a polynomial state they return their
+truncated expansions directly (as in DACE, Rasotto et al., 2016).
+
 The drift alone carries deviations by Phi = P1 P0^-1, so a drift-flowed
 ensemble has covariance P1 P0^-1 P1 rather than P1; the filters restore
 the diffusion's share with :func:`daflow.filter.spread_correction`, from
@@ -35,7 +39,6 @@ from .algebra import (
     DAScalar,
     DAVector,
     compose,
-    concatenate,
     identity_map,
     partial_derive,
     stack,
@@ -120,10 +123,13 @@ class MeasurementModel:
 
     ``h`` must accept a real state vector, a (N, n) batch, or a polynomial
     state (a (n,) :class:`DAScalar` array) and return the matching kind:
-    (m,), (N, m) or an (m,) polynomial array.  ``jac`` optionally supplies
-    the analytic Jacobian for the real paths; the polynomial path always
-    differentiates the polynomial image of h.  ``noise_inv`` is R^-1,
-    computed from ``noise_cov``.
+    (m,), (N, m) or an (m,) polynomial array.  ``jac``, the Jacobian of h,
+    takes the same three kinds and returns (m, n), (N, m, n) or an (m, n)
+    polynomial array; a Jacobian that does not depend on the state may
+    return one float (m, n) matrix for every kind.  Without ``jac`` the
+    Jacobian comes from differentiating a polynomial expansion of h
+    (:func:`da_jacobian`).  ``noise_inv`` is R^-1, computed from
+    ``noise_cov``.
     """
 
     h: Callable
@@ -143,24 +149,34 @@ class MeasurementModel:
             raise ValueError("noise_cov must be positive definite")
         self.noise_inv = np.linalg.inv(self.noise_cov)
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """dh/dx at a real state (or (N, n) batch -> (N, m, n))."""
+    def jacobian(self, x):
+        """dh/dx at a real state, a (N, n) batch or a polynomial state."""
         if self.jac is not None:
-            return np.asarray(self.jac(x), dtype=float)
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return np.stack([self.jacobian(row) for row in x])
+            return self.jac(x)
         return da_jacobian(self.h, x, self.dim)
 
 
-def da_jacobian(h: Callable, x: np.ndarray, m: int) -> np.ndarray:
-    """Jacobian of h at x extracted from a first-order polynomial expansion."""
-    x = np.asarray(x, dtype=float)
-    hx = h(identity_map(AlgebraContext(len(x), 1), x).components)
-    if hx.shape != (m,):
-        raise ValueError(f"h returned shape {hx.shape}, expected ({m},)")
-    # at order 1 the coefficients after the constant are the first derivatives
-    return hx.coeffs[:, 1:].copy()
+def da_jacobian(h: Callable, x, m: int):
+    """Jacobian of h from a polynomial expansion of h about a point.
+
+    At a real state (n,) -> (m, n) and a batch (N, n) -> (N, m, n), the
+    expansion is first order about the state.  At a polynomial state ->
+    (m, n) polynomial array, h is expanded about the state's constant part
+    at the state's order, differentiated, and composed with the state; the
+    top degree of the result is lost to the differentiation.
+    """
+    if not isinstance(x, DAScalar):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return np.stack([da_jacobian(h, row, m) for row in x])
+        return da_jacobian(h, identity_map(AlgebraContext(len(x), 1), x).components, m).constant
+    n, center = x.shape[0], x.constant
+    hloc = h(identity_map(x.ctx, center).components)
+    if hloc.shape != (m,):
+        raise ValueError(f"h returned shape {hloc.shape}, expected ({m},)")
+    jloc = stack([partial_derive(hloc, j) for j in range(n)], axis=-1).reshape(m * n)
+    # the expansion is about the constant part, so compose it with the state
+    return compose(DAVector(jloc, center), DAVector(x, center)).components.reshape(m, n)
 
 
 @dataclass
@@ -229,28 +245,21 @@ class Ensemble:
 # drift / covariance right-hand sides
 
 
-def _drift_poly(x: DAScalar, P, model: MeasurementModel, y, innovation):
-    """Drift P H^T R^-1 (y - h(x)) at a polynomial state, with a polynomial H.
+def _drift(x, P, model: MeasurementModel, y, innovation, center, center_jac):
+    """Drift P H^T R^-1 (y - h(x)) at a polynomial state, a single state or
+    a batch, with H taken at the state itself.
 
-    Differentiating h's polynomial image yields the true Jacobian only at an
-    identity state (elsewhere it gives the chain-rule composite H * dx/dd),
-    so h and H are expanded around the state's running mean and composed
-    with the actual polynomials.
+    The linearized innovation expands h about ``center`` with its Jacobian
+    ``center_jac``.  The model code runs on the state as it is, so a
+    polynomial state gets the truncated expansions of h and H directly.
     """
-    n, m = x.shape[0], model.dim
-    xbar = x.constant
-    hloc = model.h(identity_map(x.ctx, xbar).components)
-    jloc = stack([partial_derive(hloc, j) for j in range(n)], axis=-1)
-    local = DAVector(concatenate([hloc, jloc.reshape(m * n)], 0), center=xbar)
-    composed = compose(local, DAVector(x, center=xbar)).components
-    hx, hjx = composed[:m], composed[m:].reshape(m, n)
     if innovation == "nonlinear":
-        innov = y - hx
+        innov = y - model.h(x)
     else:
-        # first-order expansion of h about the running mean
-        innov = (y - hx.constant) - (x - x.constant) @ hjx.constant.T
-    u = (innov @ model.noise_inv.T) @ hjx
-    return P @ u
+        innov = (y - model.h(center)) - (x - center) @ center_jac.T
+    w = innov @ model.noise_inv.T
+    u = (w[..., None, :] @ model.jacobian(x))[..., 0, :]
+    return u @ P.T
 
 
 def flow_rhs(x, P, model: MeasurementModel, y, innovation: str = "nonlinear",
@@ -261,34 +270,23 @@ def flow_rhs(x, P, model: MeasurementModel, y, innovation: str = "nonlinear",
     state (a (n,) DAScalar array), with H taken at the state itself
     (polynomial H in the polynomial case), and the real (n, n) covariance
     ``P``.  ``innovation='linearized'`` replaces h(x) by its first-order
-    expansion about the running mean (``center`` for the real paths).
+    expansion about the running mean ``center``, which defaults to a
+    polynomial state's constant part and to a single state itself; a batch
+    has no default and must name it.
     """
     check_flow_options(innovation)
     y = _measurement(model, y)
-    if isinstance(x, DAScalar):
-        return _drift_poly(x, P, model, y, innovation)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return _drift_batch(x[None, :], P, model, y, innovation, center)[0]
-    return _drift_batch(x, P, model, y, innovation, center)
-
-
-def _drift_batch(x, P, model, y, innovation, center):
-    """Drift at each row of an (N, n) batch, with H taken at the row."""
-    hx = np.atleast_2d(np.asarray(model.h(x), dtype=float))
-    hj = model.jacobian(x)
-    if hj.ndim == 2:
-        hj = hj[None, :, :]
-    if innovation == "nonlinear" or center is None:
-        innov = y[None, :] - hx
-    else:
+    if not isinstance(x, DAScalar):
+        x = np.asarray(x, dtype=float)
+    center_jac = None
+    if innovation == "linearized":
+        if center is None:
+            if x.ndim == 2:
+                raise ValueError("the linearized innovation of a batch needs its center")
+            center = x.constant if isinstance(x, DAScalar) else x
         center = np.asarray(center, dtype=float)
-        hc = np.asarray(model.h(center), dtype=float)
-        hjc = model.jacobian(center)
-        innov = (y - hc)[None, :] - (x - center[None, :]) @ hjc.T
-    w = innov @ model.noise_inv.T
-    u = np.einsum("nij,ni->nj", hj, w)
-    return u @ np.asarray(P, dtype=float).T
+        center_jac = model.jacobian(center)
+    return _drift(x, np.asarray(P, dtype=float), model, y, innovation, center, center_jac)
 
 
 def cov_rhs(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -314,13 +312,6 @@ def _fix_cov(P):
     return P
 
 
-def _drift(x, P, model, y, innovation):
-    """Drift at a polynomial state or a batch whose row 0 is the running mean."""
-    if isinstance(x, DAScalar):
-        return _drift_poly(x, P, model, y, innovation)
-    return _drift_batch(x, P, model, y, innovation, x[0])
-
-
 def _flow(x, cov, model: MeasurementModel, y, schedule: LambdaSchedule,
           spec: IntegratorSpec, innovation: str):
     """Carry the state ``x`` and the covariance from pseudo-time 0 to 1.
@@ -328,7 +319,9 @@ def _flow(x, cov, model: MeasurementModel, y, schedule: LambdaSchedule,
     ``x`` is a polynomial state whose constant part is the prior mean, or a
     batch of particles whose row 0 is the prior mean; either way the image
     of the prior mean, the running mean, rides along in ``x``.  ``cov`` is
-    the prior covariance.  Returns ``(x1, P1)``.
+    the prior covariance.  Each right-hand side takes H at the running mean
+    once, for the covariance law and the linearized innovation alike.
+    Returns ``(x1, P1)``.
     """
     check_flow_options(innovation)
     y = _measurement(model, y)
@@ -336,8 +329,10 @@ def _flow(x, cov, model: MeasurementModel, y, schedule: LambdaSchedule,
 
     def rhs(s, lam):
         x, P = s.parts
-        dP = cov_rhs(P, model.jacobian(x.constant if poly else x[0]), model.noise_cov)
-        return Stacked(_drift(x, P, model, y, innovation), dP)
+        center = x.constant if poly else x[0]
+        center_jac = model.jacobian(center)
+        dP = cov_rhs(P, center_jac, model.noise_cov)
+        return Stacked(_drift(x, P, model, y, innovation, center, center_jac), dP)
 
     state = Stacked(x, cov)
     for lam0, lam1 in schedule.segments():

@@ -1,13 +1,15 @@
 """Benchmark models: planar range measurement and CubeSat attitude.
 
-Each model function has one body that serves plain state vectors, (N, n)
-particle batches, and polynomial arrays.  The range model unpacks the
-components along the last axis with ``x.T`` and applies the
-:mod:`daflow.algebra` intrinsics.  Every attitude function is at most
-quadratic in the state, so each is one gathered pair product
+Each model function, the measurement Jacobians included, has one body
+that serves plain state vectors, (N, n) particle batches, and polynomial
+arrays; on a polynomial state a Jacobian returns its truncated expansion.
+The range model unpacks the components along the last axis with ``x.T``
+and applies the :mod:`daflow.algebra` intrinsics.  Every attitude function
+is at most quadratic in the state, so each is one gathered pair product
 ``x[..., a] * x[..., b]`` times a constant matrix, built once from
-:func:`quat_mul`, the cross product and :func:`dcm_from_quat`.
-Quaternions are stored vector-first, scalar-last: q = (qi, qj, qk, qs).
+:func:`quat_mul`, the cross product and :func:`dcm_from_quat`, and the
+measurement Jacobian is affine.  Quaternions are stored vector-first,
+scalar-last: q = (qi, qj, qk, qs).
 """
 
 from __future__ import annotations
@@ -64,12 +66,8 @@ def range_model(noise_sigma: float = 0.1) -> MeasurementModel:
     """Range measurement y = ||x|| + v for the planar toy problem."""
 
     def jac(x):
-        xa = np.asarray(x, dtype=float)
-        if xa.ndim == 1:
-            nrm = np.linalg.norm(xa)
-            return (xa / nrm)[None, :]
-        nrm = np.linalg.norm(xa, axis=1, keepdims=True)
-        return (xa / nrm)[:, None, :]
+        x = algebra.asarray(x)
+        return (x / range_h(x))[..., None, :]
 
     return MeasurementModel(h=range_h, noise_cov=[[noise_sigma ** 2]], dim=1, jac=jac)
 
@@ -262,11 +260,11 @@ def stacked_measurement(catalog: StarCatalog = DEFAULT_CATALOG) -> MeasurementMo
     slope = slope.reshape(STATE_DIM, -1)
 
     def jac(x):
-        x = np.asarray(x, dtype=float)
+        x = algebra.asarray(x)
         out = x @ slope
         # in place: a second batch-sized temporary costs more than the product
         out += h0.ravel()
-        return out.reshape(x.shape[:-1] + h0.shape)
+        return out.reshape(*x.shape[:-1], *h0.shape)
 
     noise = np.diag(
         [STAR_NOISE_SIGMA ** 2] * 6 + [GYRO_NOISE_SIGMA ** 2] * 3

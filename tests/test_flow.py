@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,12 @@ from daflow.harness import (
     ScenarioConfig,
 )
 from daflow.integrate import IntegratorSpec, integrate
-from daflow.models import range_model
+from daflow.models import (
+    DEFAULT_INITIAL_STATE,
+    INITIAL_STATE_COV,
+    range_model,
+    stacked_measurement,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -44,10 +50,7 @@ def linear_model(A, R):
         return x @ A.T
 
     def jac(x):
-        x = np.asarray(x)
-        if x.ndim == 2:
-            return np.broadcast_to(A, (x.shape[0], m, n)).copy()
-        return A.copy()
+        return np.broadcast_to(A, x.shape[:-1] + (m, n))
 
     return MeasurementModel(h=h, noise_cov=R, dim=m, jac=jac)
 
@@ -160,6 +163,26 @@ class TestFlowRhs:
         model = range_model()
         with pytest.raises(ValueError, match="innovation"):
             flow_rhs(np.array([1.0, 1.0]), np.eye(2), model, [1.0], innovation="exact")
+
+    def test_linearized_default_center(self):
+        # the center defaults to a polynomial state's constant part and to a
+        # single state itself; a batch has no default and must name it
+        model = range_model(0.1)
+        P = np.array([[1.0, 0.5], [0.5, 1.0]])
+        x0 = np.array([-3.5, 0.2])
+        xpoly = da.identity_map(da.AlgebraContext(2, 3), x0).components
+        np.testing.assert_array_equal(
+            flow_rhs(xpoly, P, model, [1.0], innovation="linearized").coeffs,
+            flow_rhs(xpoly, P, model, [1.0], innovation="linearized", center=x0).coeffs)
+        np.testing.assert_array_equal(flow_rhs(x0, P, model, [1.0], innovation="linearized"),
+                                      flow_rhs(x0, P, model, [1.0]))
+        X = np.vstack([x0, x0 + 0.3])
+        with pytest.raises(ValueError, match="center"):
+            flow_rhs(X, P, model, [1.0], innovation="linearized")
+        batch = flow_rhs(X, P, model, [1.0], innovation="linearized", center=x0)
+        singles = [flow_rhs(row, P, model, [1.0], innovation="linearized", center=x0)
+                   for row in X]
+        np.testing.assert_allclose(batch, singles, rtol=1e-13)
 
 
 class TestCovRhs:
@@ -429,6 +452,27 @@ class TestValidation:
                 build_flow_map(prior, model, [0.3, -0.2], one, 1, ONE_STEP)
             else:
                 flow_ensemble_ode(X0, prior, model, [0.3, -0.2], one, ONE_STEP)
+
+    def test_jacobian_fallback_matches_analytic_flows(self):
+        # a model without jac takes H from the compose expansion of h; at the
+        # configs/attitude.json setting its flows must match the jac model's
+        cfg = ScenarioConfig.from_json(CONFIGS / "attitude.json")
+        model = stacked_measurement()
+        fallback = dataclasses.replace(model, jac=None)
+        x0 = DEFAULT_INITIAL_STATE.as_vector()
+        prior = GaussianBelief(x0, INITIAL_STATE_COV)
+        sigma = np.sqrt(np.diag(model.noise_cov))
+        y = model.h(x0) + sigma * np.linspace(-1.0, 1.0, model.dim)
+        schedule, spec = cfg.schedule(), cfg.flow_spec()
+        want, got = (build_flow_map(prior, m, y, schedule, cfg.order, spec,
+                                    cfg.innovation).coefficient_matrix()
+                     for m in (model, fallback))
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        X0 = np.random.default_rng(14).multivariate_normal(x0, INITIAL_STATE_COV, size=4)
+        want, got = (flow_ensemble_ode(X0, prior, m, y, schedule, spec, cfg.innovation)
+                     for m in (model, fallback))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_da_jacobian_matches_analytic(self):
         model = range_model()

@@ -43,6 +43,17 @@ class TestRangeH:
         X = np.array([[3.0, 4.0], [0.0, 2.0]])
         np.testing.assert_allclose(models.range_h(X)[:, 0], [5.0, 2.0])
 
+    def test_polynomial_jacobian_tracks_real(self):
+        model = models.range_model()
+        x0 = np.array([-3.5, 0.0])
+        ctx = da.AlgebraContext(2, 8)
+        J = model.jacobian(da.identity_map(ctx, x0).components)
+        assert J.shape == (1, 2)
+        np.testing.assert_allclose(J.constant, model.jacobian(x0), rtol=1e-15)
+        D = 0.1 * np.random.default_rng(0).standard_normal((10, 2))
+        # the first dropped degree is about (|d| / 3.5)^9 <= 3e-11 here
+        np.testing.assert_allclose(da.evaluate_many(J, D), model.jacobian(x0 + D), atol=1e-10)
+
 
 class TestQuatMul:
     def test_identity(self):
@@ -268,6 +279,11 @@ class TestStackedMeasurement:
         evald = np.array([da.evaluate(c, d) for c in hp])
         # star tracker rows are quadratic and the gyro is linear: exact at order 2
         np.testing.assert_allclose(evald, model.h(x0 + d), atol=1e-14)
+        # so the Jacobian is affine, and its polynomial image is exact too
+        J = model.jacobian(da.identity_map(ctx, x0).components)
+        assert J.shape == (9, 10)
+        np.testing.assert_allclose(J.constant, model.jacobian(x0), atol=1e-14)
+        np.testing.assert_allclose(da.evaluate(J, d), model.jacobian(x0 + d), atol=1e-14)
 
 
 class TestAttitudeState:
