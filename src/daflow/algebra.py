@@ -614,13 +614,12 @@ class DAVector:
     (a sequence of single polynomials is stacked into one).  ``center``
     records the numeric expansion point the leading deviation variables
     measure from (its length may be smaller than ``n_vars``; trailing
-    variables are free parameters).  ``metadata`` is a free-form label, e.g.
-    the time interval a map spans.
+    variables are free parameters).
     """
 
-    __slots__ = ("components", "center", "metadata")
+    __slots__ = ("components", "center")
 
-    def __init__(self, components, center, metadata: str | None = None):
+    def __init__(self, components, center):
         if not isinstance(components, DAScalar):
             components = list(components)
             if not components:
@@ -636,7 +635,6 @@ class DAVector:
             )
         self.components = components
         self.center = center
-        self.metadata = metadata
 
     @property
     def context(self) -> AlgebraContext:
@@ -665,18 +663,16 @@ class DAVector:
     def __repr__(self):
         return (
             f"<DAVector n={len(self)} ctx={self.context!r} "
-            f"center={np.array2string(self.center, precision=4)} "
-            f"metadata={self.metadata!r}>"
+            f"center={np.array2string(self.center, precision=4)}>"
         )
 
 
-def identity_map(ctx: AlgebraContext, center, metadata: str | None = None) -> DAVector:
+def identity_map(ctx: AlgebraContext, center) -> DAVector:
     """The map ``center_i + d_i``, one component per entry of ``center``."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
     return DAVector(
         [make_variable(ctx, center[i], i) for i in range(len(center))],
         center,
-        metadata,
     )
 
 
@@ -723,7 +719,7 @@ def compose(outer: DAVector, inner: DAVector) -> DAVector:
         vals[:, ictx.degrees > octx.max_order] = 0.0
 
     coeffs = outer.components.coeffs @ vals
-    return DAVector(DAScalar(ictx, coeffs), inner.center, metadata=outer.metadata)
+    return DAVector(DAScalar(ictx, coeffs), inner.center)
 
 
 def dump(v: DAVector) -> str:

@@ -4,7 +4,9 @@ Each measurement epoch builds one state-transition polynomial map through
 the dynamics, one flow map through the measurement update, composes them
 into a single map from pre-propagation deviations to posterior states, and
 evaluates every particle through that map.  The baseline filter does the
-same work with direct numerical integration of every particle.
+same work with direct numerical integration of every particle.  The
+dynamics are deterministic, so the composed map is the only evaluation
+path.
 
 Both maps and ODE solves realize only the drift of the measurement flow,
 which carries deviations by Phi = P1 P0^-1 and leaves the ensemble with
@@ -54,11 +56,9 @@ CENTER_MATCH_TOL = 1e-9
 class DynamicsModel:
     """Equations of motion dx/dt = f(x, t), evaluable on real vectors,
     (N, n) batches, and polynomial states ((n,) DAScalar arrays), returning
-    the same kind; optional additive process noise covariance (zero when
-    None)."""
+    the same kind."""
 
     f: Callable
-    process_noise_cov: np.ndarray | None = None
 
 
 @dataclass
@@ -93,9 +93,7 @@ class FilterConfig:
     dynamics_spec: IntegratorSpec
     flow_spec: IntegratorSpec
     meas_period: float
-    innovation: str = "nonlinear"
     particle_postprocess: Callable | None = None
-    rng: np.random.Generator | None = None
 
     def __post_init__(self):
         if self.order < 1:
@@ -113,7 +111,7 @@ def build_stpm(center, dynamics: DynamicsModel, t0: float, t1: float,
     center = np.atleast_1d(np.asarray(center, dtype=float))
     ctx = AlgebraContext(len(center), order)
     out = integrate(dynamics.f, identity_map(ctx, center).components, t0, t1, spec)
-    return DAVector(out, center=center, metadata=f"dynamics t {t0:g}->{t1:g}")
+    return DAVector(out, center=center)
 
 
 def propagate_ensemble_map(stpm: DAVector, ensemble: Ensemble, center) -> Ensemble:
@@ -136,9 +134,7 @@ def combine_maps(flow_map: DAVector, stpm: DAVector) -> DAVector:
             f"flow map center is {mismatch:g} away from the propagated mean; "
             "the maps were built around different points"
         )
-    combined = compose(flow_map, stpm)
-    combined.metadata = f"({stpm.metadata}) o ({flow_map.metadata})"
-    return combined
+    return compose(flow_map, stpm)
 
 
 def ensemble_stats(ensemble: Ensemble) -> GaussianBelief:
@@ -181,18 +177,6 @@ def spread_correction(predicted: np.ndarray, prior_cov: np.ndarray,
     return devs @ (m - phi).T
 
 
-def _maybe_add_process_noise(particles: np.ndarray, dynamics: DynamicsModel,
-                             cfg: FilterConfig) -> np.ndarray:
-    if dynamics.process_noise_cov is None:
-        return particles
-    if cfg.rng is None:
-        raise ValueError("process noise requires cfg.rng")
-    q = np.asarray(dynamics.process_noise_cov, dtype=float)
-    return particles + cfg.rng.multivariate_normal(
-        np.zeros(particles.shape[1]), q, size=particles.shape[0]
-    )
-
-
 def _finish_step(t1, particles, cfg) -> FilterState:
     if cfg.particle_postprocess is not None:
         particles = cfg.particle_postprocess(particles)
@@ -217,25 +201,16 @@ def daruff_step(state: FilterState, dynamics: DynamicsModel,
     tic = time.perf_counter()
     stpm = build_stpm(xhat, dynamics, t0, t1, cfg.order, cfg.dynamics_spec)
     predicted = evaluate_many(stpm, devs)
-    noisy = dynamics.process_noise_cov is not None
-    if noisy:
-        predicted = _maybe_add_process_noise(predicted, dynamics, cfg)
     t_prop = time.perf_counter() - tic
 
     tic = time.perf_counter()
     prior = GaussianBelief(stpm.constant_part, ensemble_stats(Ensemble(predicted)).cov)
     flow_map, post_cov = build_flow_map(prior, model, y, cfg.schedule, cfg.order,
-                                        cfg.flow_spec, cfg.innovation, return_cov=True)
+                                        cfg.flow_spec, return_cov=True)
     t_flow = time.perf_counter() - tic
 
     tic = time.perf_counter()
-    if noisy:
-        # injected noise is not representable inside the composed map, so
-        # evaluate the two maps in sequence
-        posterior = evaluate_many(flow_map, predicted - prior.mean)
-    else:
-        combined = combine_maps(flow_map, stpm)
-        posterior = evaluate_many(combined, devs)
+    posterior = evaluate_many(combine_maps(flow_map, stpm), devs)
     posterior = posterior + spread_correction(predicted, prior.cov, post_cov)
     t_eval = time.perf_counter() - tic
 
@@ -255,13 +230,12 @@ def baseline_pff_step(state: FilterState, dynamics: DynamicsModel,
     tic = time.perf_counter()
     predicted = integrate(dynamics.f, state.ensemble.particles, t0, t1,
                           cfg.dynamics_spec)
-    predicted = _maybe_add_process_noise(predicted, dynamics, cfg)
     t_prop = time.perf_counter() - tic
 
     tic = time.perf_counter()
     prior = ensemble_stats(Ensemble(predicted))
     flowed, post_cov = flow_ensemble_ode(predicted, prior, model, y, cfg.schedule,
-                                         cfg.flow_spec, cfg.innovation, return_cov=True)
+                                         cfg.flow_spec, return_cov=True)
     flowed = flowed + spread_correction(predicted, prior.cov, post_cov)
     t_flow = time.perf_counter() - tic
 

@@ -6,7 +6,9 @@ prior) to 1 (the posterior) along a stochastic flow:
     dx = P H^T R^-1 (y - h(x)) dl + dw,   E[dw dw^T] = P H^T R^-1 H P dl
     dP/dl = -P H^T R^-1 H P
 
-This module integrates the drift only, with one driver for every route.
+This module integrates the drift only, with one driver for every route
+and one law: every particle's drift takes the nonlinear innovation
+y - h(x) and H at the particle itself.
 The state it carries is either a polynomial state, which the map route
 (:func:`build_flow_map`) starts as the identity around the prior mean and
 which replaces every particle integration with one polynomial evaluation,
@@ -57,21 +59,12 @@ __all__ = [
     "flow_mean_cov",
     "build_flow_map",
     "flow_ensemble_ode",
-    "check_flow_options",
     "da_jacobian",
 ]
-
-INNOVATION_MODES = ("nonlinear", "linearized")
 
 
 class FlowError(RuntimeError):
     """The flow integration produced an invalid covariance or state."""
-
-
-def check_flow_options(innovation: str) -> None:
-    """Raise ValueError unless ``innovation`` names a flow."""
-    if innovation not in INNOVATION_MODES:
-        raise ValueError(f"innovation must be one of {INNOVATION_MODES}, got {innovation!r}")
 
 
 def _measurement(model: MeasurementModel, y) -> np.ndarray:
@@ -245,48 +238,30 @@ class Ensemble:
 # drift / covariance right-hand sides
 
 
-def _drift(x, P, model: MeasurementModel, y, innovation, center, center_jac):
+def _drift(x, P, model: MeasurementModel, y):
     """Drift P H^T R^-1 (y - h(x)) at a polynomial state, a single state or
     a batch, with H taken at the state itself.
 
-    The linearized innovation expands h about ``center`` with its Jacobian
-    ``center_jac``.  The model code runs on the state as it is, so a
-    polynomial state gets the truncated expansions of h and H directly.
+    The model code runs on the state as it is, so a polynomial state gets
+    the truncated expansions of h and H directly.
     """
-    if innovation == "nonlinear":
-        innov = y - model.h(x)
-    else:
-        innov = (y - model.h(center)) - (x - center) @ center_jac.T
-    w = innov @ model.noise_inv.T
+    w = (y - model.h(x)) @ model.noise_inv.T
     u = (w[..., None, :] @ model.jacobian(x))[..., 0, :]
     return u @ P.T
 
 
-def flow_rhs(x, P, model: MeasurementModel, y, innovation: str = "nonlinear",
-             center=None):
+def flow_rhs(x, P, model: MeasurementModel, y):
     """Drift P H^T R^-1 (y - h(x)) of the measurement flow.
 
     Accepts a real state (n,), a particle batch (N, n), or a polynomial
     state (a (n,) DAScalar array), with H taken at the state itself
     (polynomial H in the polynomial case), and the real (n, n) covariance
-    ``P``.  ``innovation='linearized'`` replaces h(x) by its first-order
-    expansion about the running mean ``center``, which defaults to a
-    polynomial state's constant part and to a single state itself; a batch
-    has no default and must name it.
+    ``P``.
     """
-    check_flow_options(innovation)
     y = _measurement(model, y)
     if not isinstance(x, DAScalar):
         x = np.asarray(x, dtype=float)
-    center_jac = None
-    if innovation == "linearized":
-        if center is None:
-            if x.ndim == 2:
-                raise ValueError("the linearized innovation of a batch needs its center")
-            center = x.constant if isinstance(x, DAScalar) else x
-        center = np.asarray(center, dtype=float)
-        center_jac = model.jacobian(center)
-    return _drift(x, np.asarray(P, dtype=float), model, y, innovation, center, center_jac)
+    return _drift(x, np.asarray(P, dtype=float), model, y)
 
 
 def cov_rhs(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -313,26 +288,22 @@ def _fix_cov(P):
 
 
 def _flow(x, cov, model: MeasurementModel, y, schedule: LambdaSchedule,
-          spec: IntegratorSpec, innovation: str):
+          spec: IntegratorSpec):
     """Carry the state ``x`` and the covariance from pseudo-time 0 to 1.
 
     ``x`` is a polynomial state whose constant part is the prior mean, or a
     batch of particles whose row 0 is the prior mean; either way the image
     of the prior mean, the running mean, rides along in ``x``.  ``cov`` is
-    the prior covariance.  Each right-hand side takes H at the running mean
-    once, for the covariance law and the linearized innovation alike.
-    Returns ``(x1, P1)``.
+    the prior covariance, whose law takes H at the running mean.  Returns
+    ``(x1, P1)``.
     """
-    check_flow_options(innovation)
     y = _measurement(model, y)
     poly = isinstance(x, DAScalar)
 
     def rhs(s, lam):
         x, P = s.parts
-        center = x.constant if poly else x[0]
-        center_jac = model.jacobian(center)
-        dP = cov_rhs(P, center_jac, model.noise_cov)
-        return Stacked(_drift(x, P, model, y, innovation, center, center_jac), dP)
+        dP = cov_rhs(P, model.jacobian(x.constant if poly else x[0]), model.noise_cov)
+        return Stacked(_drift(x, P, model, y), dP)
 
     state = Stacked(x, cov)
     for lam0, lam1 in schedule.segments():
@@ -342,16 +313,15 @@ def _flow(x, cov, model: MeasurementModel, y, schedule: LambdaSchedule,
 
 
 def flow_mean_cov(prior: GaussianBelief, model: MeasurementModel, y,
-                  schedule: LambdaSchedule, spec: IntegratorSpec,
-                  innovation: str = "nonlinear") -> GaussianBelief:
+                  schedule: LambdaSchedule, spec: IntegratorSpec) -> GaussianBelief:
     """Integrate the mean/covariance flow ODEs from prior to posterior."""
-    x1, P1 = _flow(prior.mean[None, :], prior.cov, model, y, schedule, spec, innovation)
+    x1, P1 = _flow(prior.mean[None, :], prior.cov, model, y, schedule, spec)
     return GaussianBelief(x1[0], P1)
 
 
 def build_flow_map(prior: GaussianBelief, model: MeasurementModel, y,
                    schedule: LambdaSchedule, order: int, spec: IntegratorSpec,
-                   innovation: str = "nonlinear", *, return_cov: bool = False):
+                   *, return_cov: bool = False):
     """Polynomial flow map from prior deviations to posterior states.
 
     The polynomial state starts as the identity around the prior mean and is
@@ -364,29 +334,25 @@ def build_flow_map(prior: GaussianBelief, model: MeasurementModel, y,
     the same integration.
     """
     x0 = identity_map(AlgebraContext(prior.dim, order), prior.mean).components
-    x1, post_cov = _flow(x0, prior.cov, model, y, schedule, spec, innovation)
-    fmap = DAVector(x1, center=prior.mean, metadata="flow lambda 0->1")
+    x1, post_cov = _flow(x0, prior.cov, model, y, schedule, spec)
+    fmap = DAVector(x1, center=prior.mean)
     return (fmap, post_cov) if return_cov else fmap
 
 
 def flow_ensemble_ode(particles, prior: GaussianBelief, model: MeasurementModel,
                       y, schedule: LambdaSchedule, spec: IntegratorSpec,
-                      innovation: str = "nonlinear", *, return_cov: bool = False):
-    """Flow every particle through the drift ODE.
+                      *, return_cov: bool = False):
+    """Flow every particle of an (N, n) array through the drift ODE.
 
     All particles share one covariance trajectory, integrated from the
     prior covariance with H evaluated at the running prior mean.  Each
-    particle's drift evaluates H at the particle itself.  Returns the kind
-    it was given (Ensemble in, Ensemble out); ``return_cov=True`` returns
-    ``(flowed, P1)`` as :func:`build_flow_map` does.
+    particle's drift evaluates H at the particle itself.  Returns the
+    flowed (N, n) array; ``return_cov=True`` returns ``(flowed, P1)`` as
+    :func:`build_flow_map` does.
     """
-    wrap = isinstance(particles, Ensemble)
-    x = particles.particles if wrap else np.atleast_2d(np.asarray(particles, dtype=float))
-    x1, post_cov = _flow(np.vstack([prior.mean, x]), prior.cov, model, y, schedule,
-                         spec, innovation)
+    x = np.atleast_2d(np.asarray(particles, dtype=float))
+    x1, post_cov = _flow(np.vstack([prior.mean, x]), prior.cov, model, y, schedule, spec)
     flowed = x1[1:]
     if not np.isfinite(flowed).all():
         raise FlowError("particle flow produced non-finite particles")
-    if wrap:
-        flowed = Ensemble(flowed)
     return (flowed, post_cov) if return_cov else flowed

@@ -30,7 +30,6 @@ from .flow import (
     GaussianBelief,
     LambdaSchedule,
     build_flow_map,
-    check_flow_options,
     flow_ensemble_ode,
     geometric_schedule,
 )
@@ -88,7 +87,6 @@ class ScenarioConfig:
     max_steps: int = 1_000_000
     seed: int = 0
     method: str = "both"
-    innovation: str = "nonlinear"
 
     def __post_init__(self):
         self.lambda_schedule = tuple(self.lambda_schedule)
@@ -116,10 +114,6 @@ class ScenarioConfig:
             raise ConfigError(f"unknown integrator {self.integrator!r}")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ConfigError("tolerances must be positive")
-        try:
-            check_flow_options(self.innovation)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         if self.scenario == "attitude":
             ratio = self.meas_period / self.dt
             if abs(ratio - round(ratio)) > 1e-9:
@@ -181,16 +175,14 @@ class ScenarioConfig:
                               rel_tol=self.rel_tol, abs_tol=self.abs_tol,
                               max_steps=self.max_steps)
 
-    def filter_config(self, particle_postprocess=None, rng=None) -> FilterConfig:
+    def filter_config(self, particle_postprocess=None) -> FilterConfig:
         return FilterConfig(
             order=self.order,
             schedule=self.schedule(),
             dynamics_spec=self.dynamics_spec(),
             flow_spec=self.flow_spec(),
             meas_period=self.meas_period,
-            innovation=self.innovation,
             particle_postprocess=particle_postprocess,
-            rng=rng,
         )
 
 
@@ -247,17 +239,16 @@ def run_toy(cfg: ScenarioConfig) -> ToyResult:
 
     post_da = post_ode = n_fallback = None
     if cfg.method in ("da", "both"):
-        fmap = build_flow_map(prior, model, y, schedule, cfg.order, spec, cfg.innovation)
+        fmap = build_flow_map(prior, model, y, schedule, cfg.order, spec)
         devs = prior_cloud - TOY_PRIOR_MEAN
         post_da = fmap.evaluate_many(devs)
         beyond = truncation_indicator(fmap, devs) > TOY_TRUNCATION_BOUND
         n_fallback = int(beyond.sum())
         if n_fallback:
             post_da[beyond] = flow_ensemble_ode(prior_cloud[beyond], prior, model, y,
-                                                schedule, spec, cfg.innovation)
+                                                schedule, spec)
     if cfg.method in ("ode", "both"):
-        post_ode = flow_ensemble_ode(prior_cloud, prior, model, y, schedule,
-                                     spec, cfg.innovation)
+        post_ode = flow_ensemble_ode(prior_cloud, prior, model, y, schedule, spec)
 
     rms = None
     if post_da is not None and post_ode is not None:

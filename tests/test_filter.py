@@ -273,25 +273,6 @@ class TestDaruffStep:
                     make_filter_config(particle_postprocess=hook))
         assert seen == [(8, 2)]
 
-    def test_process_noise_requires_rng(self):
-        rng = np.random.default_rng(11)
-        ens = Ensemble(rng.normal(size=(8, 2)))
-        state = FilterState(0.0, ensemble_stats(ens), ens)
-        dyn = DynamicsModel(f=lambda x, t: 0.0 * x, process_noise_cov=0.01 * np.eye(2))
-        with pytest.raises(ValueError, match="rng"):
-            daruff_step(state, dyn, linear_model([[1.0, 0.0]], [[1.0]]), [0.0],
-                        make_filter_config())
-
-    def test_process_noise_spreads_particles(self):
-        rng = np.random.default_rng(12)
-        parts = np.zeros((100, 2)) + rng.normal(size=(100, 2)) * 1e-6
-        ens = Ensemble(parts)
-        state = FilterState(0.0, ensemble_stats(ens), ens)
-        dyn = DynamicsModel(f=lambda x, t: 0.0 * x, process_noise_cov=np.eye(2))
-        out = daruff_step(state, dyn, linear_model([[1.0, 0.0]], [[100.0]]), [0.0],
-                          make_filter_config(rng=np.random.default_rng(13)))
-        assert np.trace(out.belief.cov) > 0.5
-
 
 class TestSpreadCorrection:
     def test_restores_flow_covariance_and_keeps_mean(self):

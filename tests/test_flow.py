@@ -149,40 +149,11 @@ class TestFlowRhs:
         with pytest.raises(ValueError, match="measurement"):
             flow_rhs(np.array([1.0, 2.0]), np.eye(2), model, [1.0, 2.0])
 
-    def test_linearized_equals_nonlinear_for_linear_h(self, linear_case):
-        A, R, P0, x0, y = linear_case
-        model = linear_model(A, R)
-        ctx = da.AlgebraContext(3, 2)
-        xpoly = da.identity_map(ctx, x0).components
-        a = flow_rhs(xpoly, P0, model, y, innovation="nonlinear")
-        b = flow_rhs(xpoly, P0, model, y, innovation="linearized")
-        for pa, pb in zip(a, b):
-            np.testing.assert_allclose(pa.coeffs, pb.coeffs, atol=1e-12)
-
     def test_unknown_innovation(self):
+        # the innovation is always y - h(x): the retired keyword is refused
         model = range_model()
-        with pytest.raises(ValueError, match="innovation"):
-            flow_rhs(np.array([1.0, 1.0]), np.eye(2), model, [1.0], innovation="exact")
-
-    def test_linearized_default_center(self):
-        # the center defaults to a polynomial state's constant part and to a
-        # single state itself; a batch has no default and must name it
-        model = range_model(0.1)
-        P = np.array([[1.0, 0.5], [0.5, 1.0]])
-        x0 = np.array([-3.5, 0.2])
-        xpoly = da.identity_map(da.AlgebraContext(2, 3), x0).components
-        np.testing.assert_array_equal(
-            flow_rhs(xpoly, P, model, [1.0], innovation="linearized").coeffs,
-            flow_rhs(xpoly, P, model, [1.0], innovation="linearized", center=x0).coeffs)
-        np.testing.assert_array_equal(flow_rhs(x0, P, model, [1.0], innovation="linearized"),
-                                      flow_rhs(x0, P, model, [1.0]))
-        X = np.vstack([x0, x0 + 0.3])
-        with pytest.raises(ValueError, match="center"):
-            flow_rhs(X, P, model, [1.0], innovation="linearized")
-        batch = flow_rhs(X, P, model, [1.0], innovation="linearized", center=x0)
-        singles = [flow_rhs(row, P, model, [1.0], innovation="linearized", center=x0)
-                   for row in X]
-        np.testing.assert_allclose(batch, singles, rtol=1e-13)
+        with pytest.raises(TypeError, match="innovation"):
+            flow_rhs(np.array([1.0, 1.0]), np.eye(2), model, [1.0], innovation="linearized")
 
 
 class TestCovRhs:
@@ -297,24 +268,23 @@ class TestBuildFlowMap:
                                    atol=1e-14)
 
     def test_return_cov_is_keyword_only(self, linear_case):
-        # an eighth positional argument must not land in return_cov and
+        # a seventh positional argument must not land in return_cov and
         # silently turn the result into a (map, P1) tuple
         A, R, P0, x0, y = linear_case
         model = linear_model(A, R)
         X0 = np.vstack([x0, x0 + 0.1])
         with pytest.raises(TypeError):
-            build_flow_map(GaussianBelief(x0, P0), model, y, DENSE, 1, ONE_STEP,
-                           "nonlinear", "mean")
+            build_flow_map(GaussianBelief(x0, P0), model, y, DENSE, 1, ONE_STEP, True)
         with pytest.raises(TypeError):
-            flow_ensemble_ode(X0, GaussianBelief(x0, P0), model, y, DENSE, ONE_STEP,
-                              "nonlinear", True)
+            flow_ensemble_ode(X0, GaussianBelief(x0, P0), model, y, DENSE, ONE_STEP, True)
 
     def test_unknown_innovation_rejected(self, linear_case):
+        # the retired keyword is refused, not ignored
         A, R, P0, x0, y = linear_case
         model = linear_model(A, R)
-        with pytest.raises(ValueError, match="innovation"):
+        with pytest.raises(TypeError, match="innovation"):
             build_flow_map(GaussianBelief(x0, P0), model, y, DENSE, 1, ONE_STEP,
-                           innovation="typo")
+                           innovation="linearized")
 
 
 class TestFlowEnsembleOde:
@@ -370,15 +340,6 @@ class TestFlowEnsembleOde:
             np.testing.assert_allclose(p1_map, post.cov, rtol=1e-12)
             np.testing.assert_allclose(p1, post.cov, rtol=1e-12)
 
-    def test_ensemble_wrapper_roundtrip(self, linear_case):
-        A, R, P0, x0, y = linear_case
-        model = linear_model(A, R)
-        rng = np.random.default_rng(8)
-        ens = Ensemble(rng.multivariate_normal(x0, P0, size=10))
-        out = flow_ensemble_ode(ens, GaussianBelief(x0, P0), model, y, DENSE, ONE_STEP)
-        assert isinstance(out, Ensemble)
-        assert out.n_particles == 10
-
     def test_toy_ring_concentration(self):
         model = range_model()
         prior = GaussianBelief([-3.5, 0.0], [[1.0, 0.5], [0.5, 1.0]])
@@ -392,12 +353,13 @@ class TestFlowEnsembleOde:
         assert np.mean(out[:, 0] < 0) > 0.99
 
     def test_unknown_innovation_rejected(self, linear_case):
+        # the retired keyword is refused, not ignored
         A, R, P0, x0, y = linear_case
         model = linear_model(A, R)
         X0 = np.random.default_rng(12).multivariate_normal(x0, P0, size=4)
-        with pytest.raises(ValueError, match="innovation"):
+        with pytest.raises(TypeError, match="innovation"):
             flow_ensemble_ode(X0, GaussianBelief(x0, P0), model, y, DENSE, ONE_STEP,
-                              innovation="typo")
+                              innovation="linearized")
 
 
 class TestValidation:
@@ -464,13 +426,12 @@ class TestValidation:
         sigma = np.sqrt(np.diag(model.noise_cov))
         y = model.h(x0) + sigma * np.linspace(-1.0, 1.0, model.dim)
         schedule, spec = cfg.schedule(), cfg.flow_spec()
-        want, got = (build_flow_map(prior, m, y, schedule, cfg.order, spec,
-                                    cfg.innovation).coefficient_matrix()
+        want, got = (build_flow_map(prior, m, y, schedule, cfg.order, spec).coefficient_matrix()
                      for m in (model, fallback))
         scale = np.abs(want).max(axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
         X0 = np.random.default_rng(14).multivariate_normal(x0, INITIAL_STATE_COV, size=4)
-        want, got = (flow_ensemble_ode(X0, prior, m, y, schedule, spec, cfg.innovation)
+        want, got = (flow_ensemble_ode(X0, prior, m, y, schedule, spec)
                      for m in (model, fallback))
         np.testing.assert_allclose(got, want, rtol=1e-12)
 

@@ -2,13 +2,17 @@
 problems, rebuilt and compared with their recorded ``dump`` output.
 
 The files under ``tests/data/golden_*.txt`` pin the maps a refactor of the
-algebra, the models, the flow or the integrator must keep.  Regenerate them
-(only when a change of the maps is intended) with
+algebra, the models, the flow or the integrator must keep.  Regenerate only
+the maps a change moves on purpose, by name, with
 
-    PYTHONPATH=src python3 tests/test_golden_maps.py
+    PYTHONPATH=src python3 tests/test_golden_maps.py NAME...
+
+Without a name the script lists the names and exits with status 1, so the
+maps a change keeps are never rewritten with last-digit noise.
 """
 
 import functools
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +48,7 @@ def _attitude_maps():
     # a measurement off the predicted one by about one noise sigma per component
     sigma = np.sqrt(np.diag(model.noise_cov))
     y = model.h(stpm.constant_part) + sigma * np.linspace(-1.0, 1.0, model.dim)
-    fmap = build_flow_map(prior, model, y, cfg.schedule(), cfg.order, cfg.flow_spec(),
-                          cfg.innovation)
+    fmap = build_flow_map(prior, model, y, cfg.schedule(), cfg.order, cfg.flow_spec())
     return stpm, fmap
 
 
@@ -53,7 +56,7 @@ def _toy_map(order):
     cfg = ScenarioConfig.from_json(CONFIGS / "toy.json")
     prior = GaussianBelief(TOY_PRIOR_MEAN, TOY_PRIOR_COV)
     return build_flow_map(prior, models.range_model(TOY_NOISE_SIGMA), [TOY_MEASUREMENT],
-                          cfg.schedule(), order, cfg.flow_spec(), cfg.innovation)
+                          cfg.schedule(), order, cfg.flow_spec())
 
 
 BUILDERS = {
@@ -88,6 +91,9 @@ def test_map_matches_golden_dump(name):
 
 
 if __name__ == "__main__":
-    for name, build in BUILDERS.items():
-        _path(name).write_text(algebra.dump(build()))
+    names = sys.argv[1:]
+    if not names or not set(names) <= set(BUILDERS):
+        sys.exit(f"usage: {sys.argv[0]} NAME...  (names: {', '.join(sorted(BUILDERS))})")
+    for name in names:
+        _path(name).write_text(algebra.dump(BUILDERS[name]()))
         print(f"wrote {_path(name)}")

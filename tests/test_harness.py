@@ -66,6 +66,7 @@ class TestScenarioConfig:
         {"innovation": "cubic"},
         {"cov_coupling": "particle"},  # retired key: stale configs must fail
         {"dt": 0.03},
+        {"innovation": "nonlinear"},  # retired key: stale configs must fail
     ])
     def test_invalid_values_rejected(self, patch):
         data = {"scenario": "attitude"}
