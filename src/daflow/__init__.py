@@ -31,7 +31,6 @@ from .filter import (
     combine_maps,
     daruff_step,
     ensemble_stats,
-    propagate_ensemble_map,
     spread_correction,
 )
 from .flow import (

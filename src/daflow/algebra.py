@@ -136,8 +136,9 @@ class AlgebraContext:
                     kk.append(self._index[tuple(ei + self.exponents[j])])
                 ii.extend([i] * jend)
                 jj.extend(range(jend))
-            # a stable sort keeps each k's terms in (i, j) order, so the
-            # per-k sums run in the same order whichever kernel adds them
+            # a stable sort keeps each k's terms in (i, j) order; bincount (one
+            # polynomial, where it beats add.reduceat) and add.reduceat (arrays)
+            # may still round the sums differently, in the last bit
             order = np.argsort(kk, kind="stable")
             self._mul_table = tuple(np.array(t, dtype=np.intp)[order] for t in (ii, jj, kk))
             self._mul_starts = np.searchsorted(self._mul_table[2], np.arange(self.size))
@@ -263,8 +264,12 @@ class DAScalar:
         return DAScalar(self.ctx, self.coeffs.sum(axis=_coeff_axis(axis)))
 
     def _plus_constant(self, coeffs: np.ndarray, value) -> "DAScalar":
-        """``coeffs`` plus a number or a float array of constants."""
-        pad = np.zeros(np.shape(value) + coeffs.shape[-1:])
+        """``coeffs`` plus a number, or a float array that broadcasts against it."""
+        if not isinstance(value, np.ndarray):
+            out = coeffs.copy()
+            out[..., 0] += value
+            return DAScalar(self.ctx, out)
+        pad = np.zeros(value.shape + coeffs.shape[-1:])
         pad[..., 0] = value
         return DAScalar(self.ctx, coeffs + pad)
 
@@ -612,9 +617,8 @@ class DAVector:
 
     ``components`` is a :class:`DAScalar` of shape ``(n_components,)``
     (a sequence of single polynomials is stacked into one).  ``center``
-    records the numeric expansion point the leading deviation variables
-    measure from (its length may be smaller than ``n_vars``; trailing
-    variables are free parameters).
+    records the numeric expansion point the deviation variables measure
+    from, one entry per variable of the context.
     """
 
     __slots__ = ("components", "center")
@@ -629,9 +633,9 @@ class DAVector:
             raise ValueError("DAVector components must form a 1-d polynomial array")
         ctx = components.ctx
         center = np.atleast_1d(np.asarray(center, dtype=float))
-        if center.ndim != 1 or len(center) > ctx.n_vars:
+        if center.shape != (ctx.n_vars,):
             raise ValueError(
-                f"center length {center.shape} exceeds n_vars={ctx.n_vars}"
+                f"center must have shape ({ctx.n_vars},), got {center.shape}"
             )
         self.components = components
         self.center = center
@@ -679,32 +683,22 @@ def identity_map(ctx: AlgebraContext, center) -> DAVector:
 def compose(outer: DAVector, inner: DAVector) -> DAVector:
     """Truncated polynomial of ``outer`` applied after ``inner``.
 
-    The leading deviation variables of ``outer`` receive the components of
+    The deviation variables of ``outer`` receive the components of
     ``inner`` about their constant parts (which must match ``outer``'s
-    expansion center for the composition to be meaningful); any remaining
-    variables of ``outer`` are parameters and pass through unchanged.
-    Exact whenever the combined degree stays within the truncation order.
+    expansion center for the composition to be meaningful), so ``inner``
+    has one component per variable of ``outer``.  Exact whenever the
+    combined degree stays within the truncation order.
     """
     octx = outer.context
     ictx = inner.context
-    n_sub = len(inner)
-    if len(outer.center) != n_sub:
+    if len(inner) != octx.n_vars:
         raise ValueError(
-            f"outer map expands {len(outer.center)} variables but inner has "
-            f"{n_sub} components"
-        )
-    if n_sub < octx.n_vars and ictx.n_vars < octx.n_vars:
-        raise ValueError(
-            "inner context too small to host outer's parameter variables"
+            f"outer map expands {octx.n_vars} variables but inner has "
+            f"{len(inner)} components"
         )
 
     subs = inner.components.coeffs.copy()
     subs[:, 0] = 0.0
-    # outer's trailing variables are parameters: d_i passes through as d_i
-    extra = np.arange(n_sub, octx.n_vars)
-    params = np.zeros((len(extra), ictx.size))
-    params[np.arange(len(extra)), 1 + extra] = 1.0
-    subs = np.concatenate([subs, params])
 
     # values of outer's basis monomials in the inner algebra, one degree at a
     # time: each monomial is its parent monomial times one variable

@@ -41,7 +41,6 @@ __all__ = [
     "FilterState",
     "StepTiming",
     "build_stpm",
-    "propagate_ensemble_map",
     "combine_maps",
     "ensemble_stats",
     "spread_correction",
@@ -112,14 +111,6 @@ def build_stpm(center, dynamics: DynamicsModel, t0: float, t1: float,
     ctx = AlgebraContext(len(center), order)
     out = integrate(dynamics.f, identity_map(ctx, center).components, t0, t1, spec)
     return DAVector(out, center=center)
-
-
-def propagate_ensemble_map(stpm: DAVector, ensemble: Ensemble, center) -> Ensemble:
-    """Evaluate the map at every particle's deviation from ``center``."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if center.shape != stpm.center.shape or np.abs(center - stpm.center).max() > CENTER_MATCH_TOL:
-        raise ValueError("deviations must be taken from the center the map was built at")
-    return Ensemble(evaluate_many(stpm, ensemble.particles - center))
 
 
 def combine_maps(flow_map: DAVector, stpm: DAVector) -> DAVector:

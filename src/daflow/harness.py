@@ -33,7 +33,7 @@ from .flow import (
     flow_ensemble_ode,
     geometric_schedule,
 )
-from .integrate import METHODS as INTEGRATORS, IntegrationError, IntegratorSpec
+from .integrate import IntegrationError, IntegratorSpec
 
 __all__ = [
     "ConfigError",
@@ -48,7 +48,12 @@ __all__ = [
     "emit_csv",
 ]
 
-SCENARIOS = ("toy_range", "attitude")
+# flow-map integrator per scenario: one RK4 step per pseudo-time segment for
+# the attitude flow, adaptive RK7(8) inside each segment for the toy
+FLOW_SPECS = {
+    "toy_range": IntegratorSpec("rk78_adaptive"),
+    "attitude": IntegratorSpec("rk4_fixed", step_size=1.0),
+}
 METHODS = ("da", "ode", "both")
 FLOAT_FMT = "%.17g"
 
@@ -70,39 +75,35 @@ class ConfigError(ValueError):
 
 @dataclass
 class ScenarioConfig:
-    """Flat, JSON-compatible description of one experiment."""
+    """Flat, JSON-compatible description of one experiment; every field is
+    required, and the integrators follow from ``scenario`` and ``dt``."""
 
-    scenario: str = "attitude"
-    order: int = 2
-    n_particles_per_dim: int = 250
-    n_mc: int = 100
-    duration: float = 120.0
-    dt: float = 0.01
-    meas_period: float = 2.0
-    lambda_schedule: tuple = (0.001, 1.0, 50)
-    integrator: str = "rk4_fixed"
-    step_size: float = 0.01
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-10
-    max_steps: int = 1_000_000
-    seed: int = 0
-    method: str = "both"
+    scenario: str
+    order: int
+    n_particles_per_dim: int
+    n_mc: int
+    duration: float
+    dt: float
+    meas_period: float
+    lambda_schedule: tuple
+    seed: int
+    method: str
 
     def __post_init__(self):
         self.lambda_schedule = tuple(self.lambda_schedule)
         self.validate()
 
     def validate(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
+        if self.scenario not in FLOW_SPECS:
+            raise ConfigError(f"scenario must be one of {list(FLOW_SPECS)}, got {self.scenario!r}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.order < 1:
             raise ConfigError("order must be >= 1")
-        for name in ("n_particles_per_dim", "n_mc", "max_steps"):
+        for name in ("n_particles_per_dim", "n_mc"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("duration", "dt", "meas_period", "step_size"):
+        for name in ("duration", "dt", "meas_period"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if len(self.lambda_schedule) != 3:
@@ -110,10 +111,6 @@ class ScenarioConfig:
         first, last, count = self.lambda_schedule
         if not (0.0 < first < last <= 1.0) or int(count) < 2:
             raise ConfigError("lambda_schedule must satisfy 0 < first < last <= 1, count >= 2")
-        if self.integrator not in INTEGRATORS:
-            raise ConfigError(f"unknown integrator {self.integrator!r}")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ConfigError("tolerances must be positive")
         if self.scenario == "attitude":
             ratio = self.meas_period / self.dt
             if abs(ratio - round(ratio)) > 1e-9:
@@ -121,10 +118,13 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(data) - set(names))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        missing = [name for name in names if name not in data]
+        if missing:
+            raise ConfigError(f"missing config keys: {', '.join(missing)}")
         return cls(**data)
 
     @classmethod
@@ -140,40 +140,16 @@ class ScenarioConfig:
     def to_json(self, path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n")
 
-    @classmethod
-    def toy_defaults(cls, **overrides) -> "ScenarioConfig":
-        base = dict(
-            scenario="toy_range",
-            order=8,
-            n_particles_per_dim=500,
-            n_mc=1,
-            duration=1.0,
-            dt=1.0,
-            meas_period=1.0,
-            integrator="rk78_adaptive",
-            step_size=1.0,
-        )
-        base.update(overrides)
-        return cls(**base)
-
-    @classmethod
-    def attitude_defaults(cls, **overrides) -> "ScenarioConfig":
-        return cls(**overrides)
-
     def schedule(self) -> LambdaSchedule:
         first, last, count = self.lambda_schedule
         return geometric_schedule(first, last, int(count))
 
     def dynamics_spec(self) -> IntegratorSpec:
-        return IntegratorSpec(self.integrator, step_size=self.step_size,
-                              rel_tol=self.rel_tol, abs_tol=self.abs_tol,
-                              max_steps=self.max_steps)
+        """RK4 at the truth simulation's step ``dt``."""
+        return IntegratorSpec("rk4_fixed", step_size=self.dt)
 
     def flow_spec(self) -> IntegratorSpec:
-        # one fixed step per pseudo-time segment; adaptive specs adapt inside
-        return IntegratorSpec(self.integrator, step_size=1.0,
-                              rel_tol=self.rel_tol, abs_tol=self.abs_tol,
-                              max_steps=self.max_steps)
+        return FLOW_SPECS[self.scenario]
 
     def filter_config(self, particle_postprocess=None) -> FilterConfig:
         return FilterConfig(

@@ -318,25 +318,18 @@ class TestCompose:
         for l, r in zip(left.components, right.components):
             np.testing.assert_allclose(l.coeffs, r.coeffs, rtol=1e-9, atol=1e-10)
 
-    def test_parameter_passthrough(self):
-        # outer has 3 variables but only 2 are centered; d2 is a parameter
-        ctx3 = da.AlgebraContext(3, 3)
-        d0 = da.make_variable(ctx3, 0.0, 0)
-        d1 = da.make_variable(ctx3, 0.0, 1)
-        d2 = da.make_variable(ctx3, 0.0, 2)
-        outer = da.DAVector([d0 * d1 + d2], center=[1.0, 2.0])
-        inner = da.DAVector(
-            [1.0 + 2.0 * d0, 2.0 + 3.0 * d1], center=np.zeros(2)
-        )
-        out = da.compose(outer, inner)
-        assert out.components[0].terms == {(1, 1, 0): 6.0, (0, 0, 1): 1.0}
-
     def test_dimension_mismatch(self):
         ctx = da.AlgebraContext(2, 2)
         outer = da.identity_map(ctx, [0.0, 0.0])
-        inner = da.DAVector([da.make_variable(ctx, 0.0, 0)], center=[0.0])
+        inner = da.DAVector([da.make_variable(ctx, 0.0, 0)], center=[0.0, 0.0])
         with pytest.raises(ValueError, match="components"):
             da.compose(outer, inner)
+
+    def test_short_center_rejected(self):
+        # every variable of a map is a deviation from its center
+        ctx = da.AlgebraContext(3, 2)
+        with pytest.raises(ValueError, match="center"):
+            da.DAVector([da.make_variable(ctx, 1.0, 0)], center=[1.0, 2.0])
 
 
 class TestDump:

@@ -12,7 +12,6 @@ from daflow.filter import (
     combine_maps,
     daruff_step,
     ensemble_stats,
-    propagate_ensemble_map,
     spread_correction,
 )
 from daflow.flow import (
@@ -72,26 +71,22 @@ class TestBuildStpm:
 
 
 class TestPropagateEnsembleMap:
+    """Particles move by the state-transition map evaluated at their
+    deviations from its center."""
+
     def test_center_particle_moves_to_constant_part(self):
         dyn = linear_dynamics([[0.0, 1.0], [-1.0, 0.0]])
         center = np.array([1.0, 0.0])
         stpm = build_stpm(center, dyn, 0.0, 0.5, 2, RK4)
-        ens = Ensemble(np.vstack([center, center]))
-        out = propagate_ensemble_map(stpm, ens, center)
-        np.testing.assert_allclose(out.particles[0], stpm.constant_part, rtol=1e-14)
+        out = da.evaluate_many(stpm, np.zeros((2, 2)))
+        np.testing.assert_allclose(out[0], stpm.constant_part, rtol=1e-14)
 
     def test_identity_map_keeps_ensemble(self):
         ctx = da.AlgebraContext(2, 2)
         stpm = da.identity_map(ctx, [0.5, -0.5])
         parts = np.random.default_rng(1).normal(size=(6, 2))
-        out = propagate_ensemble_map(stpm, Ensemble(parts), [0.5, -0.5])
-        np.testing.assert_allclose(out.particles, parts, atol=1e-14)
-
-    def test_wrong_center_rejected(self):
-        ctx = da.AlgebraContext(2, 2)
-        stpm = da.identity_map(ctx, [0.5, -0.5])
-        with pytest.raises(ValueError, match="center"):
-            propagate_ensemble_map(stpm, Ensemble(np.zeros((2, 2))), [0.0, 0.0])
+        out = da.evaluate_many(stpm, parts - [0.5, -0.5])
+        np.testing.assert_allclose(out, parts, atol=1e-14)
 
     def test_attitude_short_step_accuracy(self):
         # order-2 map over 0.1 s against direct integration of the same
@@ -102,9 +97,9 @@ class TestPropagateEnsembleMap:
         sigma = np.array([0.01] * 4 + [models.GYRO_NOISE_SIGMA] * 6)
         devs = 3.0 * sigma * rng.standard_normal((200, 10))
         stpm = build_stpm(x0, dyn, 0.0, 0.1, 2, RK4)
-        mapped = propagate_ensemble_map(stpm, Ensemble(x0 + devs), x0)
+        mapped = da.evaluate_many(stpm, devs)
         direct = integrate(dyn.f, x0 + devs, 0.0, 0.1, RK4)
-        rms = np.sqrt(np.mean((mapped.particles - direct) ** 2, axis=0))
+        rms = np.sqrt(np.mean((mapped - direct) ** 2, axis=0))
         assert rms.max() < 1e-6
 
 

@@ -21,33 +21,38 @@ from daflow.harness import (
     run_attitude_mc,
     run_toy,
 )
+from daflow.integrate import IntegratorSpec
 from daflow.models import range_model
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+DROP = object()  # a patch value that removes its key
+
+
+def committed(name: str, **changes) -> ScenarioConfig:
+    """``configs/<name>.json`` with ``changes`` applied."""
+    return dataclasses.replace(ScenarioConfig.from_json(CONFIGS / f"{name}.json"), **changes)
 
 
 @pytest.fixture(scope="module")
 def small_toy():
-    return ScenarioConfig.toy_defaults(order=2, n_particles_per_dim=100)
+    return committed("toy", order=2, n_particles_per_dim=100)
 
 
 @pytest.fixture(scope="module")
 def tiny_mc():
-    return ScenarioConfig.attitude_defaults(
-        n_mc=1, duration=6.0, n_particles_per_dim=20, order=1
-    )
+    return committed("attitude", n_mc=1, duration=6.0, n_particles_per_dim=20, order=1)
 
 
 class TestScenarioConfig:
     def test_defaults_carry_nominal_parameters(self):
-        cfg = ScenarioConfig.attitude_defaults()
-        assert cfg.n_particles_per_dim == 250
-        assert cfg.n_mc == 100
-        assert cfg.duration == 120.0
-        assert cfg.dt == 0.01
-        assert cfg.meas_period == 2.0
-        assert cfg.lambda_schedule == (0.001, 1.0, 50)
-        assert cfg.integrator == "rk4_fixed"
+        cfg = ScenarioConfig.from_json(CONFIGS / "attitude.json")
+        assert cfg == ScenarioConfig(
+            scenario="attitude", order=2, n_particles_per_dim=250, n_mc=100,
+            duration=120.0, dt=0.01, meas_period=2.0, lambda_schedule=(0.001, 1.0, 50),
+            seed=0, method="both")
+        assert cfg.dynamics_spec() == IntegratorSpec("rk4_fixed", step_size=0.01)
+        assert cfg.flow_spec() == IntegratorSpec("rk4_fixed", step_size=1.0)
+        assert committed("toy").flow_spec() == IntegratorSpec("rk78_adaptive")
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys: particles"):
@@ -67,15 +72,18 @@ class TestScenarioConfig:
         {"cov_coupling": "particle"},  # retired key: stale configs must fail
         {"dt": 0.03},
         {"innovation": "nonlinear"},  # retired key: stale configs must fail
+        {"integrator": "rk4_fixed"},  # retired key: the scenario sets the integrators
+        {"seed": DROP},  # every key is required
     ])
     def test_invalid_values_rejected(self, patch):
-        data = {"scenario": "attitude"}
+        data = json.loads((CONFIGS / "attitude.json").read_text())
         data.update(patch)
+        data = {key: value for key, value in data.items() if value is not DROP}
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(data)
 
     def test_json_round_trip(self, tmp_path):
-        cfg = ScenarioConfig.toy_defaults(order=3, seed=7)
+        cfg = committed("toy", order=3, seed=7)
         path = tmp_path / "cfg.json"
         cfg.to_json(path)
         again = ScenarioConfig.from_json(path)
@@ -89,7 +97,7 @@ class TestScenarioConfig:
 
     def test_scenario_guards(self, small_toy):
         with pytest.raises(ConfigError, match="toy_range"):
-            run_toy(ScenarioConfig.attitude_defaults())
+            run_toy(committed("attitude"))
         with pytest.raises(ConfigError, match="attitude"):
             run_attitude_mc(small_toy)
 
@@ -104,7 +112,7 @@ class TestRunToy:
         assert result.ring_fraction_ode > 0.9
 
     def test_single_method_leaves_other_empty(self):
-        cfg = ScenarioConfig.toy_defaults(order=1, n_particles_per_dim=50, method="da")
+        cfg = committed("toy", order=1, n_particles_per_dim=50, method="da")
         result = run_toy(cfg)
         assert result.posterior_ode is None
         assert result.rms_discrepancy is None
@@ -119,7 +127,7 @@ class TestRunToy:
         np.testing.assert_array_equal(a.posterior_ode, b.posterior_ode)
 
     def test_order_one_posterior_is_affine_image(self):
-        cfg = ScenarioConfig.toy_defaults(order=1, n_particles_per_dim=100)
+        cfg = committed("toy", order=1, n_particles_per_dim=100)
         result = run_toy(cfg)
         devs = result.prior - [-3.5, 0.0]
         # fit the affine map on three particles, it must predict all others
@@ -159,7 +167,7 @@ class TestEmitCsv:
         assert summary[0] == "order,seed,rms_da_vs_ode,ring_fraction_da,ring_fraction_ode"
 
     def test_toy_nan_fill_for_missing_method(self, tmp_path):
-        cfg = ScenarioConfig.toy_defaults(order=1, n_particles_per_dim=50, method="ode")
+        cfg = committed("toy", order=1, n_particles_per_dim=50, method="ode")
         paths = emit_csv(run_toy(cfg), tmp_path)
         row = paths[0].read_text().splitlines()[1].split(",")
         assert row[3] == "nan" and row[4] == "nan"
@@ -261,13 +269,13 @@ class TestCli:
         return str(path)
 
     def test_validate_ok(self, tmp_path, capsys):
-        path = self.write_config(tmp_path, ScenarioConfig.toy_defaults())
+        path = self.write_config(tmp_path, committed("toy"))
         assert main(["validate", "--config", path]) == 0
         assert "OK" in capsys.readouterr().out
 
     def test_validate_rejects_unknown_key(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        data = json.loads(json.dumps(ScenarioConfig.toy_defaults().__dict__))
+        data = json.loads((CONFIGS / "toy.json").read_text())
         data["typo_key"] = 1
         path.write_text(json.dumps(data))
         assert main(["validate", "--config", str(path)]) == 1
@@ -285,7 +293,7 @@ class TestCli:
 
     def test_toy_run_writes_outputs(self, tmp_path, capsys):
         path = self.write_config(
-            tmp_path, ScenarioConfig.toy_defaults(order=1, n_particles_per_dim=25))
+            tmp_path, committed("toy", order=1, n_particles_per_dim=25))
         out = tmp_path / "out"
         assert main(["toy", "--config", path, "--out", str(out)]) == 0
         assert (out / "particles.csv").exists()
@@ -294,7 +302,7 @@ class TestCli:
 
     def test_cli_overrides_apply(self, tmp_path):
         path = self.write_config(
-            tmp_path, ScenarioConfig.toy_defaults(order=1, n_particles_per_dim=25))
+            tmp_path, committed("toy", order=1, n_particles_per_dim=25))
         out = tmp_path / "out"
         assert main(["toy", "--config", path, "--order", "2", "--method", "da",
                      "--seed", "5", "--out", str(out)]) == 0
@@ -303,7 +311,7 @@ class TestCli:
         assert summary[1] == "5:0"
 
     def test_bench_requires_particle_list(self, tmp_path, capsys):
-        path = self.write_config(tmp_path, ScenarioConfig.attitude_defaults())
+        path = self.write_config(tmp_path, committed("attitude"))
         assert main(["bench", "--config", path, "--particles", "",
                      "--out", str(tmp_path / "o")]) == 1
         assert "particles" in capsys.readouterr().err
