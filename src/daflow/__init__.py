@@ -17,6 +17,7 @@ from .algebra import (
     make_variable,
     partial_derive,
     reciprocal,
+    rsqrt,
     sin,
     sqrt,
     truncation_indicator,

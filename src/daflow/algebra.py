@@ -47,6 +47,7 @@ __all__ = [
     "intrinsic",
     "reciprocal",
     "sqrt",
+    "rsqrt",
     "exp",
     "log",
     "sin",
@@ -200,8 +201,9 @@ class DAScalar:
     (the truncated polynomial product, elementwise) and ``/`` act on the
     leading axes with numpy broadcasting; real numbers and float arrays
     enter as constant polynomials.  ``@`` follows numpy's matmul rules
-    against float matrices and other polynomial arrays.  Instances are
-    immutable by convention: all arithmetic returns new values.
+    against float matrices (one matmul on the coefficient block) and other
+    polynomial arrays (see :func:`_poly_matmul`).  Instances are immutable
+    by convention: all arithmetic returns new values.
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -350,9 +352,17 @@ class DAScalar:
             return _poly_matmul(self, other)
         if not _is_constant(other):
             return NotImplemented
-        # contract the last leading axis with the matrix's first
-        c = np.swapaxes(self.coeffs, -1, -2) @ other
-        return DAScalar(self.ctx, c if other.ndim == 1 else np.swapaxes(c, -1, -2))
+        if self.ndim == 0:
+            raise ValueError("matmul: a single polynomial has no axis to contract")
+        # contract the last leading axis, the coefficient block's axis -2,
+        # with the matrix's first: other.T @ coeffs, in which the other
+        # leading axes of the polynomial array are matmul batch axes
+        if other.ndim == 1:
+            return DAScalar(self.ctx, other @ self.coeffs)
+        mat = np.swapaxes(other, -1, -2)
+        if self.ndim > 1:
+            mat = mat[..., None, :, :]
+        return DAScalar(self.ctx, mat @ self.coeffs)
 
     def __rmatmul__(self, other):
         if not _is_constant(other):
@@ -379,18 +389,29 @@ class DAScalar:
 
 
 def _poly_matmul(a: DAScalar, b: DAScalar) -> DAScalar:
-    """numpy matmul rules on the leading axes, polynomial products inside."""
-    a_vec, b_vec = a.ndim == 1, b.ndim == 1
-    if a_vec:
-        a = a[None, :]
-    if b_vec:
-        b = b[:, None]
-    out = (a[..., :, :, None] * b[..., None, :, :]).sum(axis=-2)
-    if a_vec:
+    """numpy matmul rules on the leading axes, polynomial products inside.
+
+    Contract, then reduce: both operands are gathered once onto the
+    multiplication table's (i, j) term pairs, one einsum sums each term over
+    the shared axis, and only the m * q sums are reduced onto the basis,
+    not the m * p * q products.
+    """
+    _check_context(a, b)
+    if a.ndim == 0 or b.ndim == 0:
+        raise ValueError("matmul: a single polynomial has no axis to contract")
+    ii, jj, _ = a.ctx.multiplication_table()
+    ac, bc = a.coeffs, b.coeffs
+    if a.ndim == 1:
+        ac = ac[None, :]
+    if b.ndim == 1:
+        bc = bc[:, None]
+    terms = np.einsum("...mpt,...pqt->...mqt", ac.take(ii, axis=-1), bc.take(jj, axis=-1))
+    out = np.add.reduceat(terms, a.ctx._mul_starts, axis=-1)
+    if a.ndim == 1:
+        out = out[..., 0, :, :]
+    if b.ndim == 1:
         out = out[..., 0, :]
-    if b_vec:
-        out = out[..., 0]
-    return out
+    return DAScalar(a.ctx, out)
 
 
 def constant(ctx: AlgebraContext, value) -> DAScalar:
@@ -454,13 +475,23 @@ def _series_reciprocal(a0: float, k: int):
     return [(-1.0) ** j / a0 ** (j + 1) for j in range(k + 1)]
 
 
-def _series_sqrt(a0: float, k: int):
-    if a0 <= 0.0:
-        raise DomainError(f"sqrt: expansion center {a0} is not positive")
-    out = [math.sqrt(a0)]
-    for j in range(1, k + 1):
-        out.append(out[-1] * (0.5 - (j - 1)) / (j * a0))
-    return out
+def _binomial_series(name: str, alpha: float, leading):
+    """Series of a0 ** alpha from its leading term ``leading(a0)`` by the
+    binomial recurrence c_j = c_{j-1} (alpha - j + 1) / (j a0)."""
+
+    def series(a0: float, k: int):
+        if a0 <= 0.0:
+            raise DomainError(f"{name}: expansion center {a0} is not positive")
+        out = [leading(a0)]
+        for j in range(1, k + 1):
+            out.append(out[-1] * (alpha - (j - 1)) / (j * a0))
+        return out
+
+    return series
+
+
+_series_sqrt = _binomial_series("sqrt", 0.5, math.sqrt)
+_series_rsqrt = _binomial_series("rsqrt", -0.5, lambda a0: 1.0 / math.sqrt(a0))
 
 
 def _series_exp(a0: float, k: int):
@@ -490,6 +521,7 @@ def _series_cos(a0: float, k: int):
 _INTRINSICS = {
     "reciprocal": _series_reciprocal,
     "sqrt": _series_sqrt,
+    "rsqrt": _series_rsqrt,
     "exp": _series_exp,
     "log": _series_log,
     "sin": _series_sin,
@@ -513,7 +545,9 @@ def intrinsic(name: str, a: DAScalar) -> DAScalar:
     p = DAScalar(a.ctx, p)
     acc = constant(a.ctx, series[-1])
     for c in series[-2::-1]:
-        acc = acc * p + c
+        acc = acc * p
+        # the product is a fresh block, so the constant goes in in place
+        acc.coeffs[..., 0] += c
     return acc
 
 
@@ -538,6 +572,16 @@ def reciprocal(x):
     if isinstance(x, DAScalar):
         return intrinsic("reciprocal", x)
     return 1.0 / x
+
+
+def rsqrt(x):
+    """1 / sqrt(x) on floats/arrays (numpy) or DAScalar (one binomial
+    series, not :func:`sqrt` then :func:`reciprocal`).  On floats
+    ``rsqrt(0)`` is the pole, +inf, without numpy's divide-by-zero warning."""
+    if isinstance(x, DAScalar):
+        return intrinsic("rsqrt", x)
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.sqrt(x)
 
 
 # ---------------------------------------------------------------------------

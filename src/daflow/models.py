@@ -56,18 +56,26 @@ GYRO_NOISE_SIGMA = 0.2 * np.pi / 180.0  # rad/s
 # planar range toy
 
 
+def _squared_range(x):
+    x0, x1 = algebra.asarray(x).T
+    return x0 * x0 + x1 * x1
+
+
 def range_h(x):
     """Euclidean norm of a 2-d state; singular when expanded around the origin."""
-    x0, x1 = algebra.asarray(x).T
-    return algebra.sqrt(x0 * x0 + x1 * x1)[..., None]
+    return algebra.sqrt(_squared_range(x))[..., None]
 
 
 def range_model(noise_sigma: float = 0.1) -> MeasurementModel:
-    """Range measurement y = ||x|| + v for the planar toy problem."""
+    """Range measurement y = ||x|| + v for the planar toy problem.
+
+    The Jacobian x / ||x|| is ``x * rsqrt(x . x)``: on a polynomial state
+    one series, not the sqrt of ``h`` followed by a reciprocal.
+    """
 
     def jac(x):
         x = algebra.asarray(x)
-        return (x / range_h(x))[..., None, :]
+        return (x * algebra.rsqrt(_squared_range(x))[..., None])[..., None, :]
 
     return MeasurementModel(h=range_h, noise_cov=[[noise_sigma ** 2]], dim=1, jac=jac)
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import daflow
 import daflow.algebra as da
 
 
@@ -134,6 +135,7 @@ class TestIntrinsics:
 
     @pytest.mark.parametrize("name,bad_center", [
         ("sqrt", -1.0), ("sqrt", 0.0), ("log", 0.0), ("log", -2.0), ("reciprocal", 0.0),
+        ("rsqrt", 0.0), ("rsqrt", -0.5),
     ])
     def test_domain_errors(self, name, bad_center):
         ctx = da.AlgebraContext(1, 2)
@@ -152,6 +154,7 @@ class TestIntrinsics:
         ("cos", math.cos, -0.4),
         ("sqrt", math.sqrt, 2.2),
         ("reciprocal", lambda v: 1.0 / v, 1.3),
+        ("rsqrt", lambda v: 1.0 / math.sqrt(v), 0.8),
     ])
     def test_order_of_consistency(self, name, fn, center):
         # halving the deviation must shrink the mismatch by ~2^(k+1)
@@ -162,6 +165,39 @@ class TestIntrinsics:
         err = abs(da.evaluate(p, [d]) - fn(center + d))
         err_half = abs(da.evaluate(p, [d / 2]) - fn(center + d / 2))
         assert err_half <= err / 2 ** (k + 1) * 4 + 1e-15
+
+    def test_rsqrt_is_the_reciprocal_of_sqrt(self):
+        ctx = da.AlgebraContext(2, 8)
+        s = da.DAScalar(ctx, 0.1 * np.random.default_rng(30).normal(size=ctx.size))
+        s.coeffs[0] = 2.3
+        want = da.reciprocal(da.sqrt(s)).coeffs
+        np.testing.assert_allclose(da.rsqrt(s).coeffs, want, rtol=1e-14,
+                                   atol=1e-14 * np.abs(want).max())
+
+    def test_rsqrt_on_floats(self):
+        v = np.array([0.25, 2.0, 7.5])
+        np.testing.assert_array_equal(da.rsqrt(v), 1.0 / np.sqrt(v))
+        assert da.rsqrt(4.0) == 0.5
+        assert daflow.rsqrt is da.rsqrt and "rsqrt" in da.__all__
+
+    @pytest.mark.parametrize("name", sorted(da._INTRINSICS))
+    @pytest.mark.parametrize("shape", [(), (2, 3)])
+    def test_intrinsic_equals_plain_horner(self, name, shape):
+        # the in-place constant update against acc * p + c on the same shape
+        ctx = da.AlgebraContext(2, 6)
+        rng = np.random.default_rng(31)
+        a = da.DAScalar(ctx, 0.2 * rng.normal(size=shape + (ctx.size,)))
+        a.coeffs[..., 0] = rng.uniform(0.5, 2.0, size=shape)
+        before = a.coeffs.copy()
+        got = da.intrinsic(name, a)
+        np.testing.assert_array_equal(a.coeffs, before)
+        series = np.array([da._INTRINSICS[name](c, ctx.max_order)
+                           for c in np.ravel(a.constant)]).T.reshape((-1,) + shape)
+        p = a - a.constant
+        acc = da.constant(ctx, series[-1])
+        for c in series[-2::-1]:
+            acc = acc * p + c
+        np.testing.assert_array_equal(got.coeffs, acc.coeffs)
 
 
 class TestEvaluate:
@@ -246,15 +282,6 @@ class TestPartialDerive:
         ctx = da.AlgebraContext(2, 2)
         with pytest.raises(ValueError):
             da.partial_derive(da.constant(ctx, 1.0), 5)
-
-
-def random_map(ctx, rng, n_comp, max_degree, centers=None):
-    comps = [poly_from_coeffs(ctx, rng, max_degree) for _ in range(n_comp)]
-    if centers is not None:
-        for comp, c in zip(comps, centers):
-            comp.coeffs[0] = c
-    center = centers if centers is not None else [c.constant for c in comps][: ctx.n_vars]
-    return da.DAVector(comps, center=np.zeros(ctx.n_vars))
 
 
 class TestCompose:
@@ -467,6 +494,58 @@ class TestPolynomialArrays:
                 want = P[i, 0] * A[0, j] + P[i, 1] * A[1, j] + P[i, 2] * A[2, j]
                 np.testing.assert_allclose(pa[i, j].coeffs, want.coeffs, atol=1e-13)
         assert (P @ P.T).shape == (2, 2)
+
+    @staticmethod
+    def reference_matmul(a, b):
+        """Elementwise polynomial products, then a sum over the shared axis."""
+        a_vec, b_vec = a.ndim == 1, b.ndim == 1
+        a = a[None, :] if a_vec else a
+        b = b[:, None] if b_vec else b
+        out = (a[..., :, :, None] * b[..., None, :, :]).sum(axis=-2)
+        out = out[..., 0, :] if a_vec else out
+        return out[..., 0] if b_vec else out
+
+    @pytest.mark.parametrize("n,k", [(10, 2), (2, 8)])
+    @pytest.mark.parametrize("a_shape,b_shape,out_shape", [
+        ((3,), (3, 4), (4,)),
+        ((2, 3), (3,), (2,)),
+        ((3,), (3,), ()),
+        ((5, 1, 2, 3), (4, 3, 2), (5, 4, 2, 2)),
+    ])
+    def test_poly_matmul_matches_reference(self, n, k, a_shape, b_shape, out_shape):
+        rng = np.random.default_rng(25)
+        ctx = da.AlgebraContext(n, k)
+        a = self.rand_array(ctx, rng, a_shape)
+        b = self.rand_array(ctx, rng, b_shape)
+        got = a @ b
+        want = self.reference_matmul(a, b)
+        assert got.shape == want.shape == out_shape
+        np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=1e-14,
+                                   atol=1e-14 * np.abs(want.coeffs).max())
+
+    def test_poly_matmul_context_mismatch(self):
+        rng = np.random.default_rng(26)
+        a = self.rand_array(da.AlgebraContext(2, 3), rng, (2,))
+        b = self.rand_array(da.AlgebraContext(2, 4), rng, (2, 2))
+        with pytest.raises(ValueError, match="context mismatch"):
+            a @ b
+        with pytest.raises(ValueError, match="single polynomial"):
+            a[0] @ a
+
+    def test_float_matmul_broadcasts_leading_axes(self):
+        rng = np.random.default_rng(27)
+        ctx = da.AlgebraContext(2, 3)
+        P = self.rand_array(ctx, rng, (2, 3))
+        A = rng.normal(size=(4, 3, 2))
+        PA = P @ A
+        assert PA.shape == (4, 2, 2)
+        for b in range(4):
+            for i in range(2):
+                for j in range(2):
+                    want = P[i, 0] * A[b, 0, j] + P[i, 1] * A[b, 1, j] + P[i, 2] * A[b, 2, j]
+                    np.testing.assert_allclose(PA[b, i, j].coeffs, want.coeffs, atol=1e-13)
+        with pytest.raises(ValueError, match="single polynomial"):
+            P[0, 0] @ A[0, :, 0]
 
     def test_intrinsic_and_derivative_per_entry(self):
         rng = np.random.default_rng(23)

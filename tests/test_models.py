@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import daflow.algebra as da
-from daflow import models
+from daflow import flow, models
 from daflow.flow import da_jacobian
 from daflow.integrate import IntegratorSpec, integrate
 
@@ -53,6 +55,36 @@ class TestRangeH:
         D = 0.1 * np.random.default_rng(0).standard_normal((10, 2))
         # the first dropped degree is about (|d| / 3.5)^9 <= 3e-11 here
         np.testing.assert_allclose(da.evaluate_many(J, D), model.jacobian(x0 + D), atol=1e-10)
+
+    def test_polynomial_jacobian_is_x_over_range(self):
+        x = da.identity_map(da.AlgebraContext(2, 8), [-3.5, 0.7]).components
+        J = models.range_model().jacobian(x)
+        want = (x / models.range_h(x))[None, :]
+        np.testing.assert_allclose(J.coeffs, want.coeffs, rtol=1e-14,
+                                   atol=1e-14 * np.abs(want.coeffs).max())
+
+    def test_drift_product_count(self, monkeypatch):
+        # h takes 2 + 8 products, the Jacobian 2 + 8 + 1; the matmul none
+        calls = []
+        mul = da.DAScalar.__mul__
+
+        def counted(self, other):
+            calls.append(isinstance(other, da.DAScalar))
+            return mul(self, other)
+
+        x = da.identity_map(da.AlgebraContext(2, 8), [-3.5, 0.0]).components
+        monkeypatch.setattr(da.DAScalar, "__mul__", counted)
+        flow._drift(x, np.eye(2), models.range_model(), np.array([3.4]))
+        assert sum(calls) <= 21
+
+    def test_float_jacobian_at_origin_warns_no_division(self):
+        # 0 * rsqrt(0) is nan, an invalid value as 0 / 0 was; rsqrt's pole adds
+        # no divide-by-zero warning of its own
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.filterwarnings("ignore", "invalid value", RuntimeWarning)
+            J = models.range_model().jacobian(np.zeros(2))
+        assert J.shape == (1, 2) and np.isnan(J).all()
 
 
 class TestQuatMul:
