@@ -6,19 +6,15 @@ from .algebra import (
     DAVector,
     DomainError,
     compose,
-    cos,
     dump,
     evaluate,
     evaluate_many,
-    exp,
     identity_map,
     intrinsic,
-    log,
     make_variable,
     partial_derive,
     reciprocal,
     rsqrt,
-    sin,
     sqrt,
     truncation_indicator,
 )

@@ -2,11 +2,11 @@
 
 States, flow maps, and measurement functions are all carried as polynomials
 in a set of deviation variables ``d0 .. d{n-1}`` around a numeric expansion
-center, truncated at a fixed total degree.  Arithmetic, the standard
-nonlinear functions, evaluation, partial differentiation, and map
-composition act directly on coefficient tables, so pushing a polynomial
-state through ordinary numerical code yields the Taylor expansion of that
-code's output around the center.
+center, truncated at a fixed total degree.  Arithmetic, the reciprocal,
+square root and inverse square root, evaluation, partial differentiation,
+and map composition act directly on coefficient tables, so pushing a
+polynomial state through ordinary numerical code yields the Taylor
+expansion of that code's output around the center.
 
     ctx = AlgebraContext(n_vars=2, max_order=3)
     x = make_variable(ctx, -3.5, 0)          # -3.5 + d0
@@ -48,10 +48,6 @@ __all__ = [
     "reciprocal",
     "sqrt",
     "rsqrt",
-    "exp",
-    "log",
-    "sin",
-    "cos",
     "evaluate",
     "evaluate_many",
     "truncation_indicator",
@@ -334,19 +330,6 @@ class DAScalar:
             return intrinsic("reciprocal", self) * other
         return NotImplemented
 
-    def __pow__(self, n):
-        if not isinstance(n, numbers.Integral) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = constant(self.ctx, np.ones(self.shape))
-        base = self
-        n = int(n)
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     def __matmul__(self, other):
         if isinstance(other, DAScalar):
             return _poly_matmul(self, other)
@@ -494,44 +477,16 @@ _series_sqrt = _binomial_series("sqrt", 0.5, math.sqrt)
 _series_rsqrt = _binomial_series("rsqrt", -0.5, lambda a0: 1.0 / math.sqrt(a0))
 
 
-def _series_exp(a0: float, k: int):
-    e = math.exp(a0)
-    return [e / math.factorial(j) for j in range(k + 1)]
-
-
-def _series_log(a0: float, k: int):
-    if a0 <= 0.0:
-        raise DomainError(f"log: expansion center {a0} is not positive")
-    out = [math.log(a0)]
-    for j in range(1, k + 1):
-        out.append((-1.0) ** (j + 1) / (j * a0 ** j))
-    return out
-
-
-def _series_sin(a0: float, k: int):
-    cyc = [math.sin(a0), math.cos(a0), -math.sin(a0), -math.cos(a0)]
-    return [cyc[j % 4] / math.factorial(j) for j in range(k + 1)]
-
-
-def _series_cos(a0: float, k: int):
-    cyc = [math.cos(a0), -math.sin(a0), -math.cos(a0), math.sin(a0)]
-    return [cyc[j % 4] / math.factorial(j) for j in range(k + 1)]
-
-
 _INTRINSICS = {
     "reciprocal": _series_reciprocal,
     "sqrt": _series_sqrt,
     "rsqrt": _series_rsqrt,
-    "exp": _series_exp,
-    "log": _series_log,
-    "sin": _series_sin,
-    "cos": _series_cos,
 }
 
 
 def intrinsic(name: str, a: DAScalar) -> DAScalar:
-    """Apply a standard nonlinear function to each polynomial by univariate
-    series recomposition (Horner on the nilpotent part)."""
+    """Apply ``reciprocal``, ``sqrt`` or ``rsqrt`` to each polynomial by
+    univariate series recomposition (Horner on the nilpotent part)."""
     try:
         series_of = _INTRINSICS[name]
     except KeyError:
@@ -551,21 +506,11 @@ def intrinsic(name: str, a: DAScalar) -> DAScalar:
     return acc
 
 
-def _dispatch_unary(name, np_fn):
-    def fn(x):
-        if isinstance(x, DAScalar):
-            return intrinsic(name, x)
-        return np_fn(x)
-    fn.__name__ = name
-    fn.__doc__ = f"{name} on floats/arrays (numpy) or DAScalar (series recomposition)."
-    return fn
-
-
-sqrt = _dispatch_unary("sqrt", np.sqrt)
-exp = _dispatch_unary("exp", np.exp)
-log = _dispatch_unary("log", np.log)
-sin = _dispatch_unary("sin", np.sin)
-cos = _dispatch_unary("cos", np.cos)
+def sqrt(x):
+    """sqrt on floats/arrays (numpy) or DAScalar (series recomposition)."""
+    if isinstance(x, DAScalar):
+        return intrinsic("sqrt", x)
+    return np.sqrt(x)
 
 
 def reciprocal(x):

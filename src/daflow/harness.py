@@ -55,6 +55,8 @@ FLOW_SPECS = {
     "attitude": IntegratorSpec("rk4_fixed", step_size=1.0),
 }
 METHODS = ("da", "ode", "both")
+# the attitude filter's settings, which the toy's single flow update has none of
+FILTER_KEYS = ("n_mc", "duration", "dt", "meas_period")
 FLOAT_FMT = "%.17g"
 
 # planar toy constants
@@ -75,19 +77,21 @@ class ConfigError(ValueError):
 
 @dataclass
 class ScenarioConfig:
-    """Flat, JSON-compatible description of one experiment; every field is
-    required, and the integrators follow from ``scenario`` and ``dt``."""
+    """Flat, JSON-compatible description of one experiment.  The first six
+    fields are required; the last four set up the attitude filter, which
+    requires them, and the toy, one flow update with no filter, refuses them.
+    The integrators follow from ``scenario`` and ``dt``."""
 
     scenario: str
     order: int
     n_particles_per_dim: int
-    n_mc: int
-    duration: float
-    dt: float
-    meas_period: float
     lambda_schedule: tuple
     seed: int
     method: str
+    n_mc: int | None = None
+    duration: float | None = None
+    dt: float | None = None
+    meas_period: float | None = None
 
     def __post_init__(self):
         self.lambda_schedule = tuple(self.lambda_schedule)
@@ -100,21 +104,29 @@ class ScenarioConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.order < 1:
             raise ConfigError("order must be >= 1")
-        for name in ("n_particles_per_dim", "n_mc"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("duration", "dt", "meas_period"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        if self.n_particles_per_dim < 1:
+            raise ConfigError("n_particles_per_dim must be positive")
         if len(self.lambda_schedule) != 3:
             raise ConfigError("lambda_schedule must be (first, last, count)")
         first, last, count = self.lambda_schedule
         if not (0.0 < first < last <= 1.0) or int(count) < 2:
             raise ConfigError("lambda_schedule must satisfy 0 < first < last <= 1, count >= 2")
-        if self.scenario == "attitude":
-            ratio = self.meas_period / self.dt
-            if abs(ratio - round(ratio)) > 1e-9:
-                raise ConfigError("meas_period must be a multiple of dt")
+        # the attitude filter needs every filter key; the toy runs no filter
+        attitude = self.scenario == "attitude"
+        wrong = [name for name in FILTER_KEYS if (getattr(self, name) is None) == attitude]
+        if wrong:
+            verb = "needs" if attitude else "runs no filter; drop"
+            raise ConfigError(f"scenario {self.scenario!r} {verb} config keys: {', '.join(wrong)}")
+        if not attitude:
+            return
+        if self.n_mc < 1:
+            raise ConfigError("n_mc must be positive")
+        for name in ("duration", "dt", "meas_period"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        ratio = self.meas_period / self.dt
+        if abs(ratio - round(ratio)) > 1e-9:
+            raise ConfigError("meas_period must be a multiple of dt")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -122,7 +134,7 @@ class ScenarioConfig:
         unknown = sorted(set(data) - set(names))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        missing = [name for name in names if name not in data]
+        missing = [name for name in names if name not in data and name not in FILTER_KEYS]
         if missing:
             raise ConfigError(f"missing config keys: {', '.join(missing)}")
         return cls(**data)
@@ -138,14 +150,17 @@ class ScenarioConfig:
         return cls.from_dict(data)
 
     def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n")
+        data = {name: value for name, value in asdict(self).items() if value is not None}
+        Path(path).write_text(json.dumps(data, indent=2) + "\n")
 
     def schedule(self) -> LambdaSchedule:
         first, last, count = self.lambda_schedule
         return geometric_schedule(first, last, int(count))
 
     def dynamics_spec(self) -> IntegratorSpec:
-        """RK4 at the truth simulation's step ``dt``."""
+        """RK4 at the truth simulation's step ``dt``; the toy has no dynamics."""
+        if self.scenario != "attitude":
+            raise ConfigError(f"scenario {self.scenario!r} has no dynamics to integrate")
         return IntegratorSpec("rk4_fixed", step_size=self.dt)
 
     def flow_spec(self) -> IntegratorSpec:
@@ -375,6 +390,8 @@ def bench_timing(cfg: ScenarioConfig, particle_grid, repetitions: int = 5) -> Ti
     one warm-up step plus ``repetitions`` timed steps from an identical
     state and reports the medians.
     """
+    if cfg.scenario != "attitude":
+        raise ConfigError(f"bench_timing needs scenario 'attitude', got {cfg.scenario!r}")
     if cfg.method != "both":
         raise ConfigError("bench_timing requires method 'both'")
     rng, _ = _run_seed(cfg.seed, 0)

@@ -108,21 +108,8 @@ class TestRingOps:
         np.testing.assert_allclose(((x / x).coeffs), da.constant(ctx, 1.0).coeffs,
                                    atol=1e-15)
 
-    def test_integer_power(self):
-        ctx = da.AlgebraContext(1, 5)
-        x = da.make_variable(ctx, 1.0, 0)
-        assert np.allclose((x ** 3).coeffs, (x * x * x).coeffs)
-        assert (x ** 0).terms == {(0,): 1.0}
-
 
 class TestIntrinsics:
-    def test_cos_first_order(self):
-        ctx = da.AlgebraContext(1, 1)
-        alpha = 0.7
-        c = da.cos(da.make_variable(ctx, alpha, 0))
-        assert c.terms[(0,)] == pytest.approx(math.cos(alpha), abs=1e-15)
-        assert c.terms[(1,)] == pytest.approx(-math.sin(alpha), abs=1e-15)
-
     def test_sqrt_series(self):
         ctx = da.AlgebraContext(1, 2)
         s = da.sqrt(da.make_variable(ctx, 1.0, 0))
@@ -134,7 +121,7 @@ class TestIntrinsics:
         assert r.terms == {(0,): 0.5, (1,): -0.25, (2,): 0.125}
 
     @pytest.mark.parametrize("name,bad_center", [
-        ("sqrt", -1.0), ("sqrt", 0.0), ("log", 0.0), ("log", -2.0), ("reciprocal", 0.0),
+        ("sqrt", -1.0), ("sqrt", 0.0), ("reciprocal", 0.0),
         ("rsqrt", 0.0), ("rsqrt", -0.5),
     ])
     def test_domain_errors(self, name, bad_center):
@@ -148,10 +135,6 @@ class TestIntrinsics:
             da.intrinsic("tan", da.make_variable(ctx, 1.0, 0))
 
     @pytest.mark.parametrize("name,fn,center", [
-        ("exp", math.exp, 0.3),
-        ("log", math.log, 1.7),
-        ("sin", math.sin, 0.9),
-        ("cos", math.cos, -0.4),
         ("sqrt", math.sqrt, 2.2),
         ("reciprocal", lambda v: 1.0 / v, 1.3),
         ("rsqrt", lambda v: 1.0 / math.sqrt(v), 0.8),
@@ -201,11 +184,6 @@ class TestIntrinsics:
 
 
 class TestEvaluate:
-    def test_cos_second_order_at_tenth(self):
-        ctx = da.AlgebraContext(1, 2)
-        c = da.cos(da.make_variable(ctx, 0.0, 0))
-        assert da.evaluate(c, [0.1]) == pytest.approx(0.995, abs=1e-15)
-
     def test_constant_part(self):
         ctx = da.AlgebraContext(2, 3)
         p = da.make_variable(ctx, 4.0, 0) * da.make_variable(ctx, -1.0, 1)

@@ -17,6 +17,7 @@ from daflow.harness import (
     TOY_TRUNCATION_BOUND,
     ConfigError,
     ScenarioConfig,
+    bench_timing,
     emit_csv,
     run_attitude_mc,
     run_toy,
@@ -88,6 +89,16 @@ class TestScenarioConfig:
         cfg.to_json(path)
         again = ScenarioConfig.from_json(path)
         assert again == cfg
+        assert len(json.loads(path.read_text())) == 6  # the toy has no filter keys
+
+    @pytest.mark.parametrize("key", ["n_mc", "duration", "dt", "meas_period"])
+    def test_filter_keys_only_on_attitude(self, key):
+        toy = json.loads((CONFIGS / "toy.json").read_text())
+        attitude = json.loads((CONFIGS / "attitude.json").read_text())
+        with pytest.raises(ConfigError, match=f"'toy_range' runs no filter; drop config keys: {key}$"):
+            ScenarioConfig.from_dict({**toy, key: attitude.pop(key)})
+        with pytest.raises(ConfigError, match=f"'attitude' needs config keys: {key}$"):
+            ScenarioConfig.from_dict(attitude)
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -100,6 +111,11 @@ class TestScenarioConfig:
             run_toy(committed("attitude"))
         with pytest.raises(ConfigError, match="attitude"):
             run_attitude_mc(small_toy)
+        with pytest.raises(ConfigError, match="attitude"):
+            bench_timing(small_toy, [2], repetitions=1)
+        for spec_of in (ScenarioConfig.dynamics_spec, ScenarioConfig.filter_config):
+            with pytest.raises(ConfigError, match="no dynamics"):
+                spec_of(committed("toy"))
 
 
 class TestRunToy:
@@ -309,6 +325,13 @@ class TestCli:
         summary = (out / "toy_summary.csv").read_text().splitlines()[1].split(",")
         assert summary[0] == "2"
         assert summary[1] == "5:0"
+
+    def test_bench_refuses_toy(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["bench", "--config", str(CONFIGS / "toy.json"), "--particles", "2",
+                     "--out", str(out)]) == 1
+        assert "bench_timing needs scenario 'attitude', got 'toy_range'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bench_requires_particle_list(self, tmp_path, capsys):
         path = self.write_config(tmp_path, committed("attitude"))
