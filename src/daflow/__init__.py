@@ -10,7 +10,6 @@ from .algebra import (
     evaluate,
     evaluate_many,
     identity_map,
-    intrinsic,
     make_variable,
     partial_derive,
     reciprocal,

@@ -44,7 +44,6 @@ __all__ = [
     "asarray",
     "stack",
     "concatenate",
-    "intrinsic",
     "reciprocal",
     "sqrt",
     "rsqrt",
@@ -133,9 +132,7 @@ class AlgebraContext:
                     kk.append(self._index[tuple(ei + self.exponents[j])])
                 ii.extend([i] * jend)
                 jj.extend(range(jend))
-            # a stable sort keeps each k's terms in (i, j) order; bincount (one
-            # polynomial, where it beats add.reduceat) and add.reduceat (arrays)
-            # may still round the sums differently, in the last bit
+            # a stable sort keeps each k's terms in (i, j) order
             order = np.argsort(kk, kind="stable")
             self._mul_table = tuple(np.array(t, dtype=np.intp)[order] for t in (ii, jj, kk))
             self._mul_starts = np.searchsorted(self._mul_table[2], np.arange(self.size))
@@ -196,10 +193,11 @@ class DAScalar:
     the context's graded-lex monomial basis.  Indexing, ``+``, ``-``, ``*``
     (the truncated polynomial product, elementwise) and ``/`` act on the
     leading axes with numpy broadcasting; real numbers and float arrays
-    enter as constant polynomials.  ``@`` follows numpy's matmul rules
-    against float matrices (one matmul on the coefficient block) and other
-    polynomial arrays (see :func:`_poly_matmul`).  Instances are immutable
-    by convention: all arithmetic returns new values.
+    enter as constant polynomials.  ``@`` contracts the last leading axis
+    with a float matrix (one matmul on the coefficient block), or follows
+    numpy's matmul rules between polynomial arrays of two or more axes (see
+    :func:`_poly_matmul`).  Instances are immutable by convention: all
+    arithmetic returns new values.
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -300,12 +298,8 @@ class DAScalar:
     def __mul__(self, other):
         if isinstance(other, DAScalar):
             _check_context(self, other)
-            ii, jj, kk = self.ctx.multiplication_table()
-            a, b = self.coeffs, other.coeffs
-            if a.ndim == b.ndim == 1:
-                return DAScalar(self.ctx, np.bincount(kk, weights=a[ii] * b[jj],
-                                                      minlength=self.ctx.size))
-            terms = a.take(ii, axis=-1) * b.take(jj, axis=-1)
+            ii, jj, _ = self.ctx.multiplication_table()
+            terms = self.coeffs.take(ii, axis=-1) * other.coeffs.take(jj, axis=-1)
             return DAScalar(self.ctx, np.add.reduceat(terms, self.ctx._mul_starts, axis=-1))
         return self.__rmul__(other)
 
@@ -318,7 +312,7 @@ class DAScalar:
 
     def __truediv__(self, other):
         if isinstance(other, DAScalar):
-            return self * intrinsic("reciprocal", other)
+            return self * reciprocal(other)
         if not _is_constant(other):
             return NotImplemented
         if isinstance(other, np.ndarray):
@@ -327,7 +321,7 @@ class DAScalar:
 
     def __rtruediv__(self, other):
         if _is_constant(other):
-            return intrinsic("reciprocal", self) * other
+            return reciprocal(self) * other
         return NotImplemented
 
     def __matmul__(self, other):
@@ -337,22 +331,13 @@ class DAScalar:
             return NotImplemented
         if self.ndim == 0:
             raise ValueError("matmul: a single polynomial has no axis to contract")
+        if np.ndim(other) != 2:
+            raise ValueError(f"matmul: the float operand must be a matrix, got shape "
+                             f"{np.shape(other)}")
         # contract the last leading axis, the coefficient block's axis -2,
         # with the matrix's first: other.T @ coeffs, in which the other
         # leading axes of the polynomial array are matmul batch axes
-        if other.ndim == 1:
-            return DAScalar(self.ctx, other @ self.coeffs)
-        mat = np.swapaxes(other, -1, -2)
-        if self.ndim > 1:
-            mat = mat[..., None, :, :]
-        return DAScalar(self.ctx, mat @ self.coeffs)
-
-    def __rmatmul__(self, other):
-        if not _is_constant(other):
-            return NotImplemented
-        if self.ndim == 1:
-            return DAScalar(self.ctx, other @ self.coeffs)
-        return DAScalar(self.ctx, np.moveaxis(other @ np.moveaxis(self.coeffs, -1, 0), 0, -1))
+        return DAScalar(self.ctx, np.swapaxes(other, -1, -2) @ self.coeffs)
 
     def __repr__(self):
         if self.ndim:
@@ -380,21 +365,12 @@ def _poly_matmul(a: DAScalar, b: DAScalar) -> DAScalar:
     not the m * p * q products.
     """
     _check_context(a, b)
-    if a.ndim == 0 or b.ndim == 0:
-        raise ValueError("matmul: a single polynomial has no axis to contract")
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError("matmul: polynomial operands need at least two axes")
     ii, jj, _ = a.ctx.multiplication_table()
-    ac, bc = a.coeffs, b.coeffs
-    if a.ndim == 1:
-        ac = ac[None, :]
-    if b.ndim == 1:
-        bc = bc[:, None]
-    terms = np.einsum("...mpt,...pqt->...mqt", ac.take(ii, axis=-1), bc.take(jj, axis=-1))
-    out = np.add.reduceat(terms, a.ctx._mul_starts, axis=-1)
-    if a.ndim == 1:
-        out = out[..., 0, :, :]
-    if b.ndim == 1:
-        out = out[..., 0, :]
-    return DAScalar(a.ctx, out)
+    terms = np.einsum("...mpt,...pqt->...mqt",
+                      a.coeffs.take(ii, axis=-1), b.coeffs.take(jj, axis=-1))
+    return DAScalar(a.ctx, np.add.reduceat(terms, a.ctx._mul_starts, axis=-1))
 
 
 def constant(ctx: AlgebraContext, value) -> DAScalar:
@@ -477,20 +453,10 @@ _series_sqrt = _binomial_series("sqrt", 0.5, math.sqrt)
 _series_rsqrt = _binomial_series("rsqrt", -0.5, lambda a0: 1.0 / math.sqrt(a0))
 
 
-_INTRINSICS = {
-    "reciprocal": _series_reciprocal,
-    "sqrt": _series_sqrt,
-    "rsqrt": _series_rsqrt,
-}
-
-
-def intrinsic(name: str, a: DAScalar) -> DAScalar:
-    """Apply ``reciprocal``, ``sqrt`` or ``rsqrt`` to each polynomial by
-    univariate series recomposition (Horner on the nilpotent part)."""
-    try:
-        series_of = _INTRINSICS[name]
-    except KeyError:
-        raise ValueError(f"unknown intrinsic {name!r}") from None
+def _horner(series_of, a: DAScalar) -> DAScalar:
+    """Apply a univariate function, given as ``series_of(a0, k)``, the
+    Taylor coefficients about ``a0`` up to degree ``k``, to each polynomial
+    by series recomposition (Horner on the nilpotent part)."""
     k = a.ctx.max_order
     # (k + 1, *shape): one series per polynomial
     per_entry = [series_of(float(c), k) for c in np.ravel(a.coeffs[..., 0])]
@@ -509,13 +475,14 @@ def intrinsic(name: str, a: DAScalar) -> DAScalar:
 def sqrt(x):
     """sqrt on floats/arrays (numpy) or DAScalar (series recomposition)."""
     if isinstance(x, DAScalar):
-        return intrinsic("sqrt", x)
+        return _horner(_series_sqrt, x)
     return np.sqrt(x)
 
 
 def reciprocal(x):
+    """1 / x on floats/arrays or DAScalar (series recomposition)."""
     if isinstance(x, DAScalar):
-        return intrinsic("reciprocal", x)
+        return _horner(_series_reciprocal, x)
     return 1.0 / x
 
 
@@ -524,7 +491,7 @@ def rsqrt(x):
     series, not :func:`sqrt` then :func:`reciprocal`).  On floats
     ``rsqrt(0)`` is the pole, +inf, without numpy's divide-by-zero warning."""
     if isinstance(x, DAScalar):
-        return intrinsic("rsqrt", x)
+        return _horner(_series_rsqrt, x)
     with np.errstate(divide="ignore"):
         return 1.0 / np.sqrt(x)
 
@@ -563,8 +530,6 @@ def evaluate_many(obj, deviations: np.ndarray) -> np.ndarray:
         obj = obj.components
     vals = obj.ctx.monomial_values(np.asarray(deviations, dtype=float))
     flat = obj.coeffs.reshape(-1, obj.ctx.size)
-    if obj.ndim == 0:
-        return vals @ flat[0]
     return (vals @ flat.T).reshape(vals.shape[:1] + obj.shape)
 
 

@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import sys
 
+from .flow import FlowError
 from .harness import (
     ConfigError,
     ScenarioConfig,
@@ -14,26 +15,21 @@ from .harness import (
     run_attitude_mc,
     run_toy,
 )
+from .integrate import IntegrationError
 
 
 def _add_common(parser, need_out=True):
     parser.add_argument("--config", required=True, help="scenario config (JSON)")
     parser.add_argument("--order", type=int, help="override truncation order")
-    parser.add_argument("--method", choices=["da", "ode", "both"],
-                        help="override which filters run")
-    parser.add_argument("--seed", type=int, help="override the master seed")
     if need_out:
         parser.add_argument("--out", required=True, help="output directory for CSVs")
 
 
 def _load_config(args) -> ScenarioConfig:
     cfg = ScenarioConfig.from_json(args.config)
-    overrides = {
-        name: getattr(args, name)
-        for name in ("order", "method", "seed")
-        if getattr(args, name, None) is not None
-    }
-    return dataclasses.replace(cfg, **overrides)
+    if args.order is None:
+        return cfg
+    return dataclasses.replace(cfg, order=args.order)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(bench)
     bench.add_argument("--particles", required=True,
                        help="comma-separated particles-per-dimension grid, e.g. 50,100,250")
-    bench.add_argument("--repetitions", type=int, default=5,
-                       help="timed repetitions per cell (after one warm-up)")
 
     val = sub.add_parser("validate", help="check a config file and exit")
     _add_common(val, need_out=False)
@@ -71,14 +65,9 @@ def main(argv=None) -> int:
         if args.command == "toy":
             result = run_toy(cfg)
             paths = emit_csv(result, args.out)
-            summary = []
-            if result.rms_discrepancy is not None:
-                summary.append(f"rms DA vs ODE discrepancy: {result.rms_discrepancy:.6g}")
-            if result.n_ode_fallback is not None:
-                summary.append(f"{result.n_ode_fallback} of {len(result.prior)} DA-route "
-                               "particles beyond the map's convergence region flowed by ODE")
-            if summary:
-                print("; ".join(summary))
+            print(f"rms DA vs ODE discrepancy: {result.rms_discrepancy:.6g}; "
+                  f"{result.n_ode_fallback} of {len(result.prior)} DA-route particles "
+                  "beyond the map's convergence region flowed by ODE")
         elif args.command == "attitude":
             result = run_attitude_mc(cfg)
             paths = emit_csv(result, args.out)
@@ -92,14 +81,16 @@ def main(argv=None) -> int:
             grid = [int(p) for p in args.particles.split(",") if p]
             if not grid:
                 raise ConfigError("--particles must list at least one count")
-            result = bench_timing(cfg, grid, repetitions=args.repetitions)
+            result = bench_timing(cfg, grid)
             paths = emit_csv(result, args.out)
             for method, slope in sorted(result.slopes.items()):
                 print(f"{method}: log-log step-time slope {slope:.3f}")
         for p in paths:
             print(f"wrote {p}")
         return 0
-    except (ConfigError, OSError, ValueError) as exc:
+    # a flow or filter step that fails outside the Monte Carlo's per-run
+    # accounting (a bench step on a tiny ensemble can) is reported like bad input
+    except (ConfigError, OSError, ValueError, FlowError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -68,10 +68,6 @@ class StepTiming:
     flow: float = 0.0
     evaluate: float = 0.0
 
-    @property
-    def total(self) -> float:
-        return self.propagate + self.flow + self.evaluate
-
 
 @dataclass
 class FilterState:

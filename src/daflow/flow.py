@@ -119,22 +119,19 @@ class MeasurementModel:
     (m,), (N, m) or an (m,) polynomial array.  ``jac``, the Jacobian of h,
     takes the same three kinds and returns (m, n), (N, m, n) or an (m, n)
     polynomial array; a Jacobian that does not depend on the state may
-    return one float (m, n) matrix for every kind.  Without ``jac`` the
-    Jacobian comes from differentiating a polynomial expansion of h
-    (:func:`da_jacobian`).  ``noise_inv`` is R^-1, computed from
-    ``noise_cov``.
+    return one float (m, n) matrix for every kind.  ``noise_inv`` is R^-1,
+    computed from ``noise_cov``.
     """
 
     h: Callable
     noise_cov: np.ndarray
-    dim: int
-    jac: Callable | None = None
+    jac: Callable
     noise_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.noise_cov = np.asarray(self.noise_cov, dtype=float)
-        if self.noise_cov.shape != (self.dim, self.dim):
-            raise ValueError("noise_cov shape does not match dim")
+        if self.noise_cov.ndim != 2 or self.noise_cov.shape[0] != self.noise_cov.shape[1]:
+            raise ValueError(f"noise_cov must be a square matrix, got shape {self.noise_cov.shape}")
         scale = np.abs(self.noise_cov).max()
         if np.abs(self.noise_cov - self.noise_cov.T).max() > 1e-12 * scale:
             raise ValueError("noise_cov must be symmetric")
@@ -142,26 +139,23 @@ class MeasurementModel:
             raise ValueError("noise_cov must be positive definite")
         self.noise_inv = np.linalg.inv(self.noise_cov)
 
-    def jacobian(self, x):
-        """dh/dx at a real state, a (N, n) batch or a polynomial state."""
-        if self.jac is not None:
-            return self.jac(x)
-        return da_jacobian(self.h, x, self.dim)
+    @property
+    def dim(self) -> int:
+        """Measurement dimension m, the number of rows of ``noise_cov``."""
+        return self.noise_cov.shape[0]
 
 
 def da_jacobian(h: Callable, x, m: int):
     """Jacobian of h from a polynomial expansion of h about a point.
 
-    At a real state (n,) -> (m, n) and a batch (N, n) -> (N, m, n), the
-    expansion is first order about the state.  At a polynomial state ->
-    (m, n) polynomial array, h is expanded about the state's constant part
-    at the state's order, differentiated, and composed with the state; the
-    top degree of the result is lost to the differentiation.
+    At a real state (n,) -> (m, n), the expansion is first order about the
+    state.  At a polynomial state -> (m, n) polynomial array, h is expanded
+    about the state's constant part at the state's order, differentiated,
+    and composed with the state; the top degree of the result is lost to
+    the differentiation.
     """
     if not isinstance(x, DAScalar):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return np.stack([da_jacobian(h, row, m) for row in x])
         return da_jacobian(h, identity_map(AlgebraContext(len(x), 1), x).components, m).constant
     n, center = x.shape[0], x.constant
     hloc = h(identity_map(x.ctx, center).components)
@@ -191,9 +185,6 @@ class LambdaSchedule:
 
     def segments(self):
         return zip(self.nodes[:-1], self.nodes[1:])
-
-    def __len__(self):
-        return len(self.nodes)
 
 
 def geometric_schedule(first: float = 0.001, last: float = 1.0, count: int = 50) -> LambdaSchedule:
@@ -225,14 +216,6 @@ class Ensemble:
         if not np.isfinite(self.particles).all():
             raise ValueError("ensemble contains non-finite particles")
 
-    @property
-    def n_particles(self) -> int:
-        return self.particles.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.particles.shape[1]
-
 
 # ---------------------------------------------------------------------------
 # drift / covariance right-hand sides
@@ -246,7 +229,7 @@ def _drift(x, P, model: MeasurementModel, y):
     the truncated expansions of h and H directly.
     """
     w = (y - model.h(x)) @ model.noise_inv.T
-    u = (w[..., None, :] @ model.jacobian(x))[..., 0, :]
+    u = (w[..., None, :] @ model.jac(x))[..., 0, :]
     return u @ P.T
 
 
@@ -302,7 +285,7 @@ def _flow(x, cov, model: MeasurementModel, y, schedule: LambdaSchedule,
 
     def rhs(s, lam):
         x, P = s.parts
-        dP = cov_rhs(P, model.jacobian(x.constant if poly else x[0]), model.noise_cov)
+        dP = cov_rhs(P, model.jac(x.constant if poly else x[0]), model.noise_cov)
         return Stacked(_drift(x, P, model, y), dP)
 
     state = Stacked(x, cov)

@@ -54,9 +54,12 @@ FLOW_SPECS = {
     "toy_range": IntegratorSpec("rk78_adaptive"),
     "attitude": IntegratorSpec("rk4_fixed", step_size=1.0),
 }
-METHODS = ("da", "ode", "both")
 # the attitude filter's settings, which the toy's single flow update has none of
 FILTER_KEYS = ("n_mc", "duration", "dt", "meas_period")
+# a real-valued config key may be written as an integer, 2 for 2.0
+REAL = (int, float)
+# timed filter steps per method and ensemble size in bench_timing
+BENCH_REPETITIONS = 5
 FLOAT_FMT = "%.17g"
 
 # planar toy constants
@@ -77,46 +80,57 @@ class ConfigError(ValueError):
 
 @dataclass
 class ScenarioConfig:
-    """Flat, JSON-compatible description of one experiment.  The first six
+    """Flat, JSON-compatible description of one experiment.  The first five
     fields are required; the last four set up the attitude filter, which
     requires them, and the toy, one flow update with no filter, refuses them.
-    The integrators follow from ``scenario`` and ``dt``."""
+    The integrators follow from ``scenario`` and ``dt``.  Every experiment
+    runs both filters."""
 
     scenario: str
     order: int
     n_particles_per_dim: int
     lambda_schedule: tuple
     seed: int
-    method: str
     n_mc: int | None = None
     duration: float | None = None
     dt: float | None = None
     meas_period: float | None = None
 
     def __post_init__(self):
-        self.lambda_schedule = tuple(self.lambda_schedule)
+        if isinstance(self.lambda_schedule, list):
+            self.lambda_schedule = tuple(self.lambda_schedule)
         self.validate()
 
     def validate(self) -> None:
-        if self.scenario not in FLOW_SPECS:
+        if not isinstance(self.scenario, str) or self.scenario not in FLOW_SPECS:
             raise ConfigError(f"scenario must be one of {list(FLOW_SPECS)}, got {self.scenario!r}")
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.order < 1:
-            raise ConfigError("order must be >= 1")
-        if self.n_particles_per_dim < 1:
-            raise ConfigError("n_particles_per_dim must be positive")
-        if len(self.lambda_schedule) != 3:
-            raise ConfigError("lambda_schedule must be (first, last, count)")
-        first, last, count = self.lambda_schedule
-        if not (0.0 < first < last <= 1.0) or int(count) < 2:
-            raise ConfigError("lambda_schedule must satisfy 0 < first < last <= 1, count >= 2")
         # the attitude filter needs every filter key; the toy runs no filter
         attitude = self.scenario == "attitude"
         wrong = [name for name in FILTER_KEYS if (getattr(self, name) is None) == attitude]
         if wrong:
             verb = "needs" if attitude else "runs no filter; drop"
             raise ConfigError(f"scenario {self.scenario!r} {verb} config keys: {', '.join(wrong)}")
+        if not isinstance(self.lambda_schedule, tuple) or len(self.lambda_schedule) != 3:
+            raise ConfigError("lambda_schedule must be [first, last, count]")
+        first, last, count = self.lambda_schedule
+        typed = [(name, getattr(self, name), int) for name in ("order", "n_particles_per_dim", "seed")]
+        typed += [("lambda_schedule count", count, int),
+                  ("lambda_schedule first", first, REAL),
+                  ("lambda_schedule last", last, REAL)]
+        if attitude:
+            typed += [("n_mc", self.n_mc, int)]
+            typed += [(name, getattr(self, name), REAL) for name in ("duration", "dt", "meas_period")]
+        for name, value, kinds in typed:
+            # bool is an int to Python, but true is no order or count
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                what = "an integer" if kinds is int else "a number"
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
+        if self.order < 1:
+            raise ConfigError("order must be >= 1")
+        if self.n_particles_per_dim < 1:
+            raise ConfigError("n_particles_per_dim must be positive")
+        if not (0.0 < first < last <= 1.0) or count < 2:
+            raise ConfigError("lambda_schedule must satisfy 0 < first < last <= 1, count >= 2")
         if not attitude:
             return
         if self.n_mc < 1:
@@ -155,7 +169,7 @@ class ScenarioConfig:
 
     def schedule(self) -> LambdaSchedule:
         first, last, count = self.lambda_schedule
-        return geometric_schedule(first, last, int(count))
+        return geometric_schedule(first, last, count)
 
     def dynamics_spec(self) -> IntegratorSpec:
         """RK4 at the truth simulation's step ``dt``; the toy has no dynamics."""
@@ -196,12 +210,12 @@ class ToyResult:
     order: int
     seed_label: str
     prior: np.ndarray
-    posterior_da: np.ndarray | None
-    posterior_ode: np.ndarray | None
-    rms_discrepancy: float | None
-    ring_fraction_da: float | None
-    ring_fraction_ode: float | None
-    n_ode_fallback: int | None
+    posterior_da: np.ndarray
+    posterior_ode: np.ndarray
+    rms_discrepancy: float
+    ring_fraction_da: float
+    ring_fraction_ode: float
+    n_ode_fallback: int
 
 
 def _ring_fraction(cloud: np.ndarray, radius: float = 1.0,
@@ -228,31 +242,25 @@ def run_toy(cfg: ScenarioConfig) -> ToyResult:
     spec = cfg.flow_spec()
     y = [TOY_MEASUREMENT]
 
-    post_da = post_ode = n_fallback = None
-    if cfg.method in ("da", "both"):
-        fmap = build_flow_map(prior, model, y, schedule, cfg.order, spec)
-        devs = prior_cloud - TOY_PRIOR_MEAN
-        post_da = fmap.evaluate_many(devs)
-        beyond = truncation_indicator(fmap, devs) > TOY_TRUNCATION_BOUND
-        n_fallback = int(beyond.sum())
-        if n_fallback:
-            post_da[beyond] = flow_ensemble_ode(prior_cloud[beyond], prior, model, y,
-                                                schedule, spec)
-    if cfg.method in ("ode", "both"):
-        post_ode = flow_ensemble_ode(prior_cloud, prior, model, y, schedule, spec)
+    fmap = build_flow_map(prior, model, y, schedule, cfg.order, spec)
+    devs = prior_cloud - TOY_PRIOR_MEAN
+    post_da = fmap.evaluate_many(devs)
+    beyond = truncation_indicator(fmap, devs) > TOY_TRUNCATION_BOUND
+    n_fallback = int(beyond.sum())
+    if n_fallback:
+        post_da[beyond] = flow_ensemble_ode(prior_cloud[beyond], prior, model, y,
+                                            schedule, spec)
+    post_ode = flow_ensemble_ode(prior_cloud, prior, model, y, schedule, spec)
 
-    rms = None
-    if post_da is not None and post_ode is not None:
-        rms = float(np.sqrt(np.mean(np.sum((post_da - post_ode) ** 2, axis=1))))
     return ToyResult(
         order=cfg.order,
         seed_label=seed_label,
         prior=prior_cloud,
         posterior_da=post_da,
         posterior_ode=post_ode,
-        rms_discrepancy=rms,
-        ring_fraction_da=None if post_da is None else _ring_fraction(post_da),
-        ring_fraction_ode=None if post_ode is None else _ring_fraction(post_ode),
+        rms_discrepancy=float(np.sqrt(np.mean(np.sum((post_da - post_ode) ** 2, axis=1)))),
+        ring_fraction_da=_ring_fraction(post_da),
+        ring_fraction_ode=_ring_fraction(post_ode),
         n_ode_fallback=n_fallback,
     )
 
@@ -319,7 +327,7 @@ def run_attitude_mc(cfg: ScenarioConfig) -> MCSummary:
     ensemble per run; per-epoch block RMSE and 3-sigma coverage per method."""
     if cfg.scenario != "attitude":
         raise ConfigError(f"run_attitude_mc needs scenario 'attitude', got {cfg.scenario!r}")
-    methods = ["da", "ode"] if cfg.method == "both" else [cfg.method]
+    methods = ("da", "ode")
     n_particles = cfg.n_particles_per_dim * models.STATE_DIM
 
     runs = {m: [] for m in methods}
@@ -380,20 +388,17 @@ class TimingTable:
 
     rows: list
     slopes: dict
-    repetitions: int
 
 
-def bench_timing(cfg: ScenarioConfig, particle_grid, repetitions: int = 5) -> TimingTable:
+def bench_timing(cfg: ScenarioConfig, particle_grid) -> TimingTable:
     """Time one filter step per method across ensemble sizes.
 
     ``particle_grid`` is in particles per state dimension.  Each cell runs
-    one warm-up step plus ``repetitions`` timed steps from an identical
-    state and reports the medians.
+    one warm-up step plus ``BENCH_REPETITIONS`` timed steps, each from a
+    fresh particle draw that both methods share, and reports the medians.
     """
     if cfg.scenario != "attitude":
         raise ConfigError(f"bench_timing needs scenario 'attitude', got {cfg.scenario!r}")
-    if cfg.method != "both":
-        raise ConfigError("bench_timing requires method 'both'")
     rng, _ = _run_seed(cfg.seed, 0)
     truth = models.simulate_truth(models.DEFAULT_INITIAL_STATE,
                                   models.DEFAULT_PARAMS, cfg.meas_period,
@@ -411,12 +416,12 @@ def bench_timing(cfg: ScenarioConfig, particle_grid, repetitions: int = 5) -> Ti
     rows = []
     for per_dim in particle_grid:
         n_particles = int(per_dim) * models.STATE_DIM
-        particles = xhat0 + rng.multivariate_normal(
-            np.zeros(models.STATE_DIM), models.INITIAL_STATE_COV, size=n_particles
-        )
+        draws = [xhat0 + rng.multivariate_normal(np.zeros(models.STATE_DIM),
+                                                 models.INITIAL_STATE_COV, size=n_particles)
+                 for _ in range(BENCH_REPETITIONS + 1)]
         for method, step in (("da", daruff_step), ("ode", baseline_pff_step)):
             samples = []
-            for rep in range(repetitions + 1):
+            for rep, particles in enumerate(draws):
                 state = FilterState(0.0, GaussianBelief(xhat0, models.INITIAL_STATE_COV),
                                     Ensemble(particles))
                 tic = time.perf_counter()
@@ -437,7 +442,7 @@ def bench_timing(cfg: ScenarioConfig, particle_grid, repetitions: int = 5) -> Ti
         logn = np.log([p[0] for p in pts])
         logt = np.log([p[1] for p in pts])
         slopes[method] = float(np.polyfit(logn, logt, 1)[0])
-    return TimingTable(rows=rows, slopes=slopes, repetitions=repetitions)
+    return TimingTable(rows=rows, slopes=slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +450,6 @@ def bench_timing(cfg: ScenarioConfig, particle_grid, repetitions: int = 5) -> Ti
 
 
 def _fmt(value) -> str:
-    if value is None or (isinstance(value, float) and np.isnan(value)):
-        return "nan"
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -477,9 +480,7 @@ def emit_csv(result, out_dir) -> list:
 
 def _emit_toy(result: ToyResult, out: Path) -> list:
     n = result.prior.shape[0]
-    nanpair = np.full((n, 2), np.nan)
-    da = result.posterior_da if result.posterior_da is not None else nanpair
-    ode = result.posterior_ode if result.posterior_ode is not None else nanpair
+    da, ode = result.posterior_da, result.posterior_ode
     rows = (
         [i, result.prior[i, 0], result.prior[i, 1], da[i, 0], da[i, 1], ode[i, 0], ode[i, 1]]
         for i in range(n)
@@ -500,17 +501,10 @@ def _emit_toy(result: ToyResult, out: Path) -> list:
 
 
 def _emit_mc(summary: MCSummary, out: Path) -> list:
-    methods = sorted(summary.rmse)
-    header = ["time"] + [f"xi_{blk}_{m}" for m in ("da", "ode") for blk in BLOCKS]
-    rows = []
-    for k, t in enumerate(summary.times):
-        row = [t]
-        for m in ("da", "ode"):
-            if m in summary.rmse:
-                row.extend(summary.rmse[m][k])
-            else:
-                row.extend([np.nan] * 3)
-        rows.append(row)
+    methods = ("da", "ode")
+    header = ["time"] + [f"xi_{blk}_{m}" for m in methods for blk in BLOCKS]
+    rows = ([t] + [v for m in methods for v in summary.rmse[m][k]]
+            for k, t in enumerate(summary.times))
     rmse_path = _write_csv(out / "rmse.csv", header, rows)
 
     cov_rows = []

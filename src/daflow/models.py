@@ -77,7 +77,7 @@ def range_model(noise_sigma: float = 0.1) -> MeasurementModel:
         x = algebra.asarray(x)
         return (x * algebra.rsqrt(_squared_range(x))[..., None])[..., None, :]
 
-    return MeasurementModel(h=range_h, noise_cov=[[noise_sigma ** 2]], dim=1, jac=jac)
+    return MeasurementModel(h=range_h, noise_cov=[[noise_sigma ** 2]], jac=jac)
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +160,6 @@ class AttitudeState:
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.q, self.omega_b, self.bias])
-
-    @classmethod
-    def from_vector(cls, x) -> "AttitudeState":
-        x = np.asarray(x, dtype=float)
-        return cls(x[:4], x[4:7], x[7:10])
 
 
 @dataclass
@@ -277,7 +272,7 @@ def stacked_measurement(catalog: StarCatalog = DEFAULT_CATALOG) -> MeasurementMo
     noise = np.diag(
         [STAR_NOISE_SIGMA ** 2] * 6 + [GYRO_NOISE_SIGMA ** 2] * 3
     )
-    return MeasurementModel(h=h, noise_cov=noise, dim=9, jac=jac)
+    return MeasurementModel(h=h, noise_cov=noise, jac=jac)
 
 
 def normalize_quaternion_block(x):

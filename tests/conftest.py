@@ -40,4 +40,4 @@ def bench_table():
     """Filter-step timing on the attitude problem across ensemble sizes, at
     configs/attitude.json."""
     cfg = ScenarioConfig.from_json(CONFIGS / "attitude.json")
-    return bench_timing(cfg, [50, 100, 250, 1000], repetitions=5)
+    return bench_timing(cfg, [50, 100, 250, 1000])

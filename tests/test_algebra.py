@@ -127,12 +127,7 @@ class TestIntrinsics:
     def test_domain_errors(self, name, bad_center):
         ctx = da.AlgebraContext(1, 2)
         with pytest.raises(da.DomainError):
-            da.intrinsic(name, da.make_variable(ctx, bad_center, 0))
-
-    def test_unknown_intrinsic(self):
-        ctx = da.AlgebraContext(1, 2)
-        with pytest.raises(ValueError, match="unknown intrinsic"):
-            da.intrinsic("tan", da.make_variable(ctx, 1.0, 0))
+            getattr(da, name)(da.make_variable(ctx, bad_center, 0))
 
     @pytest.mark.parametrize("name,fn,center", [
         ("sqrt", math.sqrt, 2.2),
@@ -143,7 +138,7 @@ class TestIntrinsics:
         # halving the deviation must shrink the mismatch by ~2^(k+1)
         k = 4
         ctx = da.AlgebraContext(1, k)
-        p = da.intrinsic(name, da.make_variable(ctx, center, 0))
+        p = getattr(da, name)(da.make_variable(ctx, center, 0))
         d = 0.1
         err = abs(da.evaluate(p, [d]) - fn(center + d))
         err_half = abs(da.evaluate(p, [d / 2]) - fn(center + d / 2))
@@ -163,7 +158,7 @@ class TestIntrinsics:
         assert da.rsqrt(4.0) == 0.5
         assert daflow.rsqrt is da.rsqrt and "rsqrt" in da.__all__
 
-    @pytest.mark.parametrize("name", sorted(da._INTRINSICS))
+    @pytest.mark.parametrize("name", ["reciprocal", "rsqrt", "sqrt"])
     @pytest.mark.parametrize("shape", [(), (2, 3)])
     def test_intrinsic_equals_plain_horner(self, name, shape):
         # the in-place constant update against acc * p + c on the same shape
@@ -172,9 +167,9 @@ class TestIntrinsics:
         a = da.DAScalar(ctx, 0.2 * rng.normal(size=shape + (ctx.size,)))
         a.coeffs[..., 0] = rng.uniform(0.5, 2.0, size=shape)
         before = a.coeffs.copy()
-        got = da.intrinsic(name, a)
+        got = getattr(da, name)(a)
         np.testing.assert_array_equal(a.coeffs, before)
-        series = np.array([da._INTRINSICS[name](c, ctx.max_order)
+        series = np.array([getattr(da, f"_series_{name}")(c, ctx.max_order)
                            for c in np.ravel(a.constant)]).T.reshape((-1,) + shape)
         p = a - a.constant
         acc = da.constant(ctx, series[-1])
@@ -434,10 +429,10 @@ class TestPolynomialArrays:
             b = self.rand_array(ctx, rng, (4,))
             ab = a * b
             assert ab.shape == (3, 4)
+            # one kernel for every shape, so bit for bit
             for i in range(3):
                 for j in range(4):
-                    np.testing.assert_allclose(ab[i, j].coeffs, (a[i, 0] * b[j]).coeffs,
-                                               rtol=1e-13, atol=1e-13)
+                    np.testing.assert_array_equal(ab[i, j].coeffs, (a[i, 0] * b[j]).coeffs)
 
     def test_constants_and_float_arrays(self):
         rng = np.random.default_rng(21)
@@ -460,14 +455,9 @@ class TestPolynomialArrays:
         A = rng.normal(size=(3, 2))
         xa = x @ A
         pa = P @ A
-        ax = A.T @ x
-        px = P @ x
         for j in range(2):
             want = x[0] * A[0, j] + x[1] * A[1, j] + x[2] * A[2, j]
             np.testing.assert_allclose(xa[j].coeffs, want.coeffs, atol=1e-13)
-            np.testing.assert_allclose(ax[j].coeffs, want.coeffs, atol=1e-13)
-            want = P[j, 0] * x[0] + P[j, 1] * x[1] + P[j, 2] * x[2]
-            np.testing.assert_allclose(px[j].coeffs, want.coeffs, atol=1e-13)
             for i in range(2):
                 want = P[i, 0] * A[0, j] + P[i, 1] * A[1, j] + P[i, 2] * A[2, j]
                 np.testing.assert_allclose(pa[i, j].coeffs, want.coeffs, atol=1e-13)
@@ -476,18 +466,13 @@ class TestPolynomialArrays:
     @staticmethod
     def reference_matmul(a, b):
         """Elementwise polynomial products, then a sum over the shared axis."""
-        a_vec, b_vec = a.ndim == 1, b.ndim == 1
-        a = a[None, :] if a_vec else a
-        b = b[:, None] if b_vec else b
-        out = (a[..., :, :, None] * b[..., None, :, :]).sum(axis=-2)
-        out = out[..., 0, :] if a_vec else out
-        return out[..., 0] if b_vec else out
+        return (a[..., :, :, None] * b[..., None, :, :]).sum(axis=-2)
 
     @pytest.mark.parametrize("n,k", [(10, 2), (2, 8)])
     @pytest.mark.parametrize("a_shape,b_shape,out_shape", [
-        ((3,), (3, 4), (4,)),
-        ((2, 3), (3,), (2,)),
-        ((3,), (3,), ()),
+        ((1, 3), (3, 4), (1, 4)),
+        ((2, 3), (3, 1), (2, 1)),
+        ((6, 1, 3), (6, 3, 2), (6, 1, 2)),
         ((5, 1, 2, 3), (4, 3, 2), (5, 4, 2, 2)),
     ])
     def test_poly_matmul_matches_reference(self, n, k, a_shape, b_shape, out_shape):
@@ -507,23 +492,36 @@ class TestPolynomialArrays:
         b = self.rand_array(da.AlgebraContext(2, 4), rng, (2, 2))
         with pytest.raises(ValueError, match="context mismatch"):
             a @ b
-        with pytest.raises(ValueError, match="single polynomial"):
-            a[0] @ a
+        # a 1-d operand is refused, not promoted: matmul of polynomial
+        # arrays contracts matrices
+        m = self.rand_array(a.ctx, rng, (2, 2))
+        for x, y in ((a, m), (m, a), (a, a), (a[0], m)):
+            with pytest.raises(ValueError, match="at least two axes"):
+                x @ y
 
     def test_float_matmul_broadcasts_leading_axes(self):
         rng = np.random.default_rng(27)
         ctx = da.AlgebraContext(2, 3)
-        P = self.rand_array(ctx, rng, (2, 3))
-        A = rng.normal(size=(4, 3, 2))
+        P = self.rand_array(ctx, rng, (4, 2, 3))
+        A = rng.normal(size=(3, 2))
         PA = P @ A
         assert PA.shape == (4, 2, 2)
         for b in range(4):
             for i in range(2):
                 for j in range(2):
-                    want = P[i, 0] * A[b, 0, j] + P[i, 1] * A[b, 1, j] + P[i, 2] * A[b, 2, j]
+                    want = P[b, i, 0] * A[0, j] + P[b, i, 1] * A[1, j] + P[b, i, 2] * A[2, j]
                     np.testing.assert_allclose(PA[b, i, j].coeffs, want.coeffs, atol=1e-13)
         with pytest.raises(ValueError, match="single polynomial"):
-            P[0, 0] @ A[0, :, 0]
+            P[0, 0, 0] @ A
+
+    def test_float_matmul_needs_a_matrix(self):
+        # a float vector or a stack of matrices is refused, not broadcast
+        rng = np.random.default_rng(28)
+        ctx = da.AlgebraContext(2, 3)
+        x = self.rand_array(ctx, rng, (3,))
+        for operand in (np.ones(3), np.ones((2, 3, 2)), 2.0):
+            with pytest.raises(ValueError, match="must be a matrix"):
+                x @ operand
 
     def test_intrinsic_and_derivative_per_entry(self):
         rng = np.random.default_rng(23)

@@ -251,7 +251,6 @@ class TestDaruffStep:
                           make_filter_config())
         t = out.timing
         assert t.propagate >= 0 and t.flow >= 0 and t.evaluate >= 0
-        assert t.total == t.propagate + t.flow + t.evaluate
 
     def test_postprocess_hook_applies(self):
         rng = np.random.default_rng(10)

@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +26,7 @@ from daflow.harness import (
     ScenarioConfig,
 )
 from daflow.integrate import IntegratorSpec, integrate
-from daflow.models import (
-    DEFAULT_INITIAL_STATE,
-    INITIAL_STATE_COV,
-    range_model,
-    stacked_measurement,
-)
+from daflow.models import range_model
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -52,7 +46,7 @@ def linear_model(A, R):
     def jac(x):
         return np.broadcast_to(A, x.shape[:-1] + (m, n))
 
-    return MeasurementModel(h=h, noise_cov=R, dim=m, jac=jac)
+    return MeasurementModel(h=h, noise_cov=R, jac=jac)
 
 
 def kalman_information_update(mean, cov, A, R, y):
@@ -214,7 +208,7 @@ class TestFlowMeanCov:
                 from daflow.integrate import Stacked
 
                 xb, P = s.parts
-                H = model.jacobian(xb)
+                H = model.jac(xb)
                 return Stacked((b - a) * flow_rhs(xb, P, model, y),
                                (b - a) * cov_rhs(P, H, model.noise_cov))
 
@@ -379,9 +373,15 @@ class TestValidation:
 
     def test_measurement_model_rejects_bad_noise(self):
         with pytest.raises(ValueError, match="positive definite"):
-            MeasurementModel(h=lambda x: x, noise_cov=[[0.0]], dim=1)
-        with pytest.raises(ValueError, match="shape"):
-            MeasurementModel(h=lambda x: x, noise_cov=np.eye(2), dim=1)
+            MeasurementModel(h=lambda x: x, noise_cov=[[0.0]], jac=lambda x: x)
+        for bad in (np.ones((2, 3)), [0.01], 0.01):
+            with pytest.raises(ValueError, match="square"):
+                MeasurementModel(h=lambda x: x, noise_cov=bad, jac=lambda x: x)
+
+    def test_measurement_model_needs_jac_and_reads_dim_off_noise(self):
+        with pytest.raises(TypeError, match="jac"):
+            MeasurementModel(h=lambda x: x, noise_cov=np.eye(2))
+        assert MeasurementModel(h=lambda x: x, noise_cov=np.eye(3), jac=lambda x: x).dim == 3
 
     def test_ensemble_needs_two_particles(self):
         with pytest.raises(ValueError, match="2 particles"):
@@ -415,30 +415,10 @@ class TestValidation:
             else:
                 flow_ensemble_ode(X0, prior, model, [0.3, -0.2], one, ONE_STEP)
 
-    def test_jacobian_fallback_matches_analytic_flows(self):
-        # a model without jac takes H from the compose expansion of h; at the
-        # configs/attitude.json setting its flows must match the jac model's
-        cfg = ScenarioConfig.from_json(CONFIGS / "attitude.json")
-        model = stacked_measurement()
-        fallback = dataclasses.replace(model, jac=None)
-        x0 = DEFAULT_INITIAL_STATE.as_vector()
-        prior = GaussianBelief(x0, INITIAL_STATE_COV)
-        sigma = np.sqrt(np.diag(model.noise_cov))
-        y = model.h(x0) + sigma * np.linspace(-1.0, 1.0, model.dim)
-        schedule, spec = cfg.schedule(), cfg.flow_spec()
-        want, got = (build_flow_map(prior, m, y, schedule, cfg.order, spec).coefficient_matrix()
-                     for m in (model, fallback))
-        scale = np.abs(want).max(axis=1, keepdims=True)
-        assert np.all(np.abs(got - want) <= 1e-12 * scale)
-        X0 = np.random.default_rng(14).multivariate_normal(x0, INITIAL_STATE_COV, size=4)
-        want, got = (flow_ensemble_ode(X0, prior, m, y, schedule, spec)
-                     for m in (model, fallback))
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-
     def test_da_jacobian_matches_analytic(self):
         model = range_model()
         for x in ([3.0, 4.0], [-3.5, 0.0], [1.0, -2.0]):
             np.testing.assert_allclose(
-                da_jacobian(model.h, np.asarray(x), 1), model.jacobian(np.asarray(x)),
+                da_jacobian(model.h, np.asarray(x), 1), model.jac(np.asarray(x)),
                 rtol=1e-12,
             )

@@ -50,7 +50,7 @@ class TestScenarioConfig:
         assert cfg == ScenarioConfig(
             scenario="attitude", order=2, n_particles_per_dim=250, n_mc=100,
             duration=120.0, dt=0.01, meas_period=2.0, lambda_schedule=(0.001, 1.0, 50),
-            seed=0, method="both")
+            seed=0)
         assert cfg.dynamics_spec() == IntegratorSpec("rk4_fixed", step_size=0.01)
         assert cfg.flow_spec() == IntegratorSpec("rk4_fixed", step_size=1.0)
         assert committed("toy").flow_spec() == IntegratorSpec("rk78_adaptive")
@@ -58,10 +58,14 @@ class TestScenarioConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys: particles"):
             ScenarioConfig.from_dict({"scenario": "attitude", "particles": 5})
+        # retired: every experiment runs both filters
+        data = json.loads((CONFIGS / "toy.json").read_text())
+        with pytest.raises(ConfigError, match="unknown config keys: method$"):
+            ScenarioConfig.from_dict({**data, "method": "both"})
 
     @pytest.mark.parametrize("patch", [
         {"scenario": "orbit"},
-        {"method": "all"},
+        {"method": "both"},  # retired key: stale configs must fail
         {"order": 0},
         {"n_mc": 0},
         {"duration": -1.0},
@@ -83,13 +87,36 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(data)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("order", 2.5, "order must be an integer"),
+        ("order", True, "order must be an integer"),
+        ("n_particles_per_dim", 2.5, "n_particles_per_dim must be an integer"),
+        ("n_mc", 1.5, "n_mc must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("lambda_schedule", [0.001, 1.0, 50.5], "lambda_schedule count must be an integer"),
+        ("lambda_schedule", [0.001, 1.0, "50"], "lambda_schedule count must be an integer"),
+        ("lambda_schedule", ["0.001", 1.0, 50], "lambda_schedule first must be a number"),
+        ("lambda_schedule", [0.001, "1", 50], "lambda_schedule last must be a number"),
+        ("lambda_schedule", 50, r"lambda_schedule must be \[first, last, count\]"),
+        ("duration", "60", "duration must be a number"),
+        ("dt", "0.01", "dt must be a number"),
+        ("meas_period", True, "meas_period must be a number"),
+        ("scenario", ["attitude"], "scenario must be one of"),
+    ])
+    def test_wrong_types_rejected(self, key, value, message):
+        # a value of the wrong type fails validation, naming its key, rather
+        # than crashing the run or being truncated
+        data = json.loads((CONFIGS / "attitude_scaled.json").read_text())
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig.from_dict({**data, key: value})
+
     def test_json_round_trip(self, tmp_path):
         cfg = committed("toy", order=3, seed=7)
         path = tmp_path / "cfg.json"
         cfg.to_json(path)
         again = ScenarioConfig.from_json(path)
         assert again == cfg
-        assert len(json.loads(path.read_text())) == 6  # the toy has no filter keys
+        assert len(json.loads(path.read_text())) == 5  # the toy has no filter keys
 
     @pytest.mark.parametrize("key", ["n_mc", "duration", "dt", "meas_period"])
     def test_filter_keys_only_on_attitude(self, key):
@@ -112,7 +139,7 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="attitude"):
             run_attitude_mc(small_toy)
         with pytest.raises(ConfigError, match="attitude"):
-            bench_timing(small_toy, [2], repetitions=1)
+            bench_timing(small_toy, [2])
         for spec_of in (ScenarioConfig.dynamics_spec, ScenarioConfig.filter_config):
             with pytest.raises(ConfigError, match="no dynamics"):
                 spec_of(committed("toy"))
@@ -127,14 +154,6 @@ class TestRunToy:
         assert result.rms_discrepancy < 0.2
         assert result.ring_fraction_ode > 0.9
 
-    def test_single_method_leaves_other_empty(self):
-        cfg = committed("toy", order=1, n_particles_per_dim=50, method="da")
-        result = run_toy(cfg)
-        assert result.posterior_ode is None
-        assert result.rms_discrepancy is None
-        assert result.ring_fraction_da is not None
-        assert result.n_ode_fallback == 0  # an affine map flags nothing
-
     def test_deterministic(self, small_toy):
         a = run_toy(small_toy)
         b = run_toy(small_toy)
@@ -145,6 +164,7 @@ class TestRunToy:
     def test_order_one_posterior_is_affine_image(self):
         cfg = committed("toy", order=1, n_particles_per_dim=100)
         result = run_toy(cfg)
+        assert result.n_ode_fallback == 0  # an affine map flags nothing
         devs = result.prior - [-3.5, 0.0]
         # fit the affine map on three particles, it must predict all others
         A = np.hstack([devs[:3], np.ones((3, 1))])
@@ -181,13 +201,6 @@ class TestEmitCsv:
         assert float(first[1]) == result.prior[0, 0]
         summary = paths[1].read_text().splitlines()
         assert summary[0] == "order,seed,rms_da_vs_ode,ring_fraction_da,ring_fraction_ode"
-
-    def test_toy_nan_fill_for_missing_method(self, tmp_path):
-        cfg = committed("toy", order=1, n_particles_per_dim=50, method="ode")
-        paths = emit_csv(run_toy(cfg), tmp_path)
-        row = paths[0].read_text().splitlines()[1].split(",")
-        assert row[3] == "nan" and row[4] == "nan"
-        assert row[5] != "nan"
 
     def test_rerun_is_byte_identical(self, small_toy, tmp_path):
         a = emit_csv(run_toy(small_toy), tmp_path / "a")
@@ -244,7 +257,7 @@ class TestAttitudeMc:
         assert runs_lines[1] == "0,0:0,"
 
     def test_failed_run_is_reported(self, tiny_mc, tmp_path, monkeypatch):
-        # three epochs per run: the fourth step is run 1's first epoch
+        # three epochs per run: the fourth polynomial-map step is run 1's first epoch
         calls = []
 
         def step(*args):
@@ -254,14 +267,15 @@ class TestAttitudeMc:
             return daruff_step(*args)
 
         monkeypatch.setattr(harness, "daruff_step", step)
-        summary = run_attitude_mc(dataclasses.replace(tiny_mc, n_mc=2, method="da"))
+        summary = run_attitude_mc(dataclasses.replace(tiny_mc, n_mc=2))
         assert summary.failed_runs == [(1, "da", "injected failure")]
         assert [r.seed_label for r in summary.runs["da"]] == ["0:0"]
+        assert [r.seed_label for r in summary.runs["ode"]] == ["0:0", "0:1"]
         runs_lines = emit_csv(summary, tmp_path)[2].read_text().splitlines()
         assert runs_lines == ["run_index,seed,failed_methods", "0,0:0,", "1,0:1,da"]
 
     def test_domain_error_run_is_reported(self, tiny_mc, tmp_path, monkeypatch):
-        # three epochs per run: the second step is run 0's second epoch
+        # three epochs per run: the second polynomial-map step is run 0's second epoch
         calls = []
 
         def step(*args):
@@ -271,9 +285,10 @@ class TestAttitudeMc:
             return daruff_step(*args)
 
         monkeypatch.setattr(harness, "daruff_step", step)
-        summary = run_attitude_mc(dataclasses.replace(tiny_mc, n_mc=2, method="da"))
+        summary = run_attitude_mc(dataclasses.replace(tiny_mc, n_mc=2))
         assert summary.failed_runs == [(0, "da", "injected domain error")]
         assert [r.seed_label for r in summary.runs["da"]] == ["0:1"]
+        assert [r.seed_label for r in summary.runs["ode"]] == ["0:0", "0:1"]
         runs_lines = emit_csv(summary, tmp_path)[2].read_text().splitlines()
         assert runs_lines == ["run_index,seed,failed_methods", "0,0:0,da", "1,0:1,"]
 
@@ -320,17 +335,27 @@ class TestCli:
         path = self.write_config(
             tmp_path, committed("toy", order=1, n_particles_per_dim=25))
         out = tmp_path / "out"
-        assert main(["toy", "--config", path, "--order", "2", "--method", "da",
-                     "--seed", "5", "--out", str(out)]) == 0
+        assert main(["toy", "--config", path, "--order", "2", "--out", str(out)]) == 0
         summary = (out / "toy_summary.csv").read_text().splitlines()[1].split(",")
         assert summary[0] == "2"
-        assert summary[1] == "5:0"
+        assert summary[1] == "0:0"
 
     def test_bench_refuses_toy(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["bench", "--config", str(CONFIGS / "toy.json"), "--particles", "2",
                      "--out", str(out)]) == 1
         assert "bench_timing needs scenario 'attitude', got 'toy_range'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bench_reports_a_failed_step(self, tmp_path, capsys, monkeypatch):
+        def bench_timing(cfg, grid):
+            raise FlowError("flow covariance is not positive semidefinite")
+
+        monkeypatch.setattr("daflow.cli.bench_timing", bench_timing)
+        out = tmp_path / "o"
+        assert main(["bench", "--config", str(CONFIGS / "attitude.json"), "--particles", "2",
+                     "--out", str(out)]) == 1
+        assert "error: flow covariance is not positive semidefinite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bench_requires_particle_list(self, tmp_path, capsys):
