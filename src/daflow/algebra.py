@@ -500,25 +500,18 @@ def rsqrt(x):
 # evaluation / differentiation
 
 
-def _as_deviation(deviation, n_vars: int) -> np.ndarray:
-    dev = np.asarray(deviation, dtype=float)
-    if dev.ndim == 0:
-        # scalar shorthand, chiefly evaluate(obj, 0)
-        dev = np.full(n_vars, float(dev))
-    if dev.shape != (n_vars,):
-        raise ValueError(f"deviation must have length {n_vars}, got shape {dev.shape}")
-    return dev
-
-
 def evaluate(obj, deviation):
     """Substitute numbers for the deviation variables.
 
     Single polynomial -> float; polynomial array or DAVector -> array of
-    its shape.  ``evaluate(obj, 0)`` returns the constant part(s).
+    its shape.
     """
     if isinstance(obj, DAVector):
         obj = obj.components
-    dev = _as_deviation(deviation, obj.ctx.n_vars)
+    n_vars = obj.ctx.n_vars
+    dev = np.asarray(deviation, dtype=float)
+    if dev.shape != (n_vars,):
+        raise ValueError(f"deviation must have length {n_vars}, got shape {dev.shape}")
     out = evaluate_many(obj, dev[None, :])[0]
     return float(out) if obj.ndim == 0 else out
 
@@ -542,13 +535,13 @@ def truncation_indicator(vec: "DAVector", deviations: np.ndarray) -> np.ndarray:
     is large lies beyond the region.  An affine map has no nonlinear terms
     to estimate from and reads zero everywhere.
     """
-    ctx = vec.context
+    ctx = vec.components.ctx
     devs = np.asarray(deviations, dtype=float)
     if ctx.max_order < 2:
         return np.zeros(devs.shape[0])
     top = ctx.degrees == ctx.max_order
     vals = ctx.monomial_values(devs)[:, top]
-    return np.linalg.norm(vals @ vec.coefficient_matrix()[:, top].T, axis=1)
+    return np.linalg.norm(vals @ vec.components.coeffs[:, top].T, axis=1)
 
 
 def partial_derive(a: DAScalar, var_index: int) -> DAScalar:
@@ -594,33 +587,9 @@ class DAVector:
         self.components = components
         self.center = center
 
-    @property
-    def context(self) -> AlgebraContext:
-        return self.components.ctx
-
-    def __len__(self):
-        return self.components.shape[0]
-
-    def __iter__(self):
-        return iter(self.components)
-
-    @property
-    def constant_part(self) -> np.ndarray:
-        return self.components.constant
-
-    def coefficient_matrix(self) -> np.ndarray:
-        """(n_components, basis size) dense coefficient stack."""
-        return self.components.coeffs.copy()
-
-    def evaluate(self, deviation) -> np.ndarray:
-        return evaluate(self.components, deviation)
-
-    def evaluate_many(self, deviations: np.ndarray) -> np.ndarray:
-        return evaluate_many(self.components, deviations)
-
     def __repr__(self):
         return (
-            f"<DAVector n={len(self)} ctx={self.context!r} "
+            f"<DAVector n={self.components.shape[0]} ctx={self.components.ctx!r} "
             f"center={np.array2string(self.center, precision=4)}>"
         )
 
@@ -643,12 +612,13 @@ def compose(outer: DAVector, inner: DAVector) -> DAVector:
     has one component per variable of ``outer``.  Exact whenever the
     combined degree stays within the truncation order.
     """
-    octx = outer.context
-    ictx = inner.context
-    if len(inner) != octx.n_vars:
+    octx = outer.components.ctx
+    ictx = inner.components.ctx
+    n_inner = inner.components.shape[0]
+    if n_inner != octx.n_vars:
         raise ValueError(
             f"outer map expands {octx.n_vars} variables but inner has "
-            f"{len(inner)} components"
+            f"{n_inner} components"
         )
 
     subs = inner.components.coeffs.copy()
@@ -677,7 +647,7 @@ def dump(v: DAVector) -> str:
     Coefficients below PRUNE_REL of the component's largest magnitude are
     dropped; line order is (component, graded-lex monomial).
     """
-    ctx = v.context
+    ctx = v.components.ctx
     lines = []
     for ci, coeffs in enumerate(v.components.coeffs):
         cmax = np.abs(coeffs).max()

@@ -85,11 +85,15 @@ def main(argv=None) -> int:
             paths = emit_csv(result, args.out)
             for method, slope in sorted(result.slopes.items()):
                 print(f"{method}: log-log step-time slope {slope:.3f}")
+            for r in result.rows:
+                if r["failed_steps"]:
+                    print(f"{r['method']} at {r['n_per_dim']} per dimension: "
+                          f"{r['failed_steps']} failed steps left out", file=sys.stderr)
         for p in paths:
             print(f"wrote {p}")
         return 0
-    # a flow or filter step that fails outside the Monte Carlo's per-run
-    # accounting (a bench step on a tiny ensemble can) is reported like bad input
+    # the experiments account for a failed filter step per run or per step;
+    # one that escapes a runner anyway is reported like bad input
     except (ConfigError, OSError, ValueError, FlowError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

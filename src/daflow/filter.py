@@ -115,7 +115,7 @@ def combine_maps(flow_map: DAVector, stpm: DAVector) -> DAVector:
     The flow map must be centered at the propagated mean, i.e. the constant
     part of the state-transition map.
     """
-    mismatch = np.abs(flow_map.center - stpm.constant_part).max()
+    mismatch = np.abs(flow_map.center - stpm.components.constant).max()
     if mismatch > CENTER_MATCH_TOL:
         raise ValueError(
             f"flow map center is {mismatch:g} away from the propagated mean; "
@@ -191,7 +191,7 @@ def daruff_step(state: FilterState, dynamics: DynamicsModel,
     t_prop = time.perf_counter() - tic
 
     tic = time.perf_counter()
-    prior = GaussianBelief(stpm.constant_part, ensemble_stats(Ensemble(predicted)).cov)
+    prior = GaussianBelief(stpm.components.constant, ensemble_stats(Ensemble(predicted)).cov)
     flow_map, post_cov = build_flow_map(prior, model, y, cfg.schedule, cfg.order,
                                         cfg.flow_spec, return_cov=True)
     t_flow = time.perf_counter() - tic

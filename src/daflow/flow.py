@@ -104,11 +104,6 @@ class GaussianBelief:
     def dim(self) -> int:
         return len(self.mean)
 
-    def information(self):
-        """Information pair (S, z) = (P^-1, P^-1 x)."""
-        s = np.linalg.inv(self.cov)
-        return s, s @ self.mean
-
 
 @dataclass
 class MeasurementModel:

@@ -16,14 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import models
-from .algebra import DomainError, truncation_indicator
-from .filter import (
-    FilterConfig,
-    FilterState,
-    StepTiming,
-    baseline_pff_step,
-    daruff_step,
-)
+from .algebra import DomainError, evaluate_many, truncation_indicator
+from .filter import FilterConfig, FilterState, baseline_pff_step, daruff_step
 from .flow import (
     Ensemble,
     FlowError,
@@ -60,6 +54,8 @@ FILTER_KEYS = ("n_mc", "duration", "dt", "meas_period")
 REAL = (int, float)
 # timed filter steps per method and ensemble size in bench_timing
 BENCH_REPETITIONS = 5
+# a filter step's typed failures, which the experiments count instead of stopping
+RUN_FAILURES = (FlowError, IntegrationError, DomainError)
 FLOAT_FMT = "%.17g"
 
 # planar toy constants
@@ -204,7 +200,7 @@ class ToyResult:
     """Prior cloud, posterior clouds per method, and their agreement.
 
     ``n_ode_fallback`` counts the particles of the DA route that lay beyond
-    the flow map's convergence region and were flowed by the ODE instead.
+    the flow map's convergence region; their DA rows are the ODE route's.
     """
 
     order: int
@@ -228,8 +224,8 @@ def run_toy(cfg: ScenarioConfig) -> ToyResult:
 
     The DA route evaluates one flow map for the whole cloud, except at the
     particles whose truncation indicator exceeds ``TOY_TRUNCATION_BOUND``:
-    those are flowed by the per-particle ODE with the same prior and
-    schedule.
+    those take their rows from the ODE route, which flows every particle
+    once with the same prior and schedule.
     """
     if cfg.scenario != "toy_range":
         raise ConfigError(f"run_toy needs scenario 'toy_range', got {cfg.scenario!r}")
@@ -244,13 +240,9 @@ def run_toy(cfg: ScenarioConfig) -> ToyResult:
 
     fmap = build_flow_map(prior, model, y, schedule, cfg.order, spec)
     devs = prior_cloud - TOY_PRIOR_MEAN
-    post_da = fmap.evaluate_many(devs)
     beyond = truncation_indicator(fmap, devs) > TOY_TRUNCATION_BOUND
-    n_fallback = int(beyond.sum())
-    if n_fallback:
-        post_da[beyond] = flow_ensemble_ode(prior_cloud[beyond], prior, model, y,
-                                            schedule, spec)
     post_ode = flow_ensemble_ode(prior_cloud, prior, model, y, schedule, spec)
+    post_da = np.where(beyond[:, None], post_ode, evaluate_many(fmap, devs))
 
     return ToyResult(
         order=cfg.order,
@@ -261,7 +253,7 @@ def run_toy(cfg: ScenarioConfig) -> ToyResult:
         rms_discrepancy=float(np.sqrt(np.mean(np.sum((post_da - post_ode) ** 2, axis=1)))),
         ring_fraction_da=_ring_fraction(post_da),
         ring_fraction_ode=_ring_fraction(post_ode),
-        n_ode_fallback=n_fallback,
+        n_ode_fallback=int(beyond.sum()),
     )
 
 
@@ -274,11 +266,8 @@ class AttitudeRun:
     """Per-epoch filter output of one Monte Carlo run and one method."""
 
     seed_label: str
-    times: np.ndarray
-    estimates: np.ndarray
     covariances: np.ndarray
     errors: np.ndarray
-    timing: StepTiming
 
 
 @dataclass
@@ -299,27 +288,44 @@ class MCSummary:
 BLOCKS = {"q": slice(0, 4), "omega": slice(4, 7), "bias": slice(7, 10)}
 
 
-def _attitude_filter_run(method: str, cfg: ScenarioConfig, truth, xhat0, particles):
-    fcfg = cfg.filter_config(particle_postprocess=models.normalize_quaternion_block)
-    dynamics = models.attitude_dynamics()
-    measurement = models.stacked_measurement()
-    step = daruff_step if method == "da" else baseline_pff_step
+def _attitude_setup(cfg: ScenarioConfig) -> tuple:
+    """The attitude filter's settings and models, shared by every step."""
+    return (cfg.filter_config(particle_postprocess=models.normalize_quaternion_block),
+            models.attitude_dynamics(), models.stacked_measurement())
+
+
+def _draw_truth(rng, cfg: ScenarioConfig, duration: float) -> tuple:
+    """A simulated truth and an initial estimate one prior draw off its start."""
+    truth = models.simulate_truth(models.DEFAULT_INITIAL_STATE,
+                                  models.DEFAULT_PARAMS, duration,
+                                  cfg.dt, cfg.meas_period,
+                                  seed=rng.integers(2 ** 32))
+    xhat0 = models.normalize_quaternion_block(
+        truth.initial_state
+        + rng.multivariate_normal(np.zeros(models.STATE_DIM), models.INITIAL_STATE_COV)
+    )
+    return truth, xhat0
+
+
+def _draw_cloud(rng, xhat0: np.ndarray, n_particles: int) -> np.ndarray:
+    """A particle cloud of ``n_particles`` prior draws about the estimate."""
+    return xhat0 + rng.multivariate_normal(
+        np.zeros(models.STATE_DIM), models.INITIAL_STATE_COV, size=n_particles
+    )
+
+
+def _attitude_filter_run(step, setup, truth, xhat0, particles):
+    fcfg, dynamics, measurement = setup
     state = FilterState(0.0, GaussianBelief(xhat0, models.INITIAL_STATE_COV),
                         Ensemble(particles))
     n_epochs = len(truth.times)
-    estimates = np.empty((n_epochs, models.STATE_DIM))
     covs = np.empty((n_epochs, models.STATE_DIM, models.STATE_DIM))
-    timing = StepTiming()
+    errors = np.empty((n_epochs, models.STATE_DIM))
     for k in range(n_epochs):
         state = step(state, dynamics, measurement, truth.measurements[k], fcfg)
-        est = models.normalize_quaternion_block(state.belief.mean)
-        estimates[k] = est
         covs[k] = state.belief.cov
-        timing.propagate += state.timing.propagate
-        timing.flow += state.timing.flow
-        timing.evaluate += state.timing.evaluate
-    errors = truth.states - estimates
-    return estimates, covs, errors, timing
+        errors[k] = truth.states[k] - models.normalize_quaternion_block(state.belief.mean)
+    return covs, errors
 
 
 def run_attitude_mc(cfg: ScenarioConfig) -> MCSummary:
@@ -327,41 +333,31 @@ def run_attitude_mc(cfg: ScenarioConfig) -> MCSummary:
     ensemble per run; per-epoch block RMSE and 3-sigma coverage per method."""
     if cfg.scenario != "attitude":
         raise ConfigError(f"run_attitude_mc needs scenario 'attitude', got {cfg.scenario!r}")
-    methods = ("da", "ode")
+    setup = _attitude_setup(cfg)
+    methods = (("da", daruff_step), ("ode", baseline_pff_step))
     n_particles = cfg.n_particles_per_dim * models.STATE_DIM
 
-    runs = {m: [] for m in methods}
+    runs = {m: [] for m, _ in methods}
     run_seeds = []
     failed = []
     times = None
     for i in range(cfg.n_mc):
         rng, seed_label = _run_seed(cfg.seed, i)
         run_seeds.append(seed_label)
-        truth = models.simulate_truth(models.DEFAULT_INITIAL_STATE,
-                                      models.DEFAULT_PARAMS, cfg.duration,
-                                      cfg.dt, cfg.meas_period,
-                                      seed=rng.integers(2 ** 32))
+        truth, xhat0 = _draw_truth(rng, cfg, cfg.duration)
         times = truth.times
-        xhat0 = models.normalize_quaternion_block(
-            truth.initial_state
-            + rng.multivariate_normal(np.zeros(models.STATE_DIM), models.INITIAL_STATE_COV)
-        )
-        particles = xhat0 + rng.multivariate_normal(
-            np.zeros(models.STATE_DIM), models.INITIAL_STATE_COV, size=n_particles
-        )
-        for method in methods:
+        particles = _draw_cloud(rng, xhat0, n_particles)
+        for method, step in methods:
             try:
-                est, covs, errors, timing = _attitude_filter_run(
-                    method, cfg, truth, xhat0, particles)
-            except (FlowError, IntegrationError, DomainError) as exc:
+                covs, errors = _attitude_filter_run(step, setup, truth, xhat0, particles)
+            except RUN_FAILURES as exc:
                 failed.append((i, method, str(exc)))
                 continue
-            runs[method].append(AttitudeRun(seed_label, truth.times, est, covs,
-                                            errors, timing))
+            runs[method].append(AttitudeRun(seed_label, covs, errors))
 
     rmse = {}
     coverage = {}
-    for method in methods:
+    for method in runs:
         if not runs[method]:
             raise RuntimeError(f"every Monte Carlo run diverged for method {method!r}")
         errs = np.stack([r.errors for r in runs[method]])          # (runs, epochs, 10)
@@ -396,49 +392,53 @@ def bench_timing(cfg: ScenarioConfig, particle_grid) -> TimingTable:
     ``particle_grid`` is in particles per state dimension.  Each cell runs
     one warm-up step plus ``BENCH_REPETITIONS`` timed steps, each from a
     fresh particle draw that both methods share, and reports the medians.
+    A step failing with one of ``RUN_FAILURES`` counts in ``failed_steps``
+    and not in the medians; a cell with no timed step left reads NaN, and a
+    method with fewer than two timed cells has a NaN slope.
     """
     if cfg.scenario != "attitude":
         raise ConfigError(f"bench_timing needs scenario 'attitude', got {cfg.scenario!r}")
+    fcfg, dynamics, measurement = _attitude_setup(cfg)
     rng, _ = _run_seed(cfg.seed, 0)
-    truth = models.simulate_truth(models.DEFAULT_INITIAL_STATE,
-                                  models.DEFAULT_PARAMS, cfg.meas_period,
-                                  cfg.dt, cfg.meas_period,
-                                  seed=rng.integers(2 ** 32))
-    xhat0 = models.normalize_quaternion_block(
-        truth.initial_state
-        + rng.multivariate_normal(np.zeros(models.STATE_DIM), models.INITIAL_STATE_COV)
-    )
-    fcfg = cfg.filter_config(particle_postprocess=models.normalize_quaternion_block)
-    dynamics = models.attitude_dynamics()
-    measurement = models.stacked_measurement()
+    truth, xhat0 = _draw_truth(rng, cfg, cfg.meas_period)
     y = truth.measurements[0]
 
     rows = []
     for per_dim in particle_grid:
         n_particles = int(per_dim) * models.STATE_DIM
-        draws = [xhat0 + rng.multivariate_normal(np.zeros(models.STATE_DIM),
-                                                 models.INITIAL_STATE_COV, size=n_particles)
-                 for _ in range(BENCH_REPETITIONS + 1)]
+        draws = [_draw_cloud(rng, xhat0, n_particles) for _ in range(BENCH_REPETITIONS + 1)]
         for method, step in (("da", daruff_step), ("ode", baseline_pff_step)):
             samples = []
+            failed_steps = 0
             for rep, particles in enumerate(draws):
                 state = FilterState(0.0, GaussianBelief(xhat0, models.INITIAL_STATE_COV),
                                     Ensemble(particles))
                 tic = time.perf_counter()
-                out = step(state, dynamics, measurement, y, fcfg)
+                try:
+                    out = step(state, dynamics, measurement, y, fcfg)
+                except RUN_FAILURES:
+                    failed_steps += 1
+                    continue
                 elapsed = time.perf_counter() - tic
                 if rep > 0:  # discard warm-up
                     samples.append((elapsed, out.timing))
-            med = int(np.argsort([s[0] for s in samples])[len(samples) // 2])
-            elapsed, timing = samples[med]
-            rows.append(dict(method=method, n_per_dim=int(per_dim),
-                             n_particles=n_particles, step_seconds=elapsed,
-                             propagate=timing.propagate, flow=timing.flow,
-                             evaluate=timing.evaluate))
+            row = dict(method=method, n_per_dim=int(per_dim), n_particles=n_particles,
+                       step_seconds=np.nan, propagate=np.nan, flow=np.nan,
+                       evaluate=np.nan, failed_steps=failed_steps)
+            if samples:
+                med = int(np.argsort([s[0] for s in samples])[len(samples) // 2])
+                elapsed, timing = samples[med]
+                row.update(step_seconds=elapsed, propagate=timing.propagate,
+                           flow=timing.flow, evaluate=timing.evaluate)
+            rows.append(row)
 
     slopes = {}
     for method in ("da", "ode"):
-        pts = [(r["n_particles"], r["step_seconds"]) for r in rows if r["method"] == method]
+        pts = [(r["n_particles"], r["step_seconds"]) for r in rows
+               if r["method"] == method and not np.isnan(r["step_seconds"])]
+        if len(pts) < 2:
+            slopes[method] = np.nan
+            continue
         logn = np.log([p[0] for p in pts])
         logt = np.log([p[1] for p in pts])
         slopes[method] = float(np.polyfit(logn, logt, 1)[0])
@@ -526,13 +526,13 @@ def _emit_mc(summary: MCSummary, out: Path) -> list:
 def _emit_timing(table: TimingTable, out: Path) -> list:
     rows = (
         [r["method"], r["n_per_dim"], r["n_particles"], r["step_seconds"],
-         r["propagate"], r["flow"], r["evaluate"]]
+         r["propagate"], r["flow"], r["evaluate"], r["failed_steps"]]
         for r in table.rows
     )
     timing_path = _write_csv(
         out / "timing.csv",
         ["method", "n_per_dim", "n_particles", "step_seconds",
-         "propagate_seconds", "flow_seconds", "evaluate_seconds"],
+         "propagate_seconds", "flow_seconds", "evaluate_seconds", "failed_steps"],
         rows,
     )
     slopes_path = _write_csv(out / "slopes.csv", ["method", "loglog_slope"],

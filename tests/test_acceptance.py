@@ -62,7 +62,7 @@ class TestCriterion1LinearGaussianOracle:
         for _ in range(10):
             d = rng.normal(size=3) * 0.5
             expected, _ = kalman_information_update(x0 + d, P0, A, R, y)
-            err = np.abs(fmap.evaluate(d) - expected).max() / np.abs(expected).max()
+            err = np.abs(da.evaluate(fmap, d) - expected).max() / np.abs(expected).max()
             map_err = max(map_err, err)
         elapsed = time.perf_counter() - tic
 
@@ -112,7 +112,7 @@ class TestCriterion4StpmSoundness:
         # filter feeds the map
         sigma = np.array([0.01] * 4 + [models.GYRO_NOISE_SIGMA] * 6)
         devs = 3.0 * sigma * rng.standard_normal((500, 10))
-        mapped = stpm.evaluate_many(devs)
+        mapped = da.evaluate_many(stpm, devs)
         direct = integrate(dyn.f, x0 + devs, 0.0, 2.0, spec)
         rms = np.sqrt(np.mean((mapped - direct) ** 2, axis=0))
         elapsed = time.perf_counter() - tic
@@ -134,17 +134,17 @@ class TestCriterion5MapCombination:
         x0 = rng.normal(size=2)
         stpm = build_stpm(x0, linear_dynamics(A), 0.0, 1.0, 1,
                           IntegratorSpec("rk4_fixed", step_size=0.01))
-        prior = GaussianBelief(stpm.constant_part, np.eye(2))
+        prior = GaussianBelief(stpm.components.constant, np.eye(2))
         fmap = build_flow_map(prior, linear_model(H, [[0.5]]), [0.3],
                               LambdaSchedule(np.linspace(0, 1, 201)), 1,
                               IntegratorSpec("rk4_fixed", step_size=1.0))
         combined = combine_maps(fmap, stpm)
-        c1 = stpm.coefficient_matrix()      # columns: constant, d0, d1
-        c2 = fmap.coefficient_matrix()
+        c1 = stpm.components.coeffs         # columns: constant, d0, d1
+        c2 = fmap.components.coeffs
         oracle = np.empty_like(c1)
         oracle[:, 0] = c2[:, 0]             # flow is centered at stpm's constant
         oracle[:, 1:] = c2[:, 1:] @ c1[:, 1:]
-        coeff_err = np.abs(combined.coefficient_matrix() - oracle).max()
+        coeff_err = np.abs(combined.components.coeffs - oracle).max()
 
         # nonlinear attitude maps: 100 random deviations, sequential oracle
         dyn = models.attitude_dynamics()
@@ -152,16 +152,16 @@ class TestCriterion5MapCombination:
         model = models.stacked_measurement()
         stpm_a = build_stpm(xa, dyn, 0.0, 2.0, 2,
                             IntegratorSpec("rk4_fixed", step_size=0.01))
-        prior_a = GaussianBelief(stpm_a.constant_part, models.INITIAL_STATE_COV)
-        fmap_a = build_flow_map(prior_a, model, model.h(stpm_a.constant_part),
+        prior_a = GaussianBelief(stpm_a.components.constant, models.INITIAL_STATE_COV)
+        fmap_a = build_flow_map(prior_a, model, model.h(stpm_a.components.constant),
                                 geometric_schedule(), 2,
                                 IntegratorSpec("rk4_fixed", step_size=1.0))
         combined_a = combine_maps(fmap_a, stpm_a)
         seq_err = 0.0
         for _ in range(100):
             d = 0.005 * rng.standard_normal(10)
-            seq = fmap_a.evaluate(stpm_a.evaluate(d) - stpm_a.constant_part)
-            seq_err = max(seq_err, np.abs(combined_a.evaluate(d) - seq).max())
+            seq = da.evaluate(fmap_a, da.evaluate(stpm_a, d) - stpm_a.components.constant)
+            seq_err = max(seq_err, np.abs(da.evaluate(combined_a, d) - seq).max())
         elapsed = time.perf_counter() - tic
         ok = coeff_err < 1e-9 and seq_err < 1e-7 and elapsed < 5.0
         report(5, "map combination equals sequential evaluation", ok,

@@ -38,7 +38,7 @@ class TestMakeVariable:
         ctx = da.AlgebraContext(3, 2)
         for c in (-3.5, 0.0, 12.25):
             v = da.make_variable(ctx, c, 1)
-            assert da.evaluate(v, 0) == c
+            assert da.evaluate(v, np.zeros(3)) == c
 
     def test_identity_recovery(self):
         ctx = da.AlgebraContext(2, 4)
@@ -182,7 +182,7 @@ class TestEvaluate:
     def test_constant_part(self):
         ctx = da.AlgebraContext(2, 3)
         p = da.make_variable(ctx, 4.0, 0) * da.make_variable(ctx, -1.0, 1)
-        assert da.evaluate(p, 0) == -4.0
+        assert da.evaluate(p, np.zeros(2)) == -4.0
         assert p.constant == -4.0
 
     def test_length_mismatch(self):
@@ -294,8 +294,8 @@ class TestCompose:
             combined = da.compose(outer, inner)
             for _ in range(5):
                 d = rng.normal(size=2)
-                direct = outer.evaluate(inner.evaluate(d) - inner.constant_part)
-                np.testing.assert_allclose(combined.evaluate(d), direct,
+                direct = da.evaluate(outer, da.evaluate(inner, d) - inner.components.constant)
+                np.testing.assert_allclose(da.evaluate(combined, d), direct,
                                            rtol=1e-9, atol=1e-9)
 
     def test_associativity(self):

@@ -43,9 +43,9 @@ class TestBuildStpm:
     def test_zero_dynamics_gives_identity(self):
         dyn = DynamicsModel(f=lambda x, t: 0.0 * x)
         stpm = build_stpm([1.0, -2.0], dyn, 0.0, 1.0, 2, RK4)
-        ident = da.identity_map(stpm.context, [1.0, -2.0])
-        np.testing.assert_allclose(stpm.coefficient_matrix(),
-                                   ident.coefficient_matrix(), atol=1e-15)
+        ident = da.identity_map(stpm.components.ctx, [1.0, -2.0])
+        np.testing.assert_allclose(stpm.components.coeffs,
+                                   ident.components.coeffs, atol=1e-15)
 
     def test_linear_dynamics_matches_matrix_exponential(self):
         rng = np.random.default_rng(0)
@@ -62,7 +62,7 @@ class TestBuildStpm:
         x0 = models.DEFAULT_INITIAL_STATE.as_vector()
         stpm = build_stpm(x0, dyn, 0.0, 2.0, 2, RK4)
         direct = integrate(dyn.f, x0, 0.0, 2.0, RK4)
-        np.testing.assert_allclose(stpm.constant_part, direct, rtol=1e-12)
+        np.testing.assert_allclose(stpm.components.constant, direct, rtol=1e-12)
 
     def test_requires_forward_interval(self):
         dyn = DynamicsModel(f=lambda x, t: x)
@@ -79,7 +79,7 @@ class TestPropagateEnsembleMap:
         center = np.array([1.0, 0.0])
         stpm = build_stpm(center, dyn, 0.0, 0.5, 2, RK4)
         out = da.evaluate_many(stpm, np.zeros((2, 2)))
-        np.testing.assert_allclose(out[0], stpm.constant_part, rtol=1e-14)
+        np.testing.assert_allclose(out[0], stpm.components.constant, rtol=1e-14)
 
     def test_identity_map_keeps_ensemble(self):
         ctx = da.AlgebraContext(2, 2)
@@ -107,10 +107,10 @@ class TestCombineMaps:
     def test_identity_flow_keeps_stpm(self):
         dyn = linear_dynamics([[0.0, 1.0], [-0.5, 0.0]])
         stpm = build_stpm([1.0, 2.0], dyn, 0.0, 0.7, 3, RK4)
-        ident_flow = da.identity_map(stpm.context, stpm.constant_part)
+        ident_flow = da.identity_map(stpm.components.ctx, stpm.components.constant)
         combined = combine_maps(ident_flow, stpm)
-        np.testing.assert_allclose(combined.coefficient_matrix(),
-                                   stpm.coefficient_matrix(), atol=1e-13)
+        np.testing.assert_allclose(combined.components.coeffs,
+                                   stpm.components.coeffs, atol=1e-13)
 
     def test_sequential_evaluation_oracle(self):
         rng = np.random.default_rng(3)
@@ -119,14 +119,14 @@ class TestCombineMaps:
         x0 = models.normalize_quaternion_block(
             models.DEFAULT_INITIAL_STATE.as_vector() + 0.01 * rng.standard_normal(10))
         stpm = build_stpm(x0, dyn, 0.0, 2.0, 2, RK4)
-        prior = GaussianBelief(stpm.constant_part, models.INITIAL_STATE_COV)
-        truth_meas = model.h(stpm.constant_part)
+        prior = GaussianBelief(stpm.components.constant, models.INITIAL_STATE_COV)
+        truth_meas = model.h(stpm.components.constant)
         fmap = build_flow_map(prior, model, truth_meas, geometric_schedule(), 2, ONE_STEP)
         combined = combine_maps(fmap, stpm)
         for _ in range(100):
             d = 0.005 * rng.standard_normal(10)
-            sequential = fmap.evaluate(stpm.evaluate(d) - stpm.constant_part)
-            np.testing.assert_allclose(combined.evaluate(d), sequential,
+            sequential = da.evaluate(fmap, da.evaluate(stpm, d) - stpm.components.constant)
+            np.testing.assert_allclose(da.evaluate(combined, d), sequential,
                                        rtol=1e-7, atol=1e-9)
 
     def test_linear_composition_matches_kalman_chain(self):
@@ -142,14 +142,14 @@ class TestCombineMaps:
         stpm = build_stpm(x0, linear_dynamics(A), 0.0, dt, 1, RK4)
         phi = expm(A * dt)
         p_minus = phi @ P0 @ phi.T
-        prior = GaussianBelief(stpm.constant_part, p_minus)
+        prior = GaussianBelief(stpm.components.constant, p_minus)
         fmap = build_flow_map(prior, linear_model(H, R), y, DENSE, 1, ONE_STEP)
         combined = combine_maps(fmap, stpm)
         for _ in range(5):
             d = rng.normal(size=2)
             x_pred = phi @ (x0 + d)
             expected, _ = kalman_information_update(x_pred, p_minus, np.asarray(H), R, y)
-            np.testing.assert_allclose(combined.evaluate(d), expected,
+            np.testing.assert_allclose(da.evaluate(combined, d), expected,
                                        rtol=1e-6, atol=1e-8)
 
     def test_center_mismatch_rejected(self):

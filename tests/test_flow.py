@@ -230,7 +230,7 @@ class TestBuildFlowMap:
         for _ in range(5):
             d = rng.normal(size=3) * 0.5
             expected, _ = kalman_information_update(x0 + d, P0, A, R, y)
-            np.testing.assert_allclose(fmap.evaluate(d), expected, rtol=1e-6, atol=1e-8)
+            np.testing.assert_allclose(da.evaluate(fmap, d), expected, rtol=1e-6, atol=1e-8)
 
     def test_order_one_map_is_affine(self, linear_case):
         A, R, P0, x0, y = linear_case
@@ -256,8 +256,8 @@ class TestBuildFlowMap:
         prior = GaussianBelief(x0, P0)
         fmap, p1 = build_flow_map(prior, model, y, DENSE, 1, ONE_STEP, return_cov=True)
         plain = build_flow_map(prior, model, y, DENSE, 1, ONE_STEP)
-        np.testing.assert_array_equal(fmap.coefficient_matrix(),
-                                      plain.coefficient_matrix())
+        np.testing.assert_array_equal(fmap.components.coeffs,
+                                      plain.components.coeffs)
         np.testing.assert_allclose(p1, flow_mean_cov(prior, model, y, DENSE, ONE_STEP).cov,
                                    atol=1e-14)
 
@@ -330,7 +330,7 @@ class TestFlowEnsembleOde:
             # the running mean H is frozen at is the image of the prior mean
             # on every route, so all three carry the same mean and covariance
             post = flow_mean_cov(prior, model, y, schedule, spec)
-            np.testing.assert_allclose(fmap.constant_part, post.mean, rtol=1e-12)
+            np.testing.assert_allclose(fmap.components.constant, post.mean, rtol=1e-12)
             np.testing.assert_allclose(p1_map, post.cov, rtol=1e-12)
             np.testing.assert_allclose(p1, post.cov, rtol=1e-12)
 
@@ -364,12 +364,6 @@ class TestValidation:
     def test_belief_rejects_indefinite(self):
         with pytest.raises(ValueError, match="semidefinite"):
             GaussianBelief([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
-
-    def test_belief_information_pair(self):
-        b = GaussianBelief([1.0, -1.0], [[2.0, 0.0], [0.0, 4.0]])
-        s, z = b.information()
-        np.testing.assert_allclose(s, [[0.5, 0.0], [0.0, 0.25]])
-        np.testing.assert_allclose(z, [0.5, -0.25])
 
     def test_measurement_model_rejects_bad_noise(self):
         with pytest.raises(ValueError, match="positive definite"):

@@ -44,10 +44,10 @@ def _attitude_maps():
     stpm = build_stpm(x0, models.attitude_dynamics(), 0.0, cfg.meas_period,
                       cfg.order, cfg.dynamics_spec())
     model = models.stacked_measurement()
-    prior = GaussianBelief(stpm.constant_part, models.INITIAL_STATE_COV)
+    prior = GaussianBelief(stpm.components.constant, models.INITIAL_STATE_COV)
     # a measurement off the predicted one by about one noise sigma per component
     sigma = np.sqrt(np.diag(model.noise_cov))
-    y = model.h(stpm.constant_part) + sigma * np.linspace(-1.0, 1.0, model.dim)
+    y = model.h(stpm.components.constant) + sigma * np.linspace(-1.0, 1.0, model.dim)
     fmap = build_flow_map(prior, model, y, cfg.schedule(), cfg.order, cfg.flow_spec())
     return stpm, fmap
 
@@ -82,8 +82,9 @@ def parse_dump(text: str, ctx: algebra.AlgebraContext, n_components: int) -> np.
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_map_matches_golden_dump(name):
     fmap = BUILDERS[name]()
-    got = fmap.coefficient_matrix()
-    want = parse_dump(_path(name).read_text(), fmap.context, len(fmap))
+    got = fmap.components.coeffs
+    want = parse_dump(_path(name).read_text(), fmap.components.ctx,
+                      fmap.components.shape[0])
     scale = np.abs(want).max(axis=1, keepdims=True)
     assert np.all(np.abs(got - want) <= REL_TOL * scale), (
         f"{name}: largest relative deviation "

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from daflow import harness
-from daflow.algebra import DomainError, truncation_indicator
+from daflow.algebra import DomainError, evaluate_many, truncation_indicator
 from daflow.cli import main
 from daflow.filter import daruff_step
 from daflow.flow import FlowError, GaussianBelief, build_flow_map, flow_ensemble_ode
@@ -172,8 +172,16 @@ class TestRunToy:
         predicted = np.hstack([devs, np.ones((len(devs), 1))]) @ coef
         np.testing.assert_allclose(result.posterior_da, predicted, atol=1e-9)
 
-    def test_particles_beyond_convergence_region_are_ode_flowed(self, small_toy):
+    def test_particles_beyond_convergence_region_are_ode_flowed(self, small_toy, monkeypatch):
+        calls = []
+
+        def ode(*args, **kwargs):
+            calls.append(None)
+            return flow_ensemble_ode(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "flow_ensemble_ode", ode)
         result = run_toy(small_toy)
+        assert len(calls) == 1  # one ODE pass serves both routes
         prior = GaussianBelief(TOY_PRIOR_MEAN, TOY_PRIOR_COV)
         model = range_model(TOY_NOISE_SIGMA)
         fmap = build_flow_map(prior, model, [1.0], small_toy.schedule(),
@@ -182,10 +190,9 @@ class TestRunToy:
         beyond = truncation_indicator(fmap, devs) > TOY_TRUNCATION_BOUND
         assert 0 < result.n_ode_fallback == beyond.sum() < len(devs)
         np.testing.assert_array_equal(result.posterior_da[~beyond],
-                                      fmap.evaluate_many(devs[~beyond]))
-        ode = flow_ensemble_ode(result.prior[beyond], prior, model, [1.0],
-                                small_toy.schedule(), small_toy.flow_spec())
-        np.testing.assert_array_equal(result.posterior_da[beyond], ode)
+                                      evaluate_many(fmap, devs[~beyond]))
+        np.testing.assert_array_equal(result.posterior_da[beyond],
+                                      result.posterior_ode[beyond])
 
 
 class TestEmitCsv:
@@ -293,6 +300,43 @@ class TestAttitudeMc:
         assert runs_lines == ["run_index,seed,failed_methods", "0,0:0,da", "1,0:1,"]
 
 
+class TestBenchTiming:
+    def test_failed_step_is_counted_in_its_cell(self, tmp_path, monkeypatch):
+        # six polynomial-map steps per cell: the ninth is the second cell's
+        # second timed step
+        calls = []
+
+        def step(*args):
+            calls.append(None)
+            if len(calls) == 9:
+                raise FlowError("injected failure")
+            return daruff_step(*args)
+
+        monkeypatch.setattr(harness, "daruff_step", step)
+        table = bench_timing(committed("attitude"), [20, 30])
+        cells = [(r["method"], r["n_per_dim"], r["failed_steps"]) for r in table.rows]
+        assert cells == [("da", 20, 0), ("ode", 20, 0), ("da", 30, 1), ("ode", 30, 0)]
+        assert all(np.isfinite(r["step_seconds"]) for r in table.rows)
+        assert all(np.isfinite(slope) for slope in table.slopes.values())
+        lines = emit_csv(table, tmp_path)[0].read_text().splitlines()
+        assert lines[0].endswith(",evaluate_seconds,failed_steps")
+        assert [line.split(",")[-1] for line in lines[1:]] == ["0", "0", "1", "0"]
+
+    def test_cell_without_timed_steps_reads_nan(self, monkeypatch):
+        def step(*args):
+            raise FlowError("injected failure")
+
+        monkeypatch.setattr(harness, "daruff_step", step)
+        table = bench_timing(committed("attitude"), [20])
+        da, ode = table.rows
+        assert da["failed_steps"] == harness.BENCH_REPETITIONS + 1
+        assert np.isnan([da["step_seconds"], da["propagate"], da["flow"],
+                         da["evaluate"]]).all()
+        assert ode["failed_steps"] == 0 and np.isfinite(ode["step_seconds"])
+        # one timed cell per method fits no slope
+        assert np.isnan(table.slopes["da"]) and np.isnan(table.slopes["ode"])
+
+
 class TestCli:
     def write_config(self, tmp_path, cfg):
         path = tmp_path / "cfg.json"
@@ -357,6 +401,21 @@ class TestCli:
                      "--out", str(out)]) == 1
         assert "error: flow covariance is not positive semidefinite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bench_reports_failed_steps_and_exits_zero(self, tmp_path, capsys, monkeypatch):
+        def bench_timing(cfg, grid):
+            rows = [dict(method=m, n_per_dim=2, n_particles=20, step_seconds=0.1,
+                         propagate=0.0, flow=0.0, evaluate=0.0, failed_steps=f)
+                    for m, f in (("da", 2), ("ode", 0))]
+            return harness.TimingTable(rows=rows, slopes={"da": np.nan, "ode": np.nan})
+
+        monkeypatch.setattr("daflow.cli.bench_timing", bench_timing)
+        out = tmp_path / "o"
+        assert main(["bench", "--config", str(CONFIGS / "attitude.json"), "--particles", "2",
+                     "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["da at 2 per dimension: 2 failed steps left out"]
+        assert (out / "timing.csv").exists()
 
     def test_bench_requires_particle_list(self, tmp_path, capsys):
         path = self.write_config(tmp_path, committed("attitude"))
