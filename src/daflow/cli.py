@@ -71,8 +71,8 @@ def main(argv=None) -> int:
         elif args.command == "attitude":
             result = run_attitude_mc(cfg)
             paths = emit_csv(result, args.out)
-            for method, series in sorted(result.rmse.items()):
-                avg = series.mean(axis=0)
+            for method in sorted(result.rmse):
+                avg = result.time_averaged_rmse(method)
                 print(f"{method}: time-averaged RMSE q={avg[0]:.6g} "
                       f"omega={avg[1]:.6g} bias={avg[2]:.6g}")
             for idx, method, msg in result.failed_runs:

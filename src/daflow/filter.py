@@ -164,11 +164,11 @@ def spread_correction(predicted: np.ndarray, prior_cov: np.ndarray,
     return devs @ (m - phi).T
 
 
-def _finish_step(t1, particles, cfg) -> FilterState:
+def _finish_step(t1, particles, cfg, timing: StepTiming) -> FilterState:
     if cfg.particle_postprocess is not None:
         particles = cfg.particle_postprocess(particles)
     ens = Ensemble(particles)
-    return FilterState(t1, ensemble_stats(ens), ens)
+    return FilterState(t1, ensemble_stats(ens), ens, timing)
 
 
 def daruff_step(state: FilterState, dynamics: DynamicsModel,
@@ -201,9 +201,7 @@ def daruff_step(state: FilterState, dynamics: DynamicsModel,
     posterior = posterior + spread_correction(predicted, prior.cov, post_cov)
     t_eval = time.perf_counter() - tic
 
-    out = _finish_step(t1, posterior, cfg)
-    out.timing = StepTiming(t_prop, t_flow, t_eval)
-    return out
+    return _finish_step(t1, posterior, cfg, StepTiming(t_prop, t_flow, t_eval))
 
 
 def baseline_pff_step(state: FilterState, dynamics: DynamicsModel,
@@ -226,6 +224,4 @@ def baseline_pff_step(state: FilterState, dynamics: DynamicsModel,
     flowed = flowed + spread_correction(predicted, prior.cov, post_cov)
     t_flow = time.perf_counter() - tic
 
-    out = _finish_step(t1, flowed, cfg)
-    out.timing = StepTiming(t_prop, t_flow, 0.0)
-    return out
+    return _finish_step(t1, flowed, cfg, StepTiming(t_prop, t_flow, 0.0))

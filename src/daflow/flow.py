@@ -36,15 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (
-    AlgebraContext,
-    DAScalar,
-    DAVector,
-    compose,
-    identity_map,
-    partial_derive,
-    stack,
-)
+# compose is not called here: perfbench's tracer looks up daflow.flow.compose
+from .algebra import AlgebraContext, DAScalar, DAVector, compose, identity_map
 from .integrate import IntegratorSpec, Stacked, integrate
 
 __all__ = [
@@ -140,25 +133,18 @@ class MeasurementModel:
         return self.noise_cov.shape[0]
 
 
-def da_jacobian(h: Callable, x, m: int):
-    """Jacobian of h from a polynomial expansion of h about a point.
-
-    At a real state (n,) -> (m, n), the expansion is first order about the
-    state.  At a polynomial state -> (m, n) polynomial array, h is expanded
-    about the state's constant part at the state's order, differentiated,
-    and composed with the state; the top degree of the result is lost to
-    the differentiation.
-    """
-    if not isinstance(x, DAScalar):
-        x = np.asarray(x, dtype=float)
-        return da_jacobian(h, identity_map(AlgebraContext(len(x), 1), x).components, m).constant
-    n, center = x.shape[0], x.constant
-    hloc = h(identity_map(x.ctx, center).components)
+def da_jacobian(h: Callable, x, m: int) -> np.ndarray:
+    """Jacobian (m, n) of h at a real state (n,), read off the first-order
+    block of h's order-1 expansion about the state."""
+    if isinstance(x, DAScalar):
+        raise TypeError("da_jacobian takes a real state (n,), not a polynomial state")
+    x = np.asarray(x, dtype=float)
+    hloc = h(identity_map(AlgebraContext(len(x), 1), x).components)
     if hloc.shape != (m,):
         raise ValueError(f"h returned shape {hloc.shape}, expected ({m},)")
-    jloc = stack([partial_derive(hloc, j) for j in range(n)], axis=-1).reshape(m * n)
-    # the expansion is about the constant part, so compose it with the state
-    return compose(DAVector(jloc, center), DAVector(x, center)).components.reshape(m, n)
+    # the degree-1 monomials follow the constant, in variable order; the
+    # copy is contiguous, so a caller's ravel() is a view
+    return hloc.coeffs[:, 1:].copy()
 
 
 @dataclass

@@ -137,6 +137,9 @@ class ScenarioConfig:
         ratio = self.meas_period / self.dt
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError("meas_period must be a multiple of dt")
+        epochs = self.duration / self.meas_period
+        if abs(epochs - round(epochs)) > 1e-9 or round(epochs) < 1:
+            raise ConfigError("duration must be a whole multiple (>= 1) of meas_period")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":

@@ -307,7 +307,10 @@ def simulate_truth(x0: AttitudeState, params: RigidBodyParams, duration: float,
     steps_per_epoch = meas_period / dt
     if abs(steps_per_epoch - round(steps_per_epoch)) > 1e-9:
         raise ValueError("meas_period must be a multiple of dt")
-    n_epochs = int(round(duration / meas_period))
+    epochs = duration / meas_period
+    if abs(epochs - round(epochs)) > 1e-9 or round(epochs) < 1:
+        raise ValueError("duration must be a whole multiple (>= 1) of meas_period")
+    n_epochs = int(round(epochs))
     model = stacked_measurement(catalog)
     rng = None if seed is None else np.random.default_rng(seed)
     noise_scale = np.sqrt(np.diag(model.noise_cov))

@@ -199,8 +199,19 @@ class TestEvaluate:
         singles = [da.evaluate(p, d) for d in devs]
         np.testing.assert_allclose(batch, singles, rtol=1e-14)
 
+    @pytest.mark.parametrize("devs", [np.zeros((4, 2)), np.zeros(3)])
+    def test_evaluate_many_refuses_wrong_width(self, devs):
+        p = da.make_variable(da.AlgebraContext(3, 2), 1.0, 0)
+        with pytest.raises(ValueError, match=r"deviation block must be \(N, 3\)"):
+            da.evaluate_many(p, devs)
+
 
 class TestTruncationIndicator:
+    def test_refuses_wrong_width(self):
+        vec = da.identity_map(da.AlgebraContext(3, 2), [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"deviation block must be \(N, 3\)"):
+            da.truncation_indicator(vec, np.zeros((4, 2)))
+
     def test_norm_of_top_degree_terms(self):
         ctx = da.AlgebraContext(2, 3)
         rng = np.random.default_rng(5)

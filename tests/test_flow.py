@@ -416,3 +416,12 @@ class TestValidation:
                 da_jacobian(model.h, np.asarray(x), 1), model.jac(np.asarray(x)),
                 rtol=1e-12,
             )
+
+    def test_da_jacobian_checks_output_shape(self):
+        with pytest.raises(ValueError, match=r"expected \(3,\)"):
+            da_jacobian(range_model().h, np.array([3.0, 4.0]), 3)
+
+    def test_da_jacobian_takes_a_real_state(self):
+        x = da.identity_map(da.AlgebraContext(2, 2), [3.0, 4.0]).components
+        with pytest.raises(TypeError, match="real state"):
+            da_jacobian(range_model().h, x, 1)

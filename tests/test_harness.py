@@ -79,6 +79,8 @@ class TestScenarioConfig:
         {"innovation": "nonlinear"},  # retired key: stale configs must fail
         {"integrator": "rk4_fixed"},  # retired key: the scenario sets the integrators
         {"seed": DROP},  # every key is required
+        {"duration": 63.0},  # off the 2 s measurement grid
+        {"duration": 1.0},  # shorter than one measurement period
     ])
     def test_invalid_values_rejected(self, patch):
         data = json.loads((CONFIGS / "attitude.json").read_text())
@@ -355,6 +357,15 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert main(["validate", "--config", str(path)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("duration", [63.0, 1.0])
+    def test_validate_rejects_duration_off_the_grid(self, tmp_path, capsys, duration):
+        # the truth runs whole epochs; rounding 1.0 s to none would leave nan RMSEs
+        path = tmp_path / "bad.json"
+        data = json.loads((CONFIGS / "attitude_scaled.json").read_text())
+        path.write_text(json.dumps({**data, "duration": duration}))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "duration must be a whole multiple" in capsys.readouterr().err
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
     def test_committed_config_loads(self, path, capsys):

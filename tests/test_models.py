@@ -385,3 +385,9 @@ class TestSimulateTruth:
         with pytest.raises(ValueError, match="multiple"):
             models.simulate_truth(models.DEFAULT_INITIAL_STATE,
                                   models.DEFAULT_PARAMS, 4.0, 0.03, 2.0, seed=1)
+
+    @pytest.mark.parametrize("duration", [5.0, 1.0])
+    def test_duration_must_be_whole_epochs(self, duration):
+        with pytest.raises(ValueError, match="duration must be a whole multiple"):
+            models.simulate_truth(models.DEFAULT_INITIAL_STATE,
+                                  models.DEFAULT_PARAMS, duration, 0.01, 2.0, seed=1)
