@@ -536,12 +536,11 @@ def truncation_indicator(vec: "DAVector", deviations: np.ndarray) -> np.ndarray:
     to estimate from and reads zero everywhere.
     """
     ctx = vec.components.ctx
-    devs = np.asarray(deviations, dtype=float)
+    vals = ctx.monomial_values(deviations)
     if ctx.max_order < 2:
-        return np.zeros(devs.shape[0])
+        return np.zeros(len(vals))
     top = ctx.degrees == ctx.max_order
-    vals = ctx.monomial_values(devs)[:, top]
-    return np.linalg.norm(vals @ vec.components.coeffs[:, top].T, axis=1)
+    return np.linalg.norm(vals[:, top] @ vec.components.coeffs[:, top].T, axis=1)
 
 
 def partial_derive(a: DAScalar, var_index: int) -> DAScalar:

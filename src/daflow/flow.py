@@ -168,19 +168,19 @@ class LambdaSchedule:
         return zip(self.nodes[:-1], self.nodes[1:])
 
 
-def geometric_schedule(first: float = 0.001, last: float = 1.0, count: int = 50) -> LambdaSchedule:
-    """{0} followed by ``count`` geometrically spaced nodes from first to last.
+def geometric_schedule(first: float = 0.001, count: int = 50) -> LambdaSchedule:
+    """{0} followed by ``count`` geometrically spaced nodes from first to 1.
 
     Small early steps move particles gently where the flow is stiffest;
     later steps grow as the flow relaxes.
     """
-    if not (0.0 < first < last <= 1.0):
-        raise ValueError(f"need 0 < first < last <= 1, got ({first}, {last})")
+    if not (0.0 < first < 1.0):
+        raise ValueError(f"need 0 < first < 1, got {first}")
     if count < 2:
         raise ValueError("count must be >= 2")
-    ratio = (last / first) ** (1.0 / (count - 1))
+    ratio = (1.0 / first) ** (1.0 / (count - 1))
     nodes = np.concatenate([[0.0], first * ratio ** np.arange(count)])
-    nodes[-1] = last
+    nodes[-1] = 1.0
     return LambdaSchedule(nodes)
 
 

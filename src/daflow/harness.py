@@ -125,21 +125,21 @@ class ScenarioConfig:
             raise ConfigError("order must be >= 1")
         if self.n_particles_per_dim < 1:
             raise ConfigError("n_particles_per_dim must be positive")
-        if not (0.0 < first < last <= 1.0) or count < 2:
-            raise ConfigError("lambda_schedule must satisfy 0 < first < last <= 1, count >= 2")
+        # each run draws from default_rng([seed, i]), which takes no negative seed
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        try:
+            self.schedule()
+        except ValueError as exc:
+            raise ConfigError(f"lambda_schedule {list(self.lambda_schedule)}: {exc}") from exc
         if not attitude:
             return
         if self.n_mc < 1:
             raise ConfigError("n_mc must be positive")
-        for name in ("duration", "dt", "meas_period"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        ratio = self.meas_period / self.dt
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ConfigError("meas_period must be a multiple of dt")
-        epochs = self.duration / self.meas_period
-        if abs(epochs - round(epochs)) > 1e-9 or round(epochs) < 1:
-            raise ConfigError("duration must be a whole multiple (>= 1) of meas_period")
+        try:
+            models.measurement_epochs(self.duration, self.dt, self.meas_period)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -168,7 +168,9 @@ class ScenarioConfig:
 
     def schedule(self) -> LambdaSchedule:
         first, last, count = self.lambda_schedule
-        return geometric_schedule(first, last, count)
+        if last != 1:
+            raise ValueError(f"the schedule ends at 1, got last = {last}")
+        return geometric_schedule(first, count)
 
     def dynamics_spec(self) -> IntegratorSpec:
         """RK4 at the truth simulation's step ``dt``; the toy has no dynamics."""
@@ -217,9 +219,9 @@ class ToyResult:
     n_ode_fallback: int
 
 
-def _ring_fraction(cloud: np.ndarray, radius: float = 1.0,
-                   tol: float = 3.0 * TOY_NOISE_SIGMA) -> float:
-    return float(np.mean(np.abs(np.linalg.norm(cloud, axis=1) - radius) < tol))
+def _ring_fraction(cloud: np.ndarray) -> float:
+    gap = np.abs(np.linalg.norm(cloud, axis=1) - TOY_MEASUREMENT)
+    return float(np.mean(gap < 3.0 * TOY_NOISE_SIGMA))
 
 
 def run_toy(cfg: ScenarioConfig) -> ToyResult:

@@ -19,6 +19,8 @@ from .algebra import DAScalar
 __all__ = ["IntegratorSpec", "IntegrationError", "Stacked", "integrate"]
 
 METHODS = ("rk4_fixed", "rk78_adaptive")
+TOLERANCE = 1e-10  # rk78_adaptive's relative and absolute error tolerance
+MAX_STEPS = 1_000_000  # steps (rk4_fixed) or attempts (rk78_adaptive) per call
 
 
 class IntegrationError(RuntimeError):
@@ -27,30 +29,19 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorSpec:
-    """Integrator selection and controls.
-
-    rk4_fixed uses ``step_size`` (the span is split into
+    """Integrator selection.  rk4_fixed splits the span into
     ceil(span/step_size) equal steps, so the last step lands exactly on the
-    endpoint); rk78_adaptive uses the mixed relative/absolute tolerance.
+    endpoint; rk78_adaptive holds its error estimate within ``TOLERANCE``.
     """
 
     method: str = "rk4_fixed"
     step_size: float | None = None
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-10
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.method == "rk4_fixed":
-            if self.step_size is None or self.step_size <= 0:
-                raise ValueError("rk4_fixed requires step_size > 0")
-        else:
-            if self.rel_tol <= 0 or self.abs_tol <= 0:
-                raise ValueError("rk78_adaptive requires positive tolerances")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        if self.method == "rk4_fixed" and (self.step_size is None or self.step_size <= 0):
+            raise ValueError("rk4_fixed requires step_size > 0")
 
 
 class Stacked:
@@ -102,15 +93,15 @@ def integrate(rhs, y0, t0: float, t1: float, spec: IntegratorSpec):
         return y0
     if spec.method == "rk4_fixed":
         return _rk4(rhs, y0, t0, t1, spec)
-    return _rk78(rhs, y0, t0, t1, spec)
+    return _rk78(rhs, y0, t0, t1)
 
 
 def _rk4(rhs, y0, t0, t1, spec):
     span = t1 - t0
     n = max(1, math.ceil(span / spec.step_size - 1e-12))
-    if n > spec.max_steps:
+    if n > MAX_STEPS:
         raise IntegrationError(
-            f"rk4_fixed needs {n} steps, exceeding max_steps={spec.max_steps}"
+            f"rk4_fixed needs {n} steps, exceeding max_steps={MAX_STEPS}"
         )
     h = span / n
     y = y0
@@ -159,7 +150,7 @@ def _weighted_sum(terms):
     return acc
 
 
-def _rk78(rhs, y0, t0, t1, spec):
+def _rk78(rhs, y0, t0, t1):
     t = t0
     y = y0
     h = t1 - t0
@@ -169,9 +160,9 @@ def _rk78(rhs, y0, t0, t1, spec):
         h = min(h, t1 - t)
         if h < tiny:
             raise IntegrationError("rk78_adaptive step size collapsed")
-        if attempts >= spec.max_steps:
+        if attempts >= MAX_STEPS:
             raise IntegrationError(
-                f"rk78_adaptive exceeded max_steps={spec.max_steps}"
+                f"rk78_adaptive exceeded max_steps={MAX_STEPS}"
             )
         attempts += 1
 
@@ -189,7 +180,7 @@ def _rk78(rhs, y0, t0, t1, spec):
             if b8 != b7
         )
         ref = np.maximum(np.abs(_leading_values(y)), np.abs(_leading_values(y8)))
-        err = float(np.max(np.abs(diff) / (spec.abs_tol + spec.rel_tol * ref)))
+        err = float(np.max(np.abs(diff) / (TOLERANCE + TOLERANCE * ref)))
 
         if err <= 1.0:
             y = y8

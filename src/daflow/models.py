@@ -37,6 +37,7 @@ __all__ = [
     "star_tracker_h",
     "gyro_h",
     "stacked_measurement",
+    "measurement_epochs",
     "simulate_truth",
     "normalize_quaternion_block",
     "DEFAULT_PARAMS",
@@ -297,21 +298,29 @@ class TruthLog:
     initial_state: np.ndarray
 
 
+def measurement_epochs(duration: float, dt: float, meas_period: float) -> int:
+    """Epochs the truth runs: every value positive and finite, ``meas_period``
+    a whole number (>= 1) of ``dt`` steps and ``duration`` one of periods."""
+    grid = {"duration": duration, "dt": dt, "meas_period": meas_period}
+    for name, value in grid.items():
+        if not (value > 0 and np.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    for name, unit in (("meas_period", "dt"), ("duration", "meas_period")):
+        # a quotient of finite values can still overflow
+        ratio = grid[name] / grid[unit]
+        if not (np.isfinite(ratio) and round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-9):
+            raise ValueError(f"{name} must be a whole multiple (>= 1) of {unit}")
+    return round(duration / meas_period)
+
+
 def simulate_truth(x0: AttitudeState, params: RigidBodyParams, duration: float,
-                   dt: float, meas_period: float, seed,
-                   catalog: StarCatalog = DEFAULT_CATALOG) -> TruthLog:
+                   dt: float, meas_period: float, seed) -> TruthLog:
     """Propagate the truth with fixed-step RK4 and log noisy measurements.
 
     ``seed=None`` disables measurement noise entirely.
     """
-    steps_per_epoch = meas_period / dt
-    if abs(steps_per_epoch - round(steps_per_epoch)) > 1e-9:
-        raise ValueError("meas_period must be a multiple of dt")
-    epochs = duration / meas_period
-    if abs(epochs - round(epochs)) > 1e-9 or round(epochs) < 1:
-        raise ValueError("duration must be a whole multiple (>= 1) of meas_period")
-    n_epochs = int(round(epochs))
-    model = stacked_measurement(catalog)
+    n_epochs = measurement_epochs(duration, dt, meas_period)
+    model = stacked_measurement()
     rng = None if seed is None else np.random.default_rng(seed)
     noise_scale = np.sqrt(np.diag(model.noise_cov))
     spec = IntegratorSpec("rk4_fixed", step_size=dt)

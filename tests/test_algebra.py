@@ -208,9 +208,11 @@ class TestEvaluate:
 
 class TestTruncationIndicator:
     def test_refuses_wrong_width(self):
-        vec = da.identity_map(da.AlgebraContext(3, 2), [0.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match=r"deviation block must be \(N, 3\)"):
-            da.truncation_indicator(vec, np.zeros((4, 2)))
+        # an affine map reads zero, but only on a block of the right width
+        for order in (2, 1):
+            vec = da.identity_map(da.AlgebraContext(3, order), [0.0, 0.0, 0.0])
+            with pytest.raises(ValueError, match=r"deviation block must be \(N, 3\)"):
+                da.truncation_indicator(vec, np.zeros((4, 2)))
 
     def test_norm_of_top_degree_terms(self):
         ctx = da.AlgebraContext(2, 3)

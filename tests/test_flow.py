@@ -69,7 +69,7 @@ def linear_case():
 
 class TestGeometricSchedule:
     def test_paper_defaults(self):
-        s = geometric_schedule(0.001, 1.0, 50)
+        s = geometric_schedule(0.001, 50)
         assert len(s.nodes) == 51
         assert s.nodes[0] == 0.0
         assert s.nodes[1] == pytest.approx(0.001, abs=1e-18)
@@ -78,19 +78,19 @@ class TestGeometricSchedule:
         np.testing.assert_allclose(ratios, 10.0 ** (3.0 / 49.0), rtol=1e-12)
 
     def test_two_node_case(self):
-        np.testing.assert_allclose(geometric_schedule(0.5, 1.0, 2).nodes, [0.0, 0.5, 1.0])
+        np.testing.assert_allclose(geometric_schedule(0.5, 2).nodes, [0.0, 0.5, 1.0])
 
     def test_gaps_grow_within_geometric_part(self):
-        s = geometric_schedule(0.001, 1.0, 50)
+        s = geometric_schedule(0.001, 50)
         gaps = np.diff(s.nodes)
         assert np.all(np.diff(gaps[1:]) > 0)
 
     def test_invalid_bounds(self):
-        for bad in ((0.0, 1.0, 50), (0.5, 0.4, 10), (0.1, 1.5, 10)):
+        for bad in ((0.0, 50), (1.5, 10)):
             with pytest.raises(ValueError):
                 geometric_schedule(*bad)
         with pytest.raises(ValueError):
-            geometric_schedule(0.1, 1.0, 1)
+            geometric_schedule(0.1, 1)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):

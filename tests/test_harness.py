@@ -81,6 +81,10 @@ class TestScenarioConfig:
         {"seed": DROP},  # every key is required
         {"duration": 63.0},  # off the 2 s measurement grid
         {"duration": 1.0},  # shorter than one measurement period
+        {"lambda_schedule": (0.001, 0.5, 50)},  # the pseudo-time ends at 1
+        {"seed": -1},  # default_rng takes no negative seed
+        {"duration": float("inf")},
+        {"dt": 1e12},  # longer than the measurement period
     ])
     def test_invalid_values_rejected(self, patch):
         data = json.loads((CONFIGS / "attitude.json").read_text())
@@ -366,6 +370,22 @@ class TestCli:
         path.write_text(json.dumps({**data, "duration": duration}))
         assert main(["validate", "--config", str(path)]) == 1
         assert "duration must be a whole multiple" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("lambda_schedule", [0.001, 0.5, 50], "the schedule ends at 1"),
+        ("seed", -1, "seed must be non-negative"),
+        ("duration", float("inf"), "duration must be positive and finite"),
+        ("dt", 1e12, "meas_period must be a whole multiple (>= 1) of dt"),
+    ], ids=["last", "seed", "duration", "dt"])
+    def test_validate_rejects_a_setting_every_run_would_fail_on(
+            self, tmp_path, capsys, key, value, message):
+        path = tmp_path / "bad.json"
+        data = json.loads((CONFIGS / "attitude_scaled.json").read_text())
+        path.write_text(json.dumps({**data, key: value}))  # inf is written Infinity
+        assert main(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert message in err[0]
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
     def test_committed_config_loads(self, path, capsys):

@@ -386,6 +386,15 @@ class TestSimulateTruth:
             models.simulate_truth(models.DEFAULT_INITIAL_STATE,
                                   models.DEFAULT_PARAMS, 4.0, 0.03, 2.0, seed=1)
 
+    @pytest.mark.parametrize("duration,dt,message", [
+        (4.0, 1e12, r"meas_period must be a whole multiple \(>= 1\) of dt"),
+        (float("inf"), 0.01, "duration must be positive and finite"),
+    ], ids=["dt", "duration"])
+    def test_grid_refuses_unrunnable_values(self, duration, dt, message):
+        with pytest.raises(ValueError, match=message):
+            models.simulate_truth(models.DEFAULT_INITIAL_STATE,
+                                  models.DEFAULT_PARAMS, duration, dt, 2.0, seed=1)
+
     @pytest.mark.parametrize("duration", [5.0, 1.0])
     def test_duration_must_be_whole_epochs(self, duration):
         with pytest.raises(ValueError, match="duration must be a whole multiple"):
