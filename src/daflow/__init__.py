@@ -36,11 +36,9 @@ from .flow import (
     LambdaSchedule,
     MeasurementModel,
     build_flow_map,
-    cov_rhs,
     da_jacobian,
     flow_ensemble_ode,
     flow_mean_cov,
-    flow_rhs,
     geometric_schedule,
 )
 from .harness import (

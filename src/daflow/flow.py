@@ -4,7 +4,12 @@ A measurement is absorbed by moving particles from pseudo-time 0 (the
 prior) to 1 (the posterior) along a stochastic flow:
 
     dx = P H^T R^-1 (y - h(x)) dl + dw,   E[dw dw^T] = P H^T R^-1 H P dl
-    dP/dl = -P H^T R^-1 H P
+    dJ/dl = H^T R^-1 H,   P = (I + P0 J)^-1 P0
+
+J is the information gained since the prior (J = 0 at l = 0); for a frozen
+H, P is the exact Daum-Huang covariance (P0^-1 + l H^T R^-1 H)^-1, written
+so that a singular P0 needs no inverse.  J's rate does not depend on P,
+so a step cannot make P indefinite.
 
 This module integrates the drift only, with one driver for every route
 and one law: every particle's drift takes the nonlinear innovation
@@ -14,10 +19,10 @@ The state it carries is either a polynomial state, which the map route
 which replaces every particle integration with one polynomial evaluation,
 or a batch of particles (:func:`flow_ensemble_ode`, and
 :func:`flow_mean_cov` on the one-row batch of the prior mean).  Next to the
-state rides one real (n, n) covariance, shared by every particle, whose
-law takes H at the running mean.  The running mean is the image of the
-prior mean, so it is read off the state: the polynomial state's constant
-part, or row 0 of a batch that starts with the prior mean.
+state rides one real (n, n) information matrix J, shared by every
+particle, whose rate takes H at the running mean.  The running mean is the
+image of the prior mean, so it is read off the state: the polynomial
+state's constant part, or row 0 of a batch that starts with the prior mean.
 
 One drift body serves every kind of state: the model's h and Jacobian run
 on the state as it is, and on a polynomial state they return their
@@ -47,8 +52,6 @@ __all__ = [
     "LambdaSchedule",
     "Ensemble",
     "geometric_schedule",
-    "flow_rhs",
-    "cov_rhs",
     "flow_mean_cov",
     "build_flow_map",
     "flow_ensemble_ode",
@@ -57,7 +60,7 @@ __all__ = [
 
 
 class FlowError(RuntimeError):
-    """The flow integration produced an invalid covariance or state."""
+    """The flow integration produced non-finite particles."""
 
 
 def _measurement(model: MeasurementModel, y) -> np.ndarray:
@@ -67,15 +70,6 @@ def _measurement(model: MeasurementModel, y) -> np.ndarray:
     if not np.isfinite(y).all():
         raise ValueError("measurement must be finite")
     return y
-
-
-def _check_symmetric_psd(cov: np.ndarray, what: str) -> None:
-    scale = max(np.abs(cov).max(), 1.0)
-    if np.abs(cov - cov.T).max() > 1e-10 * scale:
-        raise ValueError(f"{what} is not symmetric")
-    eigmin = float(np.linalg.eigvalsh(cov).min())
-    if eigmin < -1e-10 * max(np.trace(cov), 1e-300):
-        raise ValueError(f"{what} is not positive semidefinite (eigmin={eigmin:g})")
 
 
 @dataclass
@@ -91,7 +85,12 @@ class GaussianBelief:
         n = len(self.mean)
         if self.cov.shape != (n, n):
             raise ValueError(f"cov shape {self.cov.shape} does not match mean ({n},)")
-        _check_symmetric_psd(self.cov, "belief covariance")
+        cov = self.cov
+        if np.abs(cov - cov.T).max() > 1e-10 * max(np.abs(cov).max(), 1.0):
+            raise ValueError("belief covariance is not symmetric")
+        eigmin = float(np.linalg.eigvalsh(cov).min())
+        if eigmin < -1e-10 * max(np.trace(cov), 1e-300):
+            raise ValueError(f"belief covariance is not positive semidefinite (eigmin={eigmin:g})")
 
     @property
     def dim(self) -> int:
@@ -199,7 +198,7 @@ class Ensemble:
 
 
 # ---------------------------------------------------------------------------
-# drift / covariance right-hand sides
+# drift and flow driver
 
 
 def _drift(x, P, model: MeasurementModel, y):
@@ -214,71 +213,40 @@ def _drift(x, P, model: MeasurementModel, y):
     return u @ P.T
 
 
-def flow_rhs(x, P, model: MeasurementModel, y):
-    """Drift P H^T R^-1 (y - h(x)) of the measurement flow.
-
-    Accepts a real state (n,), a particle batch (N, n), or a polynomial
-    state (a (n,) DAScalar array), with H taken at the state itself
-    (polynomial H in the polynomial case), and the real (n, n) covariance
-    ``P``.
-    """
-    y = _measurement(model, y)
-    if not isinstance(x, DAScalar):
-        x = np.asarray(x, dtype=float)
-    return _drift(x, np.asarray(P, dtype=float), model, y)
-
-
-def cov_rhs(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """-P H^T R^-1 H P, exactly symmetrized."""
-    P = np.asarray(P, dtype=float)
-    H = np.asarray(H, dtype=float)
-    hp = H @ P
-    out = -hp.T @ np.linalg.solve(np.asarray(R, dtype=float), hp)
-    return 0.5 * (out + out.T)
-
-
-# ---------------------------------------------------------------------------
-# flow drivers
-
-
-def _fix_cov(P):
-    """Symmetrize the flow covariance and check it is positive semidefinite."""
-    P = 0.5 * (P + P.T)
-    try:
-        _check_symmetric_psd(P, "flow covariance")
-    except ValueError as exc:
-        raise FlowError(f"{exc}; the pseudo-time steps are too large") from None
-    return P
-
-
 def _flow(x, cov, model: MeasurementModel, y, schedule: LambdaSchedule,
           spec: IntegratorSpec):
-    """Carry the state ``x`` and the covariance from pseudo-time 0 to 1.
+    """Carry the state ``x`` and the information gained from pseudo-time 0
+    to 1.
 
     ``x`` is a polynomial state whose constant part is the prior mean, or a
     batch of particles whose row 0 is the prior mean; either way the image
     of the prior mean, the running mean, rides along in ``x``.  ``cov`` is
-    the prior covariance, whose law takes H at the running mean.  Returns
-    ``(x1, P1)``.
+    the prior covariance P0.  Next to ``x`` rides the information J, from
+    J = 0, whose rate H^T R^-1 H takes H at the running mean; the drift's
+    covariance is P = (I + P0 J)^-1 P0.  Returns ``(x1, P1)``.
     """
     y = _measurement(model, y)
     poly = isinstance(x, DAScalar)
+    eye = np.eye(len(cov))
 
     def rhs(s, lam):
-        x, P = s.parts
-        dP = cov_rhs(P, model.jac(x.constant if poly else x[0]), model.noise_cov)
-        return Stacked(_drift(x, P, model, y), dP)
+        x, J = s.parts
+        H = model.jac(x.constant if poly else x[0])
+        P = np.linalg.solve(eye + cov @ J, cov)
+        return Stacked(_drift(x, P, model, y), H.T @ model.noise_inv @ H)
 
-    state = Stacked(x, cov)
+    state = Stacked(x, np.zeros_like(cov))
     for lam0, lam1 in schedule.segments():
         state = integrate(rhs, state, lam0, lam1, spec)
-        state = Stacked(state.parts[0], _fix_cov(state.parts[1]))
-    return state.parts
+    x1, J1 = state.parts
+    P1 = np.linalg.solve(eye + cov @ J1, cov)
+    return x1, 0.5 * (P1 + P1.T)
 
 
 def flow_mean_cov(prior: GaussianBelief, model: MeasurementModel, y,
                   schedule: LambdaSchedule, spec: IntegratorSpec) -> GaussianBelief:
-    """Integrate the mean/covariance flow ODEs from prior to posterior."""
+    """Flow the prior mean and covariance to pseudo-time 1: the mean through
+    the drift, the covariance as P1 = (I + P0 J1)^-1 P0."""
     x1, P1 = _flow(prior.mean[None, :], prior.cov, model, y, schedule, spec)
     return GaussianBelief(x1[0], P1)
 
@@ -290,8 +258,8 @@ def build_flow_map(prior: GaussianBelief, model: MeasurementModel, y,
 
     The polynomial state starts as the identity around the prior mean and is
     integrated through the drift with a polynomial-valued H.  The covariance
-    entering the drift follows its own real-valued ODE with H frozen at the
-    running mean.
+    entering the drift comes from the real information J, whose rate takes
+    H at the running mean.
 
     The map realizes the drift only.  ``return_cov=True`` returns
     ``(map, P1)`` instead, where P1 is the covariance at pseudo-time 1 from
@@ -308,11 +276,11 @@ def flow_ensemble_ode(particles, prior: GaussianBelief, model: MeasurementModel,
                       *, return_cov: bool = False):
     """Flow every particle of an (N, n) array through the drift ODE.
 
-    All particles share one covariance trajectory, integrated from the
-    prior covariance with H evaluated at the running prior mean.  Each
-    particle's drift evaluates H at the particle itself.  Returns the
-    flowed (N, n) array; ``return_cov=True`` returns ``(flowed, P1)`` as
-    :func:`build_flow_map` does.
+    All particles share one covariance trajectory, read off the information
+    J, whose rate takes H at the running prior mean.  Each particle's drift
+    evaluates H at the particle itself.  Returns the flowed (N, n) array;
+    ``return_cov=True`` returns ``(flowed, P1)`` as :func:`build_flow_map`
+    does.
     """
     x = np.atleast_2d(np.asarray(particles, dtype=float))
     x1, post_cov = _flow(np.vstack([prior.mean, x]), prior.cov, model, y, schedule, spec)

@@ -6,16 +6,14 @@ import pytest
 import daflow.algebra as da
 from daflow.flow import (
     Ensemble,
-    FlowError,
     GaussianBelief,
     LambdaSchedule,
     MeasurementModel,
+    _drift,
     build_flow_map,
-    cov_rhs,
     da_jacobian,
     flow_ensemble_ode,
     flow_mean_cov,
-    flow_rhs,
     geometric_schedule,
 )
 from daflow.harness import (
@@ -25,7 +23,7 @@ from daflow.harness import (
     TOY_PRIOR_MEAN,
     ScenarioConfig,
 )
-from daflow.integrate import IntegratorSpec, integrate
+from daflow.integrate import IntegratorSpec
 from daflow.models import range_model
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -104,12 +102,12 @@ class TestFlowRhs:
         model = range_model()
         xhat = np.array([-3.5, 0.0])
         y = model.h(xhat)
-        drift = flow_rhs(xhat, np.eye(2), model, y)
+        drift = _drift(xhat, np.eye(2), model, y)
         np.testing.assert_array_equal(drift, [0.0, 0.0])
 
     def test_scalar_linear(self):
         model = linear_model([[1.0]], [[1.0]])
-        drift = flow_rhs(np.array([0.0]), np.array([[1.0]]), model, [2.0])
+        drift = _drift(np.array([0.0]), np.array([[1.0]]), model, np.array([2.0]))
         assert drift[0] == pytest.approx(2.0, abs=1e-15)
 
     def test_range_drift_at_prior_mean(self):
@@ -117,7 +115,7 @@ class TestFlowRhs:
         # P H^T (y - 3.5) / R elementwise
         model = range_model(0.1)
         P = np.array([[1.0, 0.5], [0.5, 1.0]])
-        drift = flow_rhs(np.array([-3.5, 0.0]), P, model, [1.0])
+        drift = _drift(np.array([-3.5, 0.0]), P, model, np.array([1.0]))
         expected = P @ np.array([-1.0, 0.0]) * (1.0 - 3.5) / 0.01
         np.testing.assert_allclose(drift, expected, rtol=1e-12)
 
@@ -126,63 +124,71 @@ class TestFlowRhs:
         model = linear_model(A, R)
         ctx = da.AlgebraContext(3, 2)
         xpoly = da.identity_map(ctx, x0).components
-        dp = flow_rhs(xpoly, P0, model, y)
-        dr = flow_rhs(x0, P0, model, y)
+        dp = _drift(xpoly, P0, model, y)
+        dr = _drift(x0, P0, model, y)
         np.testing.assert_allclose([p.constant for p in dp], dr, rtol=1e-12)
 
     def test_batch_matches_single(self, linear_case):
         A, R, P0, x0, y = linear_case
         model = linear_model(A, R)
         X = np.vstack([x0, x0 + 0.1, x0 - 0.2])
-        batch = flow_rhs(X, P0, model, y)
-        singles = np.vstack([flow_rhs(row, P0, model, y) for row in X])
+        batch = _drift(X, P0, model, y)
+        singles = np.vstack([_drift(row, P0, model, y) for row in X])
         np.testing.assert_allclose(batch, singles, rtol=1e-13)
 
     def test_measurement_dimension_checked(self):
+        # the drivers check the measurement before any drift is taken
         model = range_model()
         with pytest.raises(ValueError, match="measurement"):
-            flow_rhs(np.array([1.0, 2.0]), np.eye(2), model, [1.0, 2.0])
-
-    def test_unknown_innovation(self):
-        # the innovation is always y - h(x): the retired keyword is refused
-        model = range_model()
-        with pytest.raises(TypeError, match="innovation"):
-            flow_rhs(np.array([1.0, 1.0]), np.eye(2), model, [1.0], innovation="linearized")
+            flow_mean_cov(GaussianBelief([1.0, 2.0], np.eye(2)), model, [1.0, 2.0],
+                          DENSE, ONE_STEP)
 
 
 class TestCovRhs:
+    """The covariance law: the information J gains H^T R^-1 H per unit of
+    pseudo-time, and flow_mean_cov returns P1 = (I + P0 J1)^-1 P0."""
+
     def test_zero_jacobian(self):
-        np.testing.assert_array_equal(cov_rhs(np.eye(3), np.zeros((2, 3)), np.eye(2)),
-                                      np.zeros((3, 3)))
+        model = MeasurementModel(h=lambda x: 0.0 * x[..., :2], noise_cov=np.eye(2),
+                                 jac=lambda x: np.zeros((2, 3)))
+        P0 = np.eye(3) + 0.4 * np.ones((3, 3))
+        post = flow_mean_cov(GaussianBelief(np.zeros(3), P0), model, [0.0, 0.0],
+                             DENSE, ONE_STEP)
+        np.testing.assert_array_equal(post.cov, P0)
 
     def test_scalar(self):
-        assert cov_rhs([[1.0]], [[1.0]], [[1.0]])[0][0] == -1.0
+        model = linear_model([[1.0]], [[1.0]])
+        post = flow_mean_cov(GaussianBelief([0.0], [[1.0]]), model, [0.0],
+                             LambdaSchedule([0.0, 1.0]), ONE_STEP)
+        assert post.cov[0, 0] == 0.5
 
     def test_scalar_closed_form(self):
-        # dP/dl = -P^2/R integrates to P0 / (1 + P0/R)
+        # dJ/dl = 1/R gives P1 = P0 / (1 + P0/R), the integral of -P^2/R
         P0, R = 2.0, 0.5
-
-        def rhs(p, lam):
-            return cov_rhs(p, [[1.0]], [[R]])
-
-        p1 = integrate(rhs, np.array([[P0]]), 0.0, 1.0,
-                       IntegratorSpec("rk4_fixed", step_size=0.005))
-        assert p1[0, 0] == pytest.approx(P0 / (1.0 + P0 / R), rel=1e-8)
+        model = linear_model([[1.0]], [[R]])
+        post = flow_mean_cov(GaussianBelief([0.0], [[P0]]), model, [0.0], DENSE,
+                             IntegratorSpec("rk4_fixed", step_size=0.005))
+        assert post.cov[0, 0] == pytest.approx(P0 / (1.0 + P0 / R), rel=1e-8)
 
     def test_negative_semidefinite(self):
+        # the flow only removes uncertainty: P0 - P1 is positive semidefinite
         rng = np.random.default_rng(2)
         for _ in range(20):
             B = rng.normal(size=(4, 4))
             P = B @ B.T
             H = rng.normal(size=(2, 4))
             R = np.diag(rng.uniform(0.1, 1.0, size=2))
-            assert np.linalg.eigvalsh(cov_rhs(P, H, R)).max() < 1e-10
+            post = flow_mean_cov(GaussianBelief(np.zeros(4), P), linear_model(H, R),
+                                 np.zeros(2), DENSE, ONE_STEP)
+            assert np.linalg.eigvalsh(post.cov - P).max() < 1e-10 * np.trace(P)
 
     def test_symmetric_output(self):
         rng = np.random.default_rng(3)
         B = rng.normal(size=(3, 3))
-        out = cov_rhs(B @ B.T, rng.normal(size=(2, 3)), np.eye(2))
-        np.testing.assert_array_equal(out, out.T)
+        post = flow_mean_cov(GaussianBelief(np.zeros(3), B @ B.T),
+                             linear_model(rng.normal(size=(2, 3)), np.eye(2)),
+                             np.zeros(2), DENSE, ONE_STEP)
+        np.testing.assert_array_equal(post.cov, post.cov.T)
 
 
 class TestFlowMeanCov:
@@ -195,29 +201,14 @@ class TestFlowMeanCov:
         assert np.abs(post.cov - p_k).max() <= 1e-8 * np.abs(p_k).max()
 
     def test_trace_monotone_along_flow(self, linear_case):
+        # for a linear model the flow to pseudo-time b is the flow to 1
+        # with noise R / b
         A, R, P0, x0, y = linear_case
-        model = linear_model(A, R)
-        traces = [np.trace(P0)]
-        belief = GaussianBelief(x0, P0)
-        grid = np.linspace(0.0, 1.0, 11)
-        for a, b in zip(grid[:-1], grid[1:]):
-            # advance over [a, b] by rescaling to a unit pseudo-time segment
-            seg = LambdaSchedule([0.0, 1.0])
-
-            def rhs(s, lam):
-                from daflow.integrate import Stacked
-
-                xb, P = s.parts
-                H = model.jac(xb)
-                return Stacked((b - a) * flow_rhs(xb, P, model, y),
-                               (b - a) * cov_rhs(P, H, model.noise_cov))
-
-            from daflow.integrate import Stacked
-
-            out = integrate(rhs, Stacked(belief.mean, belief.cov), 0.0, 1.0,
-                            IntegratorSpec("rk4_fixed", step_size=0.05))
-            belief = GaussianBelief(out.parts[0], out.parts[1])
-            traces.append(np.trace(belief.cov))
+        prior = GaussianBelief(x0, P0)
+        traces = [np.trace(P0)] + [
+            np.trace(flow_mean_cov(prior, linear_model(A, R / b), y, DENSE, ONE_STEP).cov)
+            for b in np.linspace(0.1, 1.0, 10)
+        ]
         assert np.all(np.diff(traces) < 0)
 
 
@@ -383,31 +374,66 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             Ensemble(np.array([[0.0, np.inf], [1.0, 2.0]]))
 
-    def test_flow_error_on_psd_loss(self):
-        # a single huge pseudo-time step overshoots the covariance update
+    def test_one_huge_step_gives_the_kalman_cov(self):
+        # the information grows at a constant rate for a linear model, so one
+        # unit step lands on the Kalman covariance however informative y is
         model = linear_model([[1.0]], [[1e-4]])
         prior = GaussianBelief([0.0], [[1.0]])
-        with pytest.raises(FlowError, match="semidefinite"):
-            flow_mean_cov(prior, model, [0.5], LambdaSchedule([0.0, 1.0]), ONE_STEP)
+        post = flow_mean_cov(prior, model, [0.5], LambdaSchedule([0.0, 1.0]), ONE_STEP)
+        _, p_k = kalman_information_update(prior.mean, prior.cov, np.eye(1), model.noise_cov,
+                                           [0.5])
+        assert np.abs(post.cov - p_k).max() <= 1e-12 * np.abs(p_k).max()
 
     @pytest.mark.parametrize("kind", ["moments", "map", "ode"])
-    def test_flow_error_on_indefinite_step(self, kind):
-        # one unit step of a linear flow: P1 keeps a positive diagonal
-        # (0.513, 0.107) but has eigenvalues (-0.092, 0.712)
-        model = linear_model([[0.8402512931077276, -1.3118265094485249],
-                              [0.20145912676069028, 0.056839705014396134]],
-                             np.diag([0.06907406862333866, 0.06589931642998445]))
+    def test_one_step_runs_every_route(self, kind):
+        # one unit step of a linear flow, which made the covariance law's
+        # P1 indefinite (eigenvalues -0.092, 0.712); the information law
+        # returns the Kalman P1 on every route
+        A = [[0.8402512931077276, -1.3118265094485249],
+             [0.20145912676069028, 0.056839705014396134]]
+        R = np.diag([0.06907406862333866, 0.06589931642998445])
+        model = linear_model(A, R)
         prior = GaussianBelief([0.0, 0.0], [[0.9385325976516461, 0.5758117032171621],
                                             [0.5758117032171621, 0.4955044426180122]])
+        y = [0.3, -0.2]
         one = LambdaSchedule([0.0, 1.0])
         X0 = np.random.default_rng(13).multivariate_normal(prior.mean, prior.cov, size=4)
-        with pytest.raises(FlowError, match="semidefinite"):
-            if kind == "moments":
-                flow_mean_cov(prior, model, [0.3, -0.2], one, ONE_STEP)
-            elif kind == "map":
-                build_flow_map(prior, model, [0.3, -0.2], one, 1, ONE_STEP)
-            else:
-                flow_ensemble_ode(X0, prior, model, [0.3, -0.2], one, ONE_STEP)
+        if kind == "moments":
+            post = flow_mean_cov(prior, model, y, one, ONE_STEP)
+            out, p1 = post.mean, post.cov
+        elif kind == "map":
+            fmap, p1 = build_flow_map(prior, model, y, one, 1, ONE_STEP, return_cov=True)
+            out = fmap.components.coeffs
+        else:
+            out, p1 = flow_ensemble_ode(X0, prior, model, y, one, ONE_STEP, return_cov=True)
+        _, p_k = kalman_information_update(prior.mean, prior.cov, np.asarray(A), R, y)
+        assert np.isfinite(out).all()
+        assert np.abs(p1 - p_k).max() <= 1e-12 * np.abs(p_k).max()
+
+    @pytest.mark.parametrize("kind", ["moments", "map", "ode"])
+    def test_rank_deficient_prior_flows(self, kind):
+        # a prior with no spread along (1, -1) keeps none: P1 (1, -1) = 0,
+        # and no route needs the prior's inverse
+        toy = ScenarioConfig.from_json(CONFIGS / "toy.json")
+        prior = GaussianBelief(TOY_PRIOR_MEAN, [[1.0, 1.0], [1.0, 1.0]])
+        model = range_model(TOY_NOISE_SIGMA)
+        args = (model, [TOY_MEASUREMENT], toy.schedule())
+        X0 = np.random.default_rng(14).multivariate_normal(prior.mean, prior.cov, size=8)
+        if kind == "moments":
+            post = flow_mean_cov(prior, *args, toy.flow_spec())
+            out, p1 = post.mean, post.cov
+            # the mean moves only where the prior has spread
+            step = out - prior.mean
+            assert abs(step[0] - step[1]) <= 1e-12 * np.abs(step).max()
+        elif kind == "map":
+            fmap, p1 = build_flow_map(prior, *args, toy.order, toy.flow_spec(),
+                                      return_cov=True)
+            out = fmap.components.coeffs
+        else:
+            out, p1 = flow_ensemble_ode(X0, prior, *args, toy.flow_spec(), return_cov=True)
+        assert np.isfinite(out).all()
+        assert np.linalg.eigvalsh(p1).min() >= -1e-12 * np.trace(p1)
+        np.testing.assert_allclose(p1 @ [1.0, -1.0], 0.0, atol=1e-12 * np.abs(p1).max())
 
     def test_da_jacobian_matches_analytic(self):
         model = range_model()

@@ -424,13 +424,13 @@ class TestCli:
 
     def test_bench_reports_a_failed_step(self, tmp_path, capsys, monkeypatch):
         def bench_timing(cfg, grid):
-            raise FlowError("flow covariance is not positive semidefinite")
+            raise FlowError("particle flow produced non-finite particles")
 
         monkeypatch.setattr("daflow.cli.bench_timing", bench_timing)
         out = tmp_path / "o"
         assert main(["bench", "--config", str(CONFIGS / "attitude.json"), "--particles", "2",
                      "--out", str(out)]) == 1
-        assert "error: flow covariance is not positive semidefinite" in capsys.readouterr().err
+        assert "error: particle flow produced non-finite particles" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bench_reports_failed_steps_and_exits_zero(self, tmp_path, capsys, monkeypatch):
