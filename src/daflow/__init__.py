@@ -11,8 +11,6 @@ from .algebra import (
     evaluate_many,
     identity_map,
     make_variable,
-    partial_derive,
-    reciprocal,
     rsqrt,
     sqrt,
     truncation_indicator,
@@ -31,7 +29,6 @@ from .filter import (
 )
 from .flow import (
     Ensemble,
-    FlowError,
     GaussianBelief,
     LambdaSchedule,
     MeasurementModel,

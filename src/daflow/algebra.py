@@ -2,11 +2,13 @@
 
 States, flow maps, and measurement functions are all carried as polynomials
 in a set of deviation variables ``d0 .. d{n-1}`` around a numeric expansion
-center, truncated at a fixed total degree.  Arithmetic, the reciprocal,
-square root and inverse square root, evaluation, partial differentiation,
-and map composition act directly on coefficient tables, so pushing a
-polynomial state through ordinary numerical code yields the Taylor
-expansion of that code's output around the center.
+center, truncated at a fixed total degree.  Arithmetic, the square root
+and inverse square root, evaluation and map composition act directly on
+coefficient tables, so pushing a polynomial state through ordinary
+numerical code yields the Taylor expansion of that code's output around
+the center.  Evaluation and composition substitute into the same monomial
+ladder (:meth:`AlgebraContext.monomial_values`), floats for one and
+polynomials for the other.
 
     ctx = AlgebraContext(n_vars=2, max_order=3)
     x = make_variable(ctx, -3.5, 0)          # -3.5 + d0
@@ -44,13 +46,11 @@ __all__ = [
     "asarray",
     "stack",
     "concatenate",
-    "reciprocal",
     "sqrt",
     "rsqrt",
     "evaluate",
     "evaluate_many",
     "truncation_indicator",
-    "partial_derive",
     "compose",
     "dump",
 ]
@@ -67,8 +67,8 @@ class AlgebraContext:
     """Algebra of polynomials in ``n_vars`` variables truncated at total
     degree ``max_order``.
 
-    Holds the monomial basis and the lazily built multiplication /
-    differentiation tables shared by every polynomial in the context.
+    Holds the monomial basis, its degree ladder and the lazily built
+    multiplication table shared by every polynomial in the context.
     """
 
     def __init__(self, n_vars: int, max_order: int):
@@ -81,8 +81,6 @@ class AlgebraContext:
 
         exps = []
         index = {}
-        parent = [0]
-        parent_var = [0]
         for degree in range(max_order + 1):
             for combo in itertools.combinations_with_replacement(range(n_vars), degree):
                 e = [0] * n_vars
@@ -90,22 +88,26 @@ class AlgebraContext:
                     e[v] += 1
                 index[tuple(e)] = len(exps)
                 exps.append(e)
-                if degree >= 1:
-                    ep = list(e)
-                    ep[combo[0]] -= 1
-                    parent.append(index[tuple(ep)])
-                    parent_var.append(combo[0])
         self.exponents = np.array(exps, dtype=np.int64)
         self.size = len(exps)
         self.degrees = self.exponents.sum(axis=1)
         self._index = index
-        # each monomial of degree >= 1 is (parent monomial) * (one variable);
-        # used to evaluate all monomials with one multiply each
-        self._parent = np.array(parent, dtype=np.intp)
-        self._parent_var = np.array(parent_var, dtype=np.intp)
+        # monomials are degree-sorted: degree d occupies [starts[d], starts[d + 1])
+        self._degree_starts = starts = np.searchsorted(self.degrees, np.arange(max_order + 2))
+        # the monomial ladder: in graded-lex order the degree-d monomials
+        # (d >= 2) with lowest variable v form a run, which is the tail of the
+        # degree-(d - 1) block with lowest variable >= v times x_v, in order;
+        # (dst, lo, hi, v) writes rows[lo:hi] * x_v at dst
+        lowest = np.argmax(self.exponents > 0, axis=1)
+        self._ladder = []
+        for d in range(2, max_order + 1):
+            dst = int(starts[d])
+            for v in range(n_vars):
+                lo = int(starts[d - 1] + np.searchsorted(lowest[starts[d - 1]:starts[d]], v))
+                self._ladder.append((dst, lo, int(starts[d]), v))
+                dst += int(starts[d]) - lo
         self._mul_table = None
         self._mul_starts = None
-        self._diff_tables = {}
 
     def __repr__(self):
         return f"AlgebraContext(n_vars={self.n_vars}, max_order={self.max_order})"
@@ -122,11 +124,10 @@ class AlgebraContext:
         if self._mul_table is None:
             deg = self.degrees
             k = self.max_order
-            # monomials are degree-sorted, so each degree bound is a prefix
-            ends = np.searchsorted(deg, np.arange(k + 2))
             ii, jj, kk = [], [], []
             for i in range(self.size):
-                jend = int(ends[k - deg[i] + 1])
+                # monomials are degree-sorted, so each degree bound is a prefix
+                jend = int(self._degree_starts[k - deg[i] + 1])
                 ei = self.exponents[i]
                 for j in range(jend):
                     kk.append(self._index[tuple(ei + self.exponents[j])])
@@ -138,34 +139,34 @@ class AlgebraContext:
             self._mul_starts = np.searchsorted(self._mul_table[2], np.arange(self.size))
         return self._mul_table
 
-    def diff_table(self, var: int):
-        """(src, dst, factor) arrays implementing d/d(var) on coefficients."""
-        if var not in self._diff_tables:
-            e = self.exponents[:, var]
-            src = np.nonzero(e)[0]
-            dst = np.empty(len(src), dtype=np.intp)
-            for n, s in enumerate(src):
-                es = self.exponents[s].copy()
-                es[var] -= 1
-                dst[n] = self._index[tuple(es)]
-            self._diff_tables[var] = (src, dst, e[src].astype(float))
-        return self._diff_tables[var]
-
-    def monomial_values(self, devs: np.ndarray) -> np.ndarray:
-        """Values of every basis monomial at each deviation row.
-
-        devs: (N, n_vars) -> (N, size)
-        """
-        devs = np.asarray(devs, dtype=float)
-        if devs.ndim != 2 or devs.shape[1] != self.n_vars:
+    def monomial_values(self, x):
+        """Values of every basis monomial at ``x``: an (N, n_vars) float
+        block of deviation rows gives (N, size), an (n_vars,) polynomial array
+        of another algebra a (size,) polynomial array.  The values fill one
+        row per monomial, so each run of the ladder reads and writes
+        contiguous rows; for floats the result is that block transposed."""
+        poly = isinstance(x, DAScalar)
+        if not poly:
+            x = np.asarray(x, dtype=float)
+        if x.ndim != (1 if poly else 2) or x.shape[-1] != self.n_vars:
             raise ValueError(
-                f"deviation block must be (N, {self.n_vars}), got {devs.shape}"
+                f"deviation block must be (N, {self.n_vars}) floats or "
+                f"({self.n_vars},) polynomials, got {x.shape}"
             )
-        vals = np.empty((devs.shape[0], self.size))
-        vals[:, 0] = 1.0
-        for m in range(1, self.size):
-            vals[:, m] = vals[:, self._parent[m]] * devs[:, self._parent_var[m]]
-        return vals
+        if poly:
+            rows = np.zeros((self.size, x.ctx.size))
+            rows[0, 0] = 1.0
+            rows[1:self.n_vars + 1] = x.coeffs
+        else:
+            rows = np.empty((self.size, len(x)))
+            rows[0] = 1.0
+            rows[1:self.n_vars + 1] = x.T
+        for dst, lo, hi, v in self._ladder:
+            if poly:
+                rows[dst:dst + hi - lo] = (DAScalar(x.ctx, rows[lo:hi]) * x[v]).coeffs
+            else:
+                np.multiply(rows[lo:hi], rows[1 + v], out=rows[dst:dst + hi - lo])
+        return DAScalar(x.ctx, rows) if poly else rows.T
 
 
 def _check_context(a: "DAScalar", b: "DAScalar") -> None:
@@ -190,14 +191,14 @@ class DAScalar:
     polynomial.
 
     ``coeffs`` is a dense float block of shape ``(*shape, basis size)`` over
-    the context's graded-lex monomial basis.  Indexing, ``+``, ``-``, ``*``
-    (the truncated polynomial product, elementwise) and ``/`` act on the
-    leading axes with numpy broadcasting; real numbers and float arrays
-    enter as constant polynomials.  ``@`` contracts the last leading axis
-    with a float matrix (one matmul on the coefficient block), or follows
-    numpy's matmul rules between polynomial arrays of two or more axes (see
-    :func:`_poly_matmul`).  Instances are immutable by convention: all
-    arithmetic returns new values.
+    the context's graded-lex monomial basis.  Indexing, ``+``, ``-`` and
+    ``*`` (the truncated polynomial product, elementwise) act on the leading
+    axes with numpy broadcasting; real numbers and float arrays enter as
+    constant polynomials, and ``/`` takes only those.  ``@`` contracts the
+    last leading axis with a float matrix (one matmul on the coefficient
+    block), or follows numpy's matmul rules between polynomial arrays of two
+    or more axes (see :func:`_poly_matmul`).  Instances are immutable by
+    convention: all arithmetic returns new values.
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -311,18 +312,11 @@ class DAScalar:
         return DAScalar(self.ctx, self.coeffs * other)
 
     def __truediv__(self, other):
-        if isinstance(other, DAScalar):
-            return self * reciprocal(other)
         if not _is_constant(other):
             return NotImplemented
         if isinstance(other, np.ndarray):
             other = other[..., None]
         return DAScalar(self.ctx, self.coeffs / other)
-
-    def __rtruediv__(self, other):
-        if _is_constant(other):
-            return reciprocal(self) * other
-        return NotImplemented
 
     def __matmul__(self, other):
         if isinstance(other, DAScalar):
@@ -428,12 +422,6 @@ def concatenate(items, axis: int):
 # intrinsic functions: f(const + p) = sum_j f^(j)(const)/j! * p^j, p nilpotent
 
 
-def _series_reciprocal(a0: float, k: int):
-    if a0 == 0.0:
-        raise DomainError("reciprocal: expansion center is 0")
-    return [(-1.0) ** j / a0 ** (j + 1) for j in range(k + 1)]
-
-
 def _binomial_series(name: str, alpha: float, leading):
     """Series of a0 ** alpha from its leading term ``leading(a0)`` by the
     binomial recurrence c_j = c_{j-1} (alpha - j + 1) / (j a0)."""
@@ -479,16 +467,9 @@ def sqrt(x):
     return np.sqrt(x)
 
 
-def reciprocal(x):
-    """1 / x on floats/arrays or DAScalar (series recomposition)."""
-    if isinstance(x, DAScalar):
-        return _horner(_series_reciprocal, x)
-    return 1.0 / x
-
-
 def rsqrt(x):
     """1 / sqrt(x) on floats/arrays (numpy) or DAScalar (one binomial
-    series, not :func:`sqrt` then :func:`reciprocal`).  On floats
+    series, not a division after :func:`sqrt`).  On floats
     ``rsqrt(0)`` is the pole, +inf, without numpy's divide-by-zero warning."""
     if isinstance(x, DAScalar):
         return _horner(_series_rsqrt, x)
@@ -497,7 +478,7 @@ def rsqrt(x):
 
 
 # ---------------------------------------------------------------------------
-# evaluation / differentiation
+# evaluation
 
 
 def evaluate(obj, deviation):
@@ -521,7 +502,7 @@ def evaluate_many(obj, deviations: np.ndarray) -> np.ndarray:
     a DAVector gives (N, n_components)."""
     if isinstance(obj, DAVector):
         obj = obj.components
-    vals = obj.ctx.monomial_values(np.asarray(deviations, dtype=float))
+    vals = obj.ctx.monomial_values(deviations)
     flat = obj.coeffs.reshape(-1, obj.ctx.size)
     return (vals @ flat.T).reshape(vals.shape[:1] + obj.shape)
 
@@ -541,17 +522,6 @@ def truncation_indicator(vec: "DAVector", deviations: np.ndarray) -> np.ndarray:
         return np.zeros(len(vals))
     top = ctx.degrees == ctx.max_order
     return np.linalg.norm(vals[:, top] @ vec.components.coeffs[:, top].T, axis=1)
-
-
-def partial_derive(a: DAScalar, var_index: int) -> DAScalar:
-    """Formal partial derivative of each polynomial with respect to one
-    deviation variable."""
-    if not 0 <= var_index < a.ctx.n_vars:
-        raise ValueError(f"var_index {var_index} out of range for {a.ctx!r}")
-    src, dst, fac = a.ctx.diff_table(var_index)
-    out = np.zeros_like(a.coeffs)
-    out[..., dst] = a.coeffs[..., src] * fac
-    return DAScalar(a.ctx, out)
 
 
 # ---------------------------------------------------------------------------
@@ -620,18 +590,10 @@ def compose(outer: DAVector, inner: DAVector) -> DAVector:
             f"{n_inner} components"
         )
 
-    subs = inner.components.coeffs.copy()
-    subs[:, 0] = 0.0
-
-    # values of outer's basis monomials in the inner algebra, one degree at a
-    # time: each monomial is its parent monomial times one variable
-    vals = np.zeros((octx.size, ictx.size))
-    vals[0, 0] = 1.0
-    for degree in range(1, octx.max_order + 1):
-        sel = np.nonzero(octx.degrees == degree)[0]
-        parents = DAScalar(ictx, vals[octx._parent[sel]])
-        vals[sel] = (parents * DAScalar(ictx, subs[octx._parent_var[sel]])).coeffs
-
+    devs = inner.components.coeffs.copy()
+    devs[:, 0] = 0.0
+    # outer's basis monomials as polynomials of the inner algebra
+    vals = octx.monomial_values(DAScalar(ictx, devs)).coeffs
     if octx.max_order < ictx.max_order:
         vals[:, ictx.degrees > octx.max_order] = 0.0
 

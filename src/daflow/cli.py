@@ -6,7 +6,6 @@ import argparse
 import dataclasses
 import sys
 
-from .flow import FlowError
 from .harness import (
     ConfigError,
     ScenarioConfig,
@@ -78,10 +77,11 @@ def main(argv=None) -> int:
             for idx, method, msg in result.failed_runs:
                 print(f"run {idx} ({method}) diverged: {msg}", file=sys.stderr)
         else:
-            grid = [int(p) for p in args.particles.split(",") if p]
-            if not grid:
-                raise ConfigError("--particles must list at least one count")
-            result = bench_timing(cfg, grid)
+            fields = args.particles.split(",")
+            if not all(p.isdecimal() and int(p) > 0 for p in fields):
+                raise ConfigError(
+                    f"--particles must list positive integers, got '{args.particles}'")
+            result = bench_timing(cfg, [int(p) for p in fields])
             paths = emit_csv(result, args.out)
             for method, slope in sorted(result.slopes.items()):
                 print(f"{method}: log-log step-time slope {slope:.3f}")
@@ -94,7 +94,7 @@ def main(argv=None) -> int:
         return 0
     # the experiments account for a failed filter step per run or per step;
     # one that escapes a runner anyway is reported like bad input
-    except (ConfigError, OSError, ValueError, FlowError, IntegrationError) as exc:
+    except (ConfigError, OSError, ValueError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

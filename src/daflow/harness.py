@@ -20,7 +20,6 @@ from .algebra import DomainError, evaluate_many, truncation_indicator
 from .filter import FilterConfig, FilterState, baseline_pff_step, daruff_step
 from .flow import (
     Ensemble,
-    FlowError,
     GaussianBelief,
     LambdaSchedule,
     build_flow_map,
@@ -55,7 +54,7 @@ REAL = (int, float)
 # timed filter steps per method and ensemble size in bench_timing
 BENCH_REPETITIONS = 5
 # a filter step's typed failures, which the experiments count instead of stopping
-RUN_FAILURES = (FlowError, IntegrationError, DomainError)
+RUN_FAILURES = (IntegrationError, DomainError)
 FLOAT_FMT = "%.17g"
 
 # planar toy constants

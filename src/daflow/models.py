@@ -70,8 +70,8 @@ def range_h(x):
 def range_model(noise_sigma: float = 0.1) -> MeasurementModel:
     """Range measurement y = ||x|| + v for the planar toy problem.
 
-    The Jacobian x / ||x|| is ``x * rsqrt(x . x)``: on a polynomial state
-    one series, not the sqrt of ``h`` followed by a reciprocal.
+    The Jacobian x / ||x|| is ``x * rsqrt(x . x)``: the algebra divides by
+    numbers only, so a polynomial state takes the inverse norm as one series.
     """
 
     def jac(x):

@@ -9,7 +9,7 @@ from daflow import harness
 from daflow.algebra import DomainError, evaluate_many, truncation_indicator
 from daflow.cli import main
 from daflow.filter import daruff_step
-from daflow.flow import FlowError, GaussianBelief, build_flow_map, flow_ensemble_ode
+from daflow.flow import GaussianBelief, build_flow_map, flow_ensemble_ode
 from daflow.harness import (
     TOY_NOISE_SIGMA,
     TOY_PRIOR_COV,
@@ -22,7 +22,7 @@ from daflow.harness import (
     run_attitude_mc,
     run_toy,
 )
-from daflow.integrate import IntegratorSpec
+from daflow.integrate import IntegrationError, IntegratorSpec
 from daflow.models import range_model
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -276,7 +276,7 @@ class TestAttitudeMc:
         def step(*args):
             calls.append(None)
             if len(calls) == 4:
-                raise FlowError("injected failure")
+                raise IntegrationError("injected failure")
             return daruff_step(*args)
 
         monkeypatch.setattr(harness, "daruff_step", step)
@@ -315,7 +315,7 @@ class TestBenchTiming:
         def step(*args):
             calls.append(None)
             if len(calls) == 9:
-                raise FlowError("injected failure")
+                raise IntegrationError("injected failure")
             return daruff_step(*args)
 
         monkeypatch.setattr(harness, "daruff_step", step)
@@ -330,7 +330,7 @@ class TestBenchTiming:
 
     def test_cell_without_timed_steps_reads_nan(self, monkeypatch):
         def step(*args):
-            raise FlowError("injected failure")
+            raise IntegrationError("injected failure")
 
         monkeypatch.setattr(harness, "daruff_step", step)
         table = bench_timing(committed("attitude"), [20])
@@ -424,13 +424,13 @@ class TestCli:
 
     def test_bench_reports_a_failed_step(self, tmp_path, capsys, monkeypatch):
         def bench_timing(cfg, grid):
-            raise FlowError("particle flow produced non-finite particles")
+            raise IntegrationError("non-finite state at t=0.25")
 
         monkeypatch.setattr("daflow.cli.bench_timing", bench_timing)
         out = tmp_path / "o"
         assert main(["bench", "--config", str(CONFIGS / "attitude.json"), "--particles", "2",
                      "--out", str(out)]) == 1
-        assert "error: particle flow produced non-finite particles" in capsys.readouterr().err
+        assert "error: non-finite state at t=0.25" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bench_reports_failed_steps_and_exits_zero(self, tmp_path, capsys, monkeypatch):
@@ -448,8 +448,10 @@ class TestCli:
         assert err == ["da at 2 per dimension: 2 failed steps left out"]
         assert (out / "timing.csv").exists()
 
-    def test_bench_requires_particle_list(self, tmp_path, capsys):
+    @pytest.mark.parametrize("grid", ["", "0", "-3", "1.5"])
+    def test_bench_requires_particle_list(self, tmp_path, capsys, grid):
         path = self.write_config(tmp_path, committed("attitude"))
-        assert main(["bench", "--config", path, "--particles", "",
+        assert main(["bench", "--config", path, "--particles", grid,
                      "--out", str(tmp_path / "o")]) == 1
-        assert "particles" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"--particles must list positive integers, got '{grid}'" in err

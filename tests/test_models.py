@@ -19,11 +19,8 @@ class TestRangeH:
         assert models.range_h(np.array([-3.5, 0.0]))[0] == 3.5
 
     def test_da_gradient_at_prior_mean(self):
-        ctx = da.AlgebraContext(2, 1)
-        xp = da.identity_map(ctx, [-3.5, 0.0]).components
-        h = models.range_h(xp)[0]
-        grads = [da.partial_derive(h, j).constant for j in range(2)]
-        np.testing.assert_allclose(grads, [-1.0, 0.0], atol=1e-15)
+        grad = da_jacobian(models.range_h, np.array([-3.5, 0.0]), 1)
+        np.testing.assert_allclose(grad, [[-1.0, 0.0]], atol=1e-15)
 
     def test_singular_expansion_at_origin(self):
         ctx = da.AlgebraContext(2, 2)
@@ -59,9 +56,10 @@ class TestRangeH:
     def test_polynomial_jacobian_is_x_over_range(self):
         x = da.identity_map(da.AlgebraContext(2, 8), [-3.5, 0.7]).components
         J = models.range_model().jac(x)
-        want = (x / models.range_h(x))[None, :]
-        np.testing.assert_allclose(J.coeffs, want.coeffs, rtol=1e-14,
-                                   atol=1e-14 * np.abs(want.coeffs).max())
+        # the algebra divides by numbers only: J times the range gives x back
+        back = J[0] * models.range_h(x)
+        np.testing.assert_allclose(back.coeffs, x.coeffs, rtol=1e-14,
+                                   atol=1e-14 * np.abs(x.coeffs).max())
 
     def test_drift_product_count(self, monkeypatch):
         # h takes 2 + 8 products, the Jacobian 2 + 8 + 1; the matmul none
