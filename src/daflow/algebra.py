@@ -45,7 +45,6 @@ __all__ = [
     "identity_map",
     "asarray",
     "stack",
-    "concatenate",
     "sqrt",
     "rsqrt",
     "evaluate",
@@ -391,31 +390,17 @@ def asarray(x):
     return x if isinstance(x, DAScalar) else np.asarray(x)
 
 
-def _join(np_join, items, axis: int):
-    """``np_join`` over floats, or over polynomials mixed with numbers
-    (which enter as constants)."""
-    items = list(items)
-    first = next((x for x in items if isinstance(x, DAScalar)), None)
-    if first is None:
-        return np_join(items, axis=axis)
-    blocks = []
-    for x in items:
-        if isinstance(x, DAScalar):
-            _check_context(first, x)
-        else:
-            x = constant(first.ctx, x)
-        blocks.append(x.coeffs)
-    return DAScalar(first.ctx, np_join(blocks, axis=_coeff_axis(axis)))
-
-
 def stack(items, axis: int):
-    """``np.stack`` over floats, or over polynomials and numbers."""
-    return _join(np.stack, items, axis)
-
-
-def concatenate(items, axis: int):
-    """``np.concatenate`` over floats, or over polynomials and numbers."""
-    return _join(np.concatenate, items, axis)
+    """``np.stack`` over floats, or over polynomials of one algebra."""
+    items = list(items)
+    polys = [isinstance(x, DAScalar) for x in items]
+    if not any(polys):
+        return np.stack(items, axis=axis)
+    if not all(polys):
+        raise TypeError("stack takes all floats or all polynomials")
+    for x in items[1:]:
+        _check_context(items[0], x)
+    return DAScalar(items[0].ctx, np.stack([x.coeffs for x in items], axis=_coeff_axis(axis)))
 
 
 # ---------------------------------------------------------------------------

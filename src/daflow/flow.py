@@ -85,6 +85,9 @@ class GaussianBelief:
         n = len(self.mean)
         if self.cov.shape != (n, n):
             raise ValueError(f"cov shape {self.cov.shape} does not match mean ({n},)")
+        for name in ("mean", "cov"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"belief {name} must be finite")
         cov = self.cov
         if np.abs(cov - cov.T).max() > 1e-10 * max(np.abs(cov).max(), 1.0):
             raise ValueError("belief covariance is not symmetric")
@@ -119,6 +122,8 @@ class MeasurementModel:
         self.noise_cov = np.asarray(self.noise_cov, dtype=float)
         if self.noise_cov.ndim != 2 or self.noise_cov.shape[0] != self.noise_cov.shape[1]:
             raise ValueError(f"noise_cov must be a square matrix, got shape {self.noise_cov.shape}")
+        if not np.isfinite(self.noise_cov).all():
+            raise ValueError("noise_cov must be finite")
         scale = np.abs(self.noise_cov).max()
         if np.abs(self.noise_cov - self.noise_cov.T).max() > 1e-12 * scale:
             raise ValueError("noise_cov must be symmetric")
@@ -154,6 +159,8 @@ class LambdaSchedule:
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
+        if not np.isfinite(self.nodes).all():
+            raise ValueError("schedule nodes must be finite")
         if (
             self.nodes.ndim != 1
             or len(self.nodes) < 2

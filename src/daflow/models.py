@@ -7,13 +7,14 @@ The range model unpacks the components along the last axis with ``x.T``
 and applies the :mod:`daflow.algebra` intrinsics.  Every attitude function
 is at most quadratic in the state, so each is one gathered pair product
 ``x[..., a] * x[..., b]`` times a constant matrix, built once from
-:func:`quat_mul`, the cross product and :func:`dcm_from_quat`, and the
-measurement Jacobian is affine.  Quaternions are stored vector-first,
-scalar-last: q = (qi, qj, qk, qs).
+:func:`quat_mul`, the cross product and :func:`dcm_from_quat`, plus a
+constant or linear term, and the measurement Jacobian is affine.
+Quaternions are stored vector-first, scalar-last: q = (qi, qj, qk, qs).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,6 @@ __all__ = [
     "attitude_rhs",
     "attitude_dynamics",
     "dcm_from_quat",
-    "star_tracker_h",
-    "gyro_h",
     "stacked_measurement",
     "measurement_epochs",
     "simulate_truth",
@@ -212,8 +211,13 @@ class StarCatalog:
     r2: np.ndarray
 
     def __post_init__(self):
-        self.r1 = np.asarray(self.r1, dtype=float) / np.linalg.norm(self.r1)
-        self.r2 = np.asarray(self.r2, dtype=float) / np.linalg.norm(self.r2)
+        for name in ("r1", "r2"):
+            r = np.asarray(getattr(self, name), dtype=float)
+            if r.shape != (3,) or not (np.isfinite(r).all() and r.any()):
+                raise ValueError(f"star direction {name} must be a finite, nonzero 3-vector, "
+                                 f"got {r.tolist()}")
+            # hypot neither overflows nor underflows on a finite nonzero r
+            setattr(self, name, r / math.hypot(*r))
 
 
 DEFAULT_PARAMS = RigidBodyParams(np.diag([100.0, 60.0, 50.0]), np.zeros(3))
@@ -238,25 +242,18 @@ def attitude_dynamics(params: RigidBodyParams = DEFAULT_PARAMS) -> DynamicsModel
     return DynamicsModel(f=lambda x, t: attitude_rhs(x, params))
 
 
-def star_tracker_h(x, r):
-    """Body-frame direction of an inertial star: C(q) r."""
-    x = algebra.asarray(x)
-    return (x[..., _Q_A] * x[..., _Q_B]) @ (_DCM_PAIRS @ r)
-
-
-def gyro_h(x):
-    """Rate-gyro reading: body rates plus bias."""
-    x = algebra.asarray(x)
-    return x[..., 4:7] + x[..., 7:10]
-
-
 def stacked_measurement(catalog: StarCatalog = DEFAULT_CATALOG) -> MeasurementModel:
-    """Two star trackers and a rate gyro as one 9-dimensional measurement."""
+    """Two star trackers, C(q) r1 and C(q) r2, and a rate gyro, body rates
+    plus bias, as one 9-dimensional quadratic form."""
+    quad = np.zeros((len(_Q_A), 9))
+    quad[:, 0:3] = _DCM_PAIRS @ catalog.r1
+    quad[:, 3:6] = _DCM_PAIRS @ catalog.r2
+    lin = np.zeros((STATE_DIM, 9))
+    lin[4:7, 6:9] = lin[7:10, 6:9] = np.eye(3)
 
     def h(x):
-        return algebra.concatenate(
-            [star_tracker_h(x, catalog.r1), star_tracker_h(x, catalog.r2), gyro_h(x)],
-            axis=-1)
+        x = algebra.asarray(x)
+        return (x[..., _Q_A] * x[..., _Q_B]) @ quad + x @ lin
 
     # h is quadratic, so its Jacobian is affine: H(x) = H(0) + sum_i x_i (H(e_i) - H(0))
     h0 = da_jacobian(h, np.zeros(STATE_DIM), 9)

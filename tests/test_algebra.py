@@ -508,19 +508,21 @@ class TestPolynomialArrays:
                 np.testing.assert_allclose(s[i, j].coeffs, da.sqrt(x[i, j]).coeffs,
                                            rtol=1e-12, atol=1e-12)
 
-    def test_stack_concatenate_and_evaluate(self):
+    def test_stack_and_evaluate(self):
         rng = np.random.default_rng(24)
         ctx = da.AlgebraContext(2, 3)
         x = self.rand_array(ctx, rng, (2,))
-        s = da.stack([x[1], 4.0, x[0]], axis=-1)
+        four = da.constant(ctx, 4.0)
+        s = da.stack([x[1], four, x[0]], axis=-1)
         assert s.shape == (3,)
-        np.testing.assert_array_equal(s[1].coeffs, da.constant(ctx, 4.0).coeffs)
-        c = da.concatenate([x, s], 0)
+        np.testing.assert_array_equal(s[1].coeffs, four.coeffs)
         devs = rng.normal(size=(5, 2))
-        vals = da.evaluate_many(c, devs)
-        assert vals.shape == (5, 5)
-        np.testing.assert_allclose(vals[:, 4], da.evaluate_many(x[0], devs), rtol=1e-14)
+        vals = da.evaluate_many(s, devs)
+        assert vals.shape == (5, 3)
+        np.testing.assert_allclose(vals[:, 2], da.evaluate_many(x[0], devs), rtol=1e-14)
         np.testing.assert_array_equal(da.stack([1.0, 2.0], axis=0), [1.0, 2.0])
+        with pytest.raises(TypeError, match="all floats or all polynomials"):
+            da.stack([x[0], 4.0], axis=0)
 
     def test_numpy_sees_one_object(self):
         # numpy must not iterate a polynomial array: np.asarray gives a 0-d

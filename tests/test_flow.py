@@ -356,6 +356,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="semidefinite"):
             GaussianBelief([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
 
+    @pytest.mark.parametrize("mean, cov, name", [
+        ([np.nan, 0.0], np.eye(2), "mean"),
+        ([0.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]], "cov"),
+        ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]], "cov"),
+    ])
+    def test_belief_rejects_non_finite(self, mean, cov, name):
+        with pytest.raises(ValueError, match=f"belief {name} must be finite"):
+            GaussianBelief(mean, cov)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_measurement_model_rejects_non_finite_noise(self, bad):
+        with pytest.raises(ValueError, match="noise_cov must be finite"):
+            MeasurementModel(h=lambda x: x, noise_cov=[[bad]], jac=lambda x: x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_schedule_rejects_non_finite_nodes(self, bad):
+        with pytest.raises(ValueError, match="schedule nodes must be finite"):
+            LambdaSchedule([0.0, bad, 1.0])
+
     def test_measurement_model_rejects_bad_noise(self):
         with pytest.raises(ValueError, match="positive definite"):
             MeasurementModel(h=lambda x: x, noise_cov=[[0.0]], jac=lambda x: x)

@@ -171,6 +171,23 @@ def direct_rhs(x, params):
     return np.concatenate([dq, dw, np.zeros(3)])
 
 
+def sensor_blocks(x, catalog=models.DEFAULT_CATALOG):
+    """The stacked measurement's three blocks, each on its own: C(q) r1 and
+    C(q) r2 from :func:`dcm_from_quat`, then w + b.  ``x`` is a float state,
+    a batch or a polynomial state."""
+    x = da.asarray(x)
+    c = models.dcm_from_quat(x[..., 0:4])
+    stars = [da.stack([sum(c[i][j] * r[j] for j in range(3)) for i in range(3)], axis=-1)
+             for r in (catalog.r1, catalog.r2)]
+    return stars[0], stars[1], x[..., 4:7] + x[..., 7:10]
+
+
+def assert_blocks(y, blocks, **tol):
+    for lo, block in zip((0, 3, 6), blocks):
+        np.testing.assert_allclose(getattr(y[..., lo:lo + 3], "coeffs", y[..., lo:lo + 3]),
+                                   getattr(block, "coeffs", block), **tol)
+
+
 class TestQuadraticForms:
     def test_rhs_float_state(self):
         rng = np.random.default_rng(12)
@@ -196,12 +213,12 @@ class TestQuadraticForms:
 
     def test_star_tracker_against_dcm(self):
         rng = np.random.default_rng(15)
-        r = rng.normal(size=3)
+        catalog = models.StarCatalog(rng.normal(size=3), rng.normal(size=3))
+        h = models.stacked_measurement(catalog).h
         X = rng.normal(size=(6, 10))
-        expected = np.array([np.array(models.dcm_from_quat(x[0:4])) @ r for x in X])
-        np.testing.assert_allclose(models.star_tracker_h(X, r), expected, rtol=1e-13, atol=1e-15)
-        for x, e in zip(X, expected):
-            np.testing.assert_allclose(models.star_tracker_h(x, r), e, rtol=1e-13, atol=1e-15)
+        assert_blocks(h(X), sensor_blocks(X, catalog), rtol=1e-13, atol=1e-15)
+        for x in X:
+            assert_blocks(h(x), sensor_blocks(x, catalog), rtol=1e-13, atol=1e-15)
 
     def test_stacked_jacobian_batch_with_non_unit_quaternions(self):
         model = models.stacked_measurement(models.StarCatalog([1.0, -2.0, 0.5], [0.3, 0.2, 4.0]))
@@ -233,38 +250,50 @@ class TestDcm:
             assert abs(np.linalg.det(c) - 1.0) < 1e-12
 
 
+def identity_attitude(omega=(0.0, 0.0, 0.0), bias=(0.0, 0.0, 0.0)):
+    return np.concatenate([[0.0, 0.0, 0.0, 1.0], omega, bias])
+
+
 class TestStarTracker:
     def test_identity_attitude_returns_star(self):
-        x = np.zeros(10)
-        x[3] = 1.0
-        r = models.DEFAULT_CATALOG.r1
-        np.testing.assert_allclose(models.star_tracker_h(x, r), r, atol=1e-15)
+        y = models.stacked_measurement().h(identity_attitude())
+        np.testing.assert_allclose(y[0:3], models.DEFAULT_CATALOG.r1, atol=1e-15)
+        np.testing.assert_allclose(y[3:6], models.DEFAULT_CATALOG.r2, atol=1e-15)
 
     def test_unit_norm_preserved(self):
+        h = models.stacked_measurement().h
         rng = np.random.default_rng(7)
         for _ in range(10):
             x = rng.normal(size=10)
             x[:4] /= np.linalg.norm(x[:4])
-            y = models.star_tracker_h(x, models.DEFAULT_CATALOG.r2)
-            assert abs(np.linalg.norm(y) - 1.0) < 1e-12
+            y = h(x)
+            assert abs(np.linalg.norm(y[0:3]) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(y[3:6]) - 1.0) < 1e-12
 
     def test_catalog_normalization(self):
         np.testing.assert_allclose(models.DEFAULT_CATALOG.r1,
                                    np.array([5.0, 2.0, 3.0]) / np.sqrt(38.0))
         np.testing.assert_allclose(models.DEFAULT_CATALOG.r2,
                                    np.array([1.0, 10.0, 4.0]) / np.sqrt(117.0))
+        y = models.stacked_measurement(models.StarCatalog([0.0, 3.0, 4.0], [1e200, 0.0, 0.0])).h(
+            identity_attitude())
+        np.testing.assert_allclose(y[0:6], [0.0, 0.6, 0.8, 1.0, 0.0, 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0],
+                                     [1.0, 2.0], [[1.0, 0.0, 0.0]]])
+    def test_catalog_refuses_degenerate_direction(self, bad):
+        with pytest.raises(ValueError, match="r2 must be a finite, nonzero 3-vector"):
+            models.StarCatalog([1.0, 0.0, 0.0], bad)
 
 
 class TestGyro:
     def test_zero_bias(self):
-        x = np.zeros(10)
-        x[4:7] = [0.1, -0.2, 0.3]
-        np.testing.assert_array_equal(models.gyro_h(x), x[4:7])
+        x = identity_attitude(omega=[0.1, -0.2, 0.3])
+        np.testing.assert_array_equal(models.stacked_measurement().h(x)[6:9], x[4:7])
 
     def test_bias_only(self):
-        x = np.zeros(10)
-        x[7] = 0.01
-        np.testing.assert_array_equal(models.gyro_h(x), [0.01, 0.0, 0.0])
+        x = identity_attitude(bias=[0.01, 0.0, 0.0])
+        np.testing.assert_array_equal(models.stacked_measurement().h(x)[6:9], [0.01, 0.0, 0.0])
 
     def test_noise_sigma_value(self):
         assert models.GYRO_NOISE_SIGMA == pytest.approx(3.4907e-3, rel=1e-4)
@@ -281,14 +310,14 @@ class TestStackedMeasurement:
         np.testing.assert_array_equal(R[6:, 6:], models.GYRO_NOISE_SIGMA ** 2 * np.eye(3))
         assert np.abs(R - np.diag(np.diag(R))).max() == 0.0
 
-    def test_concatenates_submodels(self):
+    def test_polynomial_blocks_against_dcm(self):
         rng = np.random.default_rng(8)
-        x = rng.normal(size=10)
-        x[:4] /= np.linalg.norm(x[:4])
-        y = models.stacked_measurement().h(x)
-        np.testing.assert_array_equal(y[0:3], models.star_tracker_h(x, models.DEFAULT_CATALOG.r1))
-        np.testing.assert_array_equal(y[3:6], models.star_tracker_h(x, models.DEFAULT_CATALOG.r2))
-        np.testing.assert_array_equal(y[6:9], models.gyro_h(x))
+        x0 = rng.normal(size=10)
+        x0[:4] /= np.linalg.norm(x0[:4])
+        xp = da.identity_map(da.AlgebraContext(10, 2), x0).components
+        # the oracle runs dcm_from_quat on the polynomial quaternion itself
+        assert_blocks(models.stacked_measurement().h(xp), sensor_blocks(xp),
+                      rtol=1e-13, atol=1e-15)
 
     def test_analytic_jacobian_matches_polynomial_differentiation(self):
         model = models.stacked_measurement()
