@@ -78,8 +78,8 @@ class ScenarioConfig:
     """Flat, JSON-compatible description of one experiment.  The first five
     fields are required; the last four set up the attitude filter, which
     requires them, and the toy, one flow update with no filter, refuses them.
-    The integrators follow from ``scenario`` and ``dt``.  Every experiment
-    runs both filters."""
+    The integrators follow from ``scenario``; ``dt`` is the truth
+    simulation's RK4 step only.  Every experiment runs both filters."""
 
     scenario: str
     order: int
@@ -172,10 +172,10 @@ class ScenarioConfig:
         return geometric_schedule(first, count)
 
     def dynamics_spec(self) -> IntegratorSpec:
-        """RK4 at the truth simulation's step ``dt``; the toy has no dynamics."""
+        """Adaptive RK7(8) for both filters' dynamics; the toy has none."""
         if self.scenario != "attitude":
             raise ConfigError(f"scenario {self.scenario!r} has no dynamics to integrate")
-        return IntegratorSpec("rk4_fixed", step_size=self.dt)
+        return IntegratorSpec("rk78_adaptive")
 
     def flow_spec(self) -> IntegratorSpec:
         return FLOW_SPECS[self.scenario]

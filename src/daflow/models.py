@@ -155,6 +155,9 @@ class AttitudeState:
         self.bias = np.asarray(self.bias, dtype=float)
         if self.q.shape != (4,) or self.omega_b.shape != (3,) or self.bias.shape != (3,):
             raise ValueError("attitude state blocks must be (4,), (3,), (3,)")
+        for name in ("q", "omega_b", "bias"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"attitude state {name} must be finite")
         if abs(np.linalg.norm(self.q) - 1.0) > 1e-9:
             raise ValueError("quaternion must have unit norm")
 
@@ -179,6 +182,9 @@ class RigidBodyParams:
         self.external_torque = np.asarray(self.external_torque, dtype=float)
         if self.inertia.shape != (3, 3) or self.external_torque.shape != (3,):
             raise ValueError("inertia must be 3x3 and torque length 3")
+        for name in ("inertia", "external_torque"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if np.abs(self.inertia - self.inertia.T).max() > 1e-12 * np.abs(self.inertia).max():
             raise ValueError("inertia must be symmetric")
         if np.linalg.eigvalsh(self.inertia).min() <= 0:

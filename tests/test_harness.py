@@ -51,7 +51,7 @@ class TestScenarioConfig:
             scenario="attitude", order=2, n_particles_per_dim=250, n_mc=100,
             duration=120.0, dt=0.01, meas_period=2.0, lambda_schedule=(0.001, 1.0, 50),
             seed=0)
-        assert cfg.dynamics_spec() == IntegratorSpec("rk4_fixed", step_size=0.01)
+        assert cfg.dynamics_spec() == IntegratorSpec("rk78_adaptive")
         assert cfg.flow_spec() == IntegratorSpec("rk4_fixed", step_size=1.0)
         assert committed("toy").flow_spec() == IntegratorSpec("rk78_adaptive")
 
@@ -215,9 +215,14 @@ class TestEmitCsv:
         summary = paths[1].read_text().splitlines()
         assert summary[0] == "order,seed,rms_da_vs_ode,ring_fraction_da,ring_fraction_ode"
 
-    def test_rerun_is_byte_identical(self, small_toy, tmp_path):
-        a = emit_csv(run_toy(small_toy), tmp_path / "a")
-        b = emit_csv(run_toy(small_toy), tmp_path / "b")
+    @pytest.mark.parametrize("config, run", [("small_toy", run_toy),
+                                             ("tiny_mc", run_attitude_mc)],
+                             ids=["toy", "attitude"])
+    def test_rerun_is_byte_identical(self, config, run, request, tmp_path):
+        cfg = request.getfixturevalue(config)
+        a = emit_csv(run(cfg), tmp_path / "a")
+        b = emit_csv(run(cfg), tmp_path / "b")
+        assert len(a) == len(b) > 0
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
 

@@ -359,9 +359,26 @@ class TestAttitudeState:
                                    np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0))
         np.testing.assert_array_equal(s.bias, np.zeros(3))
 
+    @pytest.mark.parametrize("field", ["q", "omega_b", "bias"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_state_rejects_non_finite(self, field, bad):
+        blocks = {"q": np.array([0.0, 0.0, 0.0, 1.0]), "omega_b": np.zeros(3),
+                  "bias": np.zeros(3)}
+        blocks[field][0] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            models.AttitudeState(**blocks)
+
     def test_params_validation(self):
         with pytest.raises(ValueError, match="positive definite"):
             models.RigidBodyParams(-np.eye(3), np.zeros(3))
+
+    @pytest.mark.parametrize("field", ["inertia", "external_torque"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_params_reject_non_finite(self, field, bad):
+        args = {"inertia": np.eye(3), "external_torque": np.zeros(3)}
+        args[field].flat[0] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            models.RigidBodyParams(**args)
 
 
 class TestNormalizeQuaternionBlock:
