@@ -174,7 +174,7 @@ class LambdaSchedule:
         return zip(self.nodes[:-1], self.nodes[1:])
 
 
-def geometric_schedule(first: float = 0.001, count: int = 50) -> LambdaSchedule:
+def geometric_schedule(first: float, count: int) -> LambdaSchedule:
     """{0} followed by ``count`` geometrically spaced nodes from first to 1.
 
     Small early steps move particles gently where the flow is stiffest;

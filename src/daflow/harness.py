@@ -8,6 +8,7 @@ batch is reproducible byte-for-byte.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 from dataclasses import asdict, dataclass, fields
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import models
 from .algebra import DomainError, evaluate_many, truncation_indicator
-from .filter import FilterConfig, FilterState, baseline_pff_step, daruff_step
+from .filter import FLOW_SPEC, FilterConfig, FilterState, baseline_pff_step, daruff_step
 from .flow import (
     Ensemble,
     GaussianBelief,
@@ -41,11 +42,11 @@ __all__ = [
     "emit_csv",
 ]
 
-# flow-map integrator per scenario: one RK4 step per pseudo-time segment for
-# the attitude flow, adaptive RK7(8) inside each segment for the toy
+# flow-map integrator per scenario: the attitude filter's, and adaptive RK7(8)
+# inside each pseudo-time segment for the toy
 FLOW_SPECS = {
     "toy_range": IntegratorSpec("rk78_adaptive"),
-    "attitude": IntegratorSpec("rk4_fixed", step_size=1.0),
+    "attitude": FLOW_SPEC,
 }
 # the attitude filter's settings, which the toy's single flow update has none of
 FILTER_KEYS = ("n_mc", "duration", "dt", "meas_period")
@@ -78,8 +79,8 @@ class ScenarioConfig:
     """Flat, JSON-compatible description of one experiment.  The first five
     fields are required; the last four set up the attitude filter, which
     requires them, and the toy, one flow update with no filter, refuses them.
-    The integrators follow from ``scenario``; ``dt`` is the truth
-    simulation's RK4 step only.  Every experiment runs both filters."""
+    The filters integrate with ``daflow.filter``'s constants, and ``dt`` is the
+    truth simulation's RK4 step only.  Every experiment runs both filters."""
 
     scenario: str
     order: int
@@ -171,21 +172,15 @@ class ScenarioConfig:
             raise ValueError(f"the schedule ends at 1, got last = {last}")
         return geometric_schedule(first, count)
 
-    def dynamics_spec(self) -> IntegratorSpec:
-        """Adaptive RK7(8) for both filters' dynamics; the toy has none."""
-        if self.scenario != "attitude":
-            raise ConfigError(f"scenario {self.scenario!r} has no dynamics to integrate")
-        return IntegratorSpec("rk78_adaptive")
-
     def flow_spec(self) -> IntegratorSpec:
         return FLOW_SPECS[self.scenario]
 
     def filter_config(self, particle_postprocess=None) -> FilterConfig:
+        if self.scenario != "attitude":
+            raise ConfigError(f"scenario {self.scenario!r} has no dynamics to integrate")
         return FilterConfig(
             order=self.order,
             schedule=self.schedule(),
-            dynamics_spec=self.dynamics_spec(),
-            flow_spec=self.flow_spec(),
             meas_period=self.meas_period,
             particle_postprocess=particle_postprocess,
         )
@@ -395,7 +390,8 @@ def bench_timing(cfg: ScenarioConfig, particle_grid) -> TimingTable:
 
     ``particle_grid`` is in particles per state dimension.  Each cell runs
     one warm-up step plus ``BENCH_REPETITIONS`` timed steps, each from a
-    fresh particle draw that both methods share, and reports the medians.
+    fresh particle draw that both methods share, and reports the medians;
+    the garbage collector is paused during each timed step.
     A step failing with one of ``RUN_FAILURES`` counts in ``failed_steps``
     and not in the medians; a cell with no timed step left reads NaN, and a
     method with fewer than two timed cells has a NaN slope.
@@ -417,13 +413,20 @@ def bench_timing(cfg: ScenarioConfig, particle_grid) -> TimingTable:
             for rep, particles in enumerate(draws):
                 state = FilterState(0.0, GaussianBelief(xhat0, models.INITIAL_STATE_COV),
                                     Ensemble(particles))
-                tic = time.perf_counter()
+                # as in timeit, the collector pauses for the timed step, so a
+                # pass set off by earlier allocations is not charged to it
+                gc_was_enabled = gc.isenabled()
+                gc.disable()
                 try:
+                    tic = time.perf_counter()
                     out = step(state, dynamics, measurement, y, fcfg)
+                    elapsed = time.perf_counter() - tic
                 except RUN_FAILURES:
                     failed_steps += 1
                     continue
-                elapsed = time.perf_counter() - tic
+                finally:
+                    if gc_was_enabled:
+                        gc.enable()
                 if rep > 0:  # discard warm-up
                     samples.append((elapsed, out.timing))
             row = dict(method=method, n_per_dim=int(per_dim), n_particles=n_particles,

@@ -34,7 +34,7 @@ class IntegratorSpec:
     endpoint; rk78_adaptive holds its error estimate within ``TOLERANCE``.
     """
 
-    method: str = "rk4_fixed"
+    method: str
     step_size: float | None = None
 
     def __post_init__(self):

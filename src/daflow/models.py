@@ -66,7 +66,7 @@ def range_h(x):
     return algebra.sqrt(_squared_range(x))[..., None]
 
 
-def range_model(noise_sigma: float = 0.1) -> MeasurementModel:
+def range_model(noise_sigma: float) -> MeasurementModel:
     """Range measurement y = ||x|| + v for the planar toy problem.
 
     The Jacobian x / ||x|| is ``x * rsqrt(x . x)``: the algebra divides by

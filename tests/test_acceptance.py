@@ -154,7 +154,7 @@ class TestCriterion5MapCombination:
                             IntegratorSpec("rk4_fixed", step_size=0.01))
         prior_a = GaussianBelief(stpm_a.components.constant, models.INITIAL_STATE_COV)
         fmap_a = build_flow_map(prior_a, model, model.h(stpm_a.components.constant),
-                                geometric_schedule(), 2,
+                                geometric_schedule(0.001, 50), 2,
                                 IntegratorSpec("rk4_fixed", step_size=1.0))
         combined_a = combine_maps(fmap_a, stpm_a)
         seq_err = 0.0

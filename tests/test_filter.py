@@ -149,7 +149,7 @@ class TestCombineMaps:
         stpm = build_stpm(x0, dyn, 0.0, 2.0, 2, RK4)
         prior = GaussianBelief(stpm.components.constant, models.INITIAL_STATE_COV)
         truth_meas = model.h(stpm.components.constant)
-        fmap = build_flow_map(prior, model, truth_meas, geometric_schedule(), 2, ONE_STEP)
+        fmap = build_flow_map(prior, model, truth_meas, geometric_schedule(0.001, 50), 2, ONE_STEP)
         combined = combine_maps(fmap, stpm)
         for _ in range(100):
             d = 0.005 * rng.standard_normal(10)
@@ -210,8 +210,6 @@ def make_filter_config(**overrides):
     defaults = dict(
         order=1,
         schedule=DENSE,
-        dynamics_spec=RK4,
-        flow_spec=ONE_STEP,
         meas_period=1.0,
     )
     defaults.update(overrides)
@@ -361,9 +359,7 @@ class TestAttitudeStepParity:
         ens = Ensemble(parts)
         cfg = FilterConfig(
             order=2,
-            schedule=geometric_schedule(),
-            dynamics_spec=RK4,
-            flow_spec=ONE_STEP,
+            schedule=geometric_schedule(0.001, 50),
             meas_period=2.0,
             particle_postprocess=models.normalize_quaternion_block,
         )
@@ -392,7 +388,7 @@ class TestBaselineStep:
             state = FilterState(0.0, ensemble_stats(ens), ens)
             out = baseline_pff_step(
                 state, DynamicsModel(f=lambda x, t: 0.0 * x), model, [1.0],
-                make_filter_config(schedule=geometric_schedule()))
+                make_filter_config(schedule=geometric_schedule(0.001, 50)))
             radii = np.linalg.norm(out.ensemble.particles, axis=1)
             spreads.append(radii.std())
         assert spreads[0] > spreads[1] > spreads[2]

@@ -99,7 +99,7 @@ class TestGeometricSchedule:
 
 class TestFlowRhs:
     def test_zero_innovation_at_mean(self):
-        model = range_model()
+        model = range_model(0.1)
         xhat = np.array([-3.5, 0.0])
         y = model.h(xhat)
         drift = _drift(xhat, np.eye(2), model, y)
@@ -138,7 +138,7 @@ class TestFlowRhs:
 
     def test_measurement_dimension_checked(self):
         # the drivers check the measurement before any drift is taken
-        model = range_model()
+        model = range_model(0.1)
         with pytest.raises(ValueError, match="measurement"):
             flow_mean_cov(GaussianBelief([1.0, 2.0], np.eye(2)), model, [1.0, 2.0],
                           DENSE, ONE_STEP)
@@ -274,12 +274,12 @@ class TestBuildFlowMap:
 
 class TestFlowEnsembleOde:
     def test_particle_at_mean_does_not_move(self):
-        model = range_model()
+        model = range_model(0.1)
         xhat = np.array([-3.5, 0.0])
         y = model.h(xhat)
         prior = GaussianBelief(xhat, [[1.0, 0.5], [0.5, 1.0]])
         X = np.vstack([xhat, xhat])
-        out = flow_ensemble_ode(X, prior, model, y, geometric_schedule(), ONE_STEP)
+        out = flow_ensemble_ode(X, prior, model, y, geometric_schedule(0.001, 50), ONE_STEP)
         np.testing.assert_allclose(out, X, atol=1e-12)
 
     def test_linear_gaussian_ensemble_moments(self, linear_case):
@@ -326,11 +326,11 @@ class TestFlowEnsembleOde:
             np.testing.assert_allclose(p1, post.cov, rtol=1e-12)
 
     def test_toy_ring_concentration(self):
-        model = range_model()
+        model = range_model(0.1)
         prior = GaussianBelief([-3.5, 0.0], [[1.0, 0.5], [0.5, 1.0]])
         rng = np.random.default_rng(9)
         X0 = rng.multivariate_normal(prior.mean, prior.cov, size=400)
-        out = flow_ensemble_ode(X0, prior, model, [1.0], geometric_schedule(), RK78)
+        out = flow_ensemble_ode(X0, prior, model, [1.0], geometric_schedule(0.001, 50), RK78)
         radii = np.linalg.norm(out, axis=1)
         assert np.mean(np.abs(radii - 1.0) < 0.3) >= 0.9
         # the posterior hugs the prior's side of the ring (rare far-tail
@@ -455,7 +455,7 @@ class TestValidation:
         np.testing.assert_allclose(p1 @ [1.0, -1.0], 0.0, atol=1e-12 * np.abs(p1).max())
 
     def test_da_jacobian_matches_analytic(self):
-        model = range_model()
+        model = range_model(0.1)
         for x in ([3.0, 4.0], [-3.5, 0.0], [1.0, -2.0]):
             np.testing.assert_allclose(
                 da_jacobian(model.h, np.asarray(x), 1), model.jac(np.asarray(x)),
@@ -464,9 +464,9 @@ class TestValidation:
 
     def test_da_jacobian_checks_output_shape(self):
         with pytest.raises(ValueError, match=r"expected \(3,\)"):
-            da_jacobian(range_model().h, np.array([3.0, 4.0]), 3)
+            da_jacobian(range_model(0.1).h, np.array([3.0, 4.0]), 3)
 
     def test_da_jacobian_takes_a_real_state(self):
         x = da.identity_map(da.AlgebraContext(2, 2), [3.0, 4.0]).components
         with pytest.raises(TypeError, match="real state"):
-            da_jacobian(range_model().h, x, 1)
+            da_jacobian(range_model(0.1).h, x, 1)

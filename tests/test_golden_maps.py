@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from daflow import algebra, models
-from daflow.filter import build_stpm
+from daflow.filter import DYNAMICS_SPEC, build_stpm
 from daflow.flow import GaussianBelief, build_flow_map
 from daflow.harness import (
     TOY_MEASUREMENT,
@@ -42,7 +42,7 @@ def _attitude_maps():
     cfg = ScenarioConfig.from_json(CONFIGS / "attitude.json")
     x0 = models.DEFAULT_INITIAL_STATE.as_vector()
     stpm = build_stpm(x0, models.attitude_dynamics(), 0.0, cfg.meas_period,
-                      cfg.order, cfg.dynamics_spec())
+                      cfg.order, DYNAMICS_SPEC)
     model = models.stacked_measurement()
     prior = GaussianBelief(stpm.components.constant, models.INITIAL_STATE_COV)
     # a measurement off the predicted one by about one noise sigma per component

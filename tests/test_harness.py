@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from daflow import harness
 from daflow.algebra import DomainError, evaluate_many, truncation_indicator
 from daflow.cli import main
-from daflow.filter import daruff_step
+from daflow.filter import DYNAMICS_SPEC, FLOW_SPEC, daruff_step
 from daflow.flow import GaussianBelief, build_flow_map, flow_ensemble_ode
 from daflow.harness import (
     TOY_NOISE_SIGMA,
@@ -51,8 +52,8 @@ class TestScenarioConfig:
             scenario="attitude", order=2, n_particles_per_dim=250, n_mc=100,
             duration=120.0, dt=0.01, meas_period=2.0, lambda_schedule=(0.001, 1.0, 50),
             seed=0)
-        assert cfg.dynamics_spec() == IntegratorSpec("rk78_adaptive")
-        assert cfg.flow_spec() == IntegratorSpec("rk4_fixed", step_size=1.0)
+        assert DYNAMICS_SPEC == IntegratorSpec("rk78_adaptive")
+        assert harness.FLOW_SPECS["attitude"] is FLOW_SPEC
         assert committed("toy").flow_spec() == IntegratorSpec("rk78_adaptive")
 
     def test_unknown_keys_rejected(self):
@@ -146,9 +147,8 @@ class TestScenarioConfig:
             run_attitude_mc(small_toy)
         with pytest.raises(ConfigError, match="attitude"):
             bench_timing(small_toy, [2])
-        for spec_of in (ScenarioConfig.dynamics_spec, ScenarioConfig.filter_config):
-            with pytest.raises(ConfigError, match="no dynamics"):
-                spec_of(committed("toy"))
+        with pytest.raises(ConfigError, match="no dynamics"):
+            committed("toy").filter_config()
 
 
 class TestRunToy:
@@ -314,17 +314,18 @@ class TestAttitudeMc:
 class TestBenchTiming:
     def test_failed_step_is_counted_in_its_cell(self, tmp_path, monkeypatch):
         # six polynomial-map steps per cell: the ninth is the second cell's
-        # second timed step
+        # second timed step; each records whether the collector ran
         calls = []
 
         def step(*args):
-            calls.append(None)
+            calls.append(gc.isenabled())
             if len(calls) == 9:
                 raise IntegrationError("injected failure")
             return daruff_step(*args)
 
         monkeypatch.setattr(harness, "daruff_step", step)
         table = bench_timing(committed("attitude"), [20, 30])
+        assert calls == [False] * 12 and gc.isenabled()
         cells = [(r["method"], r["n_per_dim"], r["failed_steps"]) for r in table.rows]
         assert cells == [("da", 20, 0), ("ode", 20, 0), ("da", 30, 1), ("ode", 30, 0)]
         assert all(np.isfinite(r["step_seconds"]) for r in table.rows)
@@ -332,6 +333,15 @@ class TestBenchTiming:
         lines = emit_csv(table, tmp_path)[0].read_text().splitlines()
         assert lines[0].endswith(",evaluate_seconds,failed_steps")
         assert [line.split(",")[-1] for line in lines[1:]] == ["0", "0", "1", "0"]
+
+        # an error that escapes bench_timing leaves the collector running too
+        def escaping(*args):
+            raise RuntimeError("injected escape")
+
+        monkeypatch.setattr(harness, "daruff_step", escaping)
+        with pytest.raises(RuntimeError, match="injected escape"):
+            bench_timing(committed("attitude"), [20])
+        assert gc.isenabled()
 
     def test_cell_without_timed_steps_reads_nan(self, monkeypatch):
         def step(*args):

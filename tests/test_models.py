@@ -43,7 +43,7 @@ class TestRangeH:
         np.testing.assert_allclose(models.range_h(X)[:, 0], [5.0, 2.0])
 
     def test_polynomial_jacobian_tracks_real(self):
-        model = models.range_model()
+        model = models.range_model(0.1)
         x0 = np.array([-3.5, 0.0])
         ctx = da.AlgebraContext(2, 8)
         J = model.jac(da.identity_map(ctx, x0).components)
@@ -55,7 +55,7 @@ class TestRangeH:
 
     def test_polynomial_jacobian_is_x_over_range(self):
         x = da.identity_map(da.AlgebraContext(2, 8), [-3.5, 0.7]).components
-        J = models.range_model().jac(x)
+        J = models.range_model(0.1).jac(x)
         # the algebra divides by numbers only: J times the range gives x back
         back = J[0] * models.range_h(x)
         np.testing.assert_allclose(back.coeffs, x.coeffs, rtol=1e-14,
@@ -72,7 +72,7 @@ class TestRangeH:
 
         x = da.identity_map(da.AlgebraContext(2, 8), [-3.5, 0.0]).components
         monkeypatch.setattr(da.DAScalar, "__mul__", counted)
-        flow._drift(x, np.eye(2), models.range_model(), np.array([3.4]))
+        flow._drift(x, np.eye(2), models.range_model(0.1), np.array([3.4]))
         assert sum(calls) <= 21
 
     def test_float_jacobian_at_origin_warns_no_division(self):
@@ -81,7 +81,7 @@ class TestRangeH:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             warnings.filterwarnings("ignore", "invalid value", RuntimeWarning)
-            J = models.range_model().jac(np.zeros(2))
+            J = models.range_model(0.1).jac(np.zeros(2))
         assert J.shape == (1, 2) and np.isnan(J).all()
 
 
