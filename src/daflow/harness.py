@@ -71,7 +71,8 @@ TOY_TRUNCATION_BOUND = 0.01 * TOY_NOISE_SIGMA
 
 
 class ConfigError(ValueError):
-    """A scenario configuration is malformed or inconsistent."""
+    """A scenario configuration is malformed or inconsistent, or every Monte
+    Carlo run of a method fails on it."""
 
 
 @dataclass
@@ -358,7 +359,8 @@ def run_attitude_mc(cfg: ScenarioConfig) -> MCSummary:
     coverage = {}
     for method in runs:
         if not runs[method]:
-            raise RuntimeError(f"every Monte Carlo run diverged for method {method!r}")
+            detail = "; ".join(f"run {i}: {msg}" for i, m, msg in failed if m == method)
+            raise ConfigError(f"every Monte Carlo run diverged for method {method!r} ({detail})")
         errs = np.stack([r.errors for r in runs[method]])          # (runs, epochs, 10)
         covs = np.stack([r.covariances for r in runs[method]])
         rmse[method] = np.stack(

@@ -6,9 +6,9 @@ arrays; on a polynomial state a Jacobian returns its truncated expansion.
 The range model unpacks the components along the last axis with ``x.T``
 and applies the :mod:`daflow.algebra` intrinsics.  Every attitude function
 is at most quadratic in the state, so each is one gathered pair product
-``x[..., a] * x[..., b]`` times a constant matrix, built once from
-:func:`quat_mul`, the cross product and :func:`dcm_from_quat`, plus a
-constant or linear term, and the measurement Jacobian is affine.
+``x[..., a] * x[..., b]`` times a constant matrix plus a constant or linear
+term; :func:`_pair_coefficients` reads each matrix once off the textbook
+formula, and the measurement's affine Jacobian comes from its pair matrix.
 Quaternions are stored vector-first, scalar-last: q = (qi, qj, qk, qs).
 """
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import algebra
 from .filter import DynamicsModel
-from .flow import MeasurementModel, da_jacobian
+from .flow import MeasurementModel
 from .integrate import IntegratorSpec, integrate
 
 __all__ = [
@@ -125,20 +125,18 @@ _RHS_A, _RHS_B = np.array([(4 + a, b) for a in range(3) for b in range(4)]
 _Q_A, _Q_B = np.array([(a, b) for a in range(4) for b in range(a, 4)]).T
 
 
-def _dcm_pairs() -> np.ndarray:
-    """(10, 3, 3) coefficients of q_a q_b in C(q), one per quaternion pair,
-    by polarizing :func:`dcm_from_quat` on unit quaternions (exact: the
-    entries are small integers)."""
-    e = np.eye(4)
-
-    def c(q):
-        return np.array(dcm_from_quat(q))
-
-    return np.stack([c(e[a]) if a == b else c(e[a] + e[b]) - c(e[a]) - c(e[b])
-                     for a, b in zip(_Q_A, _Q_B)])
+def _pair_coefficients(f, pairs_a, pairs_b) -> np.ndarray:
+    """Coefficient of each product x_a x_b in ``f``, a float function of the
+    state that is quadratic with no linear part, by polarization on unit
+    states: f(e_a) - f(0) when a = b, else f(e_a + e_b) - f(e_a) - f(e_b) + f(0)."""
+    e = np.eye(STATE_DIM)
+    f0 = f(np.zeros(STATE_DIM))
+    return np.stack([f(e[a]) - f0 if a == b else f(e[a] + e[b]) - f(e[a]) - f(e[b]) + f0
+                     for a, b in zip(pairs_a, pairs_b)])
 
 
-_DCM_PAIRS = _dcm_pairs()
+# (10, 3, 3) coefficients of q_a q_b in C(q), exact: the entries are small integers
+_DCM_PAIRS = _pair_coefficients(lambda x: np.array(dcm_from_quat(x[0:4])), _Q_A, _Q_B)
 
 
 @dataclass
@@ -191,22 +189,13 @@ class RigidBodyParams:
             raise ValueError("inertia must be positive definite")
         self.inertia_inv = np.linalg.inv(self.inertia)
 
-        e = np.eye(4)
-        quad = np.zeros((len(_RHS_A), STATE_DIM))
-        for p, (a, b) in enumerate(zip(_RHS_A - 4, _RHS_B)):
-            if b < 4:
-                # w_a q_b in 0.5 [w; 0] (x) q
-                quad[p, 0:4] = 0.5 * quat_mul(e[a], e[b])
-            else:
-                # w_a w_b in -J^-1 (w x J w); a pair a != b holds both orders
-                wa, wb = e[a, :3], e[b - 4, :3]
-                cross = np.cross(wa, self.inertia @ wb)
-                if a != b - 4:
-                    cross = cross + np.cross(wb, self.inertia @ wa)
-                quad[p, 4:7] = -self.inertia_inv @ cross
-        self.rhs_quadratic = quad
-        self.rhs_constant = np.zeros(STATE_DIM)
-        self.rhs_constant[4:7] = self.inertia_inv @ self.external_torque
+        def rhs(x):
+            q, w = x[0:4], x[4:7]
+            w_dot = self.inertia_inv @ (self.external_torque - np.cross(w, self.inertia @ w))
+            return np.concatenate([0.5 * quat_mul(np.append(w, 0.0), q), w_dot, np.zeros(3)])
+
+        self.rhs_quadratic = _pair_coefficients(rhs, _RHS_A, _RHS_B)
+        self.rhs_constant = rhs(np.zeros(STATE_DIM))
 
 
 @dataclass
@@ -261,9 +250,13 @@ def stacked_measurement(catalog: StarCatalog = DEFAULT_CATALOG) -> MeasurementMo
         x = algebra.asarray(x)
         return (x[..., _Q_A] * x[..., _Q_B]) @ quad + x @ lin
 
-    # h is quadratic, so its Jacobian is affine: H(x) = H(0) + sum_i x_i (H(e_i) - H(0))
-    h0 = da_jacobian(h, np.zeros(STATE_DIM), 9)
-    slope = np.stack([da_jacobian(h, e, 9) - h0 for e in np.eye(STATE_DIM)])
+    # h is quadratic, so H(x) = H(0) + sum_i x_i slope_i is affine: pair (a, b)
+    # puts its row of quad in column a of slope_b and column b of slope_a (twice
+    # when a = b).  The copy of H(0) is contiguous, so jac's ravel() is a view
+    h0 = lin.T.copy()
+    slope = np.zeros((STATE_DIM, 9, STATE_DIM))
+    np.add.at(slope, (_Q_B, slice(None), _Q_A), quad)
+    np.add.at(slope, (_Q_A, slice(None), _Q_B), quad)
     slope = slope.reshape(STATE_DIM, -1)
 
     def jac(x):

@@ -329,6 +329,48 @@ class TestDump:
         assert keys == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
 
+CTX3 = da.AlgebraContext(2, 3)
+D0, D1 = (da.make_variable(CTX3, 0.0, i) for i in range(2))
+
+
+@pytest.mark.parametrize("run,expected,match", [
+    (lambda: iter(D0), TypeError, "iteration over a single polynomial"),
+    (lambda: D0 + object(), TypeError, r"for \+: 'DAScalar' and 'object'"),
+    (lambda: D0 - object(), TypeError, "for -: 'DAScalar' and 'object'"),
+    (lambda: object() - D0, TypeError, "for -: 'object' and 'DAScalar'"),
+    (lambda: object() * D0, TypeError, r"for \*: 'object' and 'DAScalar'"),
+    (lambda: D0 @ object(), TypeError, "for @: 'DAScalar' and 'object'"),
+    (lambda: da.DAVector([], center=[]), ValueError, "DAVector needs at least one component"),
+    (lambda: da.DAVector(da.DAScalar(CTX3, np.zeros((2, 2, CTX3.size))), center=[0.0, 0.0]),
+     ValueError, "DAVector components must form a 1-d polynomial array"),
+    (lambda: (-(1.0 + 2.0 * D0)).terms, {(0, 0): -1.0, (1, 0): -2.0}, None),
+    (lambda: repr((1.0 + D0 + D1) * (1.0 + D0 + D1) * (1.0 + D0 + D1)),
+     "<DAScalar 1 + 3*d0 + 3*d1 + 3*d0^2 + 6*d0*d1 + 3*d1^2 + ...>", None),
+    (lambda: repr(da.DAScalar(CTX3)), "<DAScalar 0>", None),
+    (lambda: repr(da.DAScalar(CTX3, np.zeros((2, CTX3.size)))),
+     "<DAScalar shape=(2,) ctx=AlgebraContext(n_vars=2, max_order=3)>", None),
+    (lambda: repr(da.identity_map(CTX3, [1.0, -2.0])),
+     "<DAVector n=2 ctx=AlgebraContext(n_vars=2, max_order=3) center=[ 1. -2.]>", None),
+    # an order-1 identity after an order-3 inner map keeps the inner map's affine part
+    (lambda: [c.terms for c in da.compose(
+        da.identity_map(da.AlgebraContext(2, 1), [1.0, -2.0]),
+        da.DAVector([1.0 + D0 + D1 * D1, -2.0 + 3.0 * D1 + D0 * D1 * D1], center=[1.0, -2.0]),
+    ).components], [{(0, 0): 1.0, (1, 0): 1.0}, {(0, 0): -2.0, (0, 1): 3.0}], None),
+    (lambda: da.dump(da.DAVector([D0, da.DAScalar(CTX3)], center=[0.0, 0.0])), "0, 1, 1 0\n",
+     None),
+], ids=["iter-single", "add-object", "sub-object", "rsub-object", "rmul-object",
+        "matmul-object", "vector-empty", "vector-2d", "neg", "repr-scalar", "repr-zero",
+        "repr-array", "repr-vector", "compose-lower-order-outer", "dump-zero-component"])
+def test_edge_paths(run, expected, match):
+    """Operator fallbacks, malformed vectors, reprs and the rarer branches
+    of compose and dump: an exception type and message, or a value."""
+    if match is None:
+        assert run() == expected
+    else:
+        with pytest.raises(expected, match=match):
+            run()
+
+
 class TestContext:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

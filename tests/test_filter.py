@@ -39,6 +39,15 @@ def linear_dynamics(A):
     return DynamicsModel(f=f)
 
 
+@pytest.mark.parametrize("changes,message", [
+    ({"order": 0}, "order must be >= 1"),
+    ({"meas_period": 0.0}, "meas_period must be positive"),
+], ids=["order", "meas_period"])
+def test_filter_config_rejects(changes, message):
+    with pytest.raises(ValueError, match=message):
+        FilterConfig(**{"order": 2, "schedule": DENSE, "meas_period": 1.0, **changes})
+
+
 class TestBuildStpm:
     def test_zero_dynamics_gives_identity(self):
         dyn = DynamicsModel(f=lambda x, t: 0.0 * x)

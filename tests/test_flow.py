@@ -375,6 +375,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="schedule nodes must be finite"):
             LambdaSchedule([0.0, bad, 1.0])
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: GaussianBelief([0.0, 0.0], np.eye(3)),
+         r"cov shape \(3, 3\) does not match mean \(2,\)"),
+        (lambda: MeasurementModel(h=lambda x: x, noise_cov=[[1.0, 0.2], [0.1, 1.0]],
+                                  jac=lambda x: x), "noise_cov must be symmetric"),
+    ], ids=["belief-shape", "noise-asymmetric"])
+    def test_rejects_shape_mismatch_and_asymmetric_noise(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_measurement_model_rejects_bad_noise(self):
         with pytest.raises(ValueError, match="positive definite"):
             MeasurementModel(h=lambda x: x, noise_cov=[[0.0]], jac=lambda x: x)

@@ -9,6 +9,10 @@ the maps a change moves on purpose, by name, with
 
 Without a name the script lists the names and exits with status 1, so the
 maps a change keeps are never rewritten with last-digit noise.
+
+``tests/data/attitude_scaled_rmse.csv`` pins the end-to-end output of the
+scaled attitude Monte Carlo the same way; see
+:func:`test_scaled_attitude_rmse_matches_pinned_csv`.
 """
 
 import functools
@@ -18,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from daflow import algebra, models
+from daflow import algebra, harness, models
 from daflow.filter import DYNAMICS_SPEC, build_stpm
 from daflow.flow import GaussianBelief, build_flow_map
 from daflow.harness import (
@@ -32,6 +36,7 @@ from daflow.harness import (
 DATA = Path(__file__).parent / "data"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 REL_TOL = 1e-9
+RMSE_RTOL = 1e-8
 
 
 @functools.cache
@@ -89,6 +94,32 @@ def test_map_matches_golden_dump(name):
     assert np.all(np.abs(got - want) <= REL_TOL * scale), (
         f"{name}: largest relative deviation "
         f"{float((np.abs(got - want) / scale).max()):.3g}")
+
+
+def test_scaled_attitude_rmse_matches_pinned_csv(attitude_mc_scaled):
+    """``rmse.csv`` of ``daflow attitude --config configs/attitude_scaled.json``:
+    the epoch times exactly, and both methods' per-epoch block RMSE to
+    ``RMSE_RTOL``.
+
+    The filter's feedback grows a round-off change in h or the flow about
+    1e5-fold, so the CSV cannot be pinned byte for byte.  1e-8 is 150 times
+    the largest move a round-off or integrator change has caused (6.5e-11)
+    and 1e4 times below the move of a new flow law (1.4e-4).  Regenerate the
+    file, with BLAS on one thread, only for a change that moves the filter on
+    purpose::
+
+        OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=src \
+            python3 -m daflow.cli attitude --config configs/attitude_scaled.json --out OUT
+        cp OUT/rmse.csv tests/data/attitude_scaled_rmse.csv
+    """
+    summary, _ = attitude_mc_scaled
+    lines = (DATA / "attitude_scaled_rmse.csv").read_text().splitlines()
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    columns = dict(zip(lines[0].split(","), table.T))
+    np.testing.assert_array_equal(summary.times, columns["time"])
+    for method in ("da", "ode"):
+        want = np.stack([columns[f"xi_{block}_{method}"] for block in harness.BLOCKS], axis=1)
+        np.testing.assert_allclose(summary.rmse[method], want, rtol=RMSE_RTOL, atol=0.0)
 
 
 if __name__ == "__main__":

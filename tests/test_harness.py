@@ -140,6 +140,17 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="invalid JSON"):
             ScenarioConfig.from_json(path)
 
+    @pytest.mark.parametrize("text,message", [
+        (json.dumps({**json.loads((CONFIGS / "toy.json").read_text()), "n_particles_per_dim": 0}),
+         "n_particles_per_dim must be positive"),
+        ("[1, 2]", "config must be a JSON object"),
+    ], ids=["no-particles", "not-an-object"])
+    def test_rejects_with_message(self, tmp_path, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig.from_json(path)
+
     def test_scenario_guards(self, small_toy):
         with pytest.raises(ConfigError, match="toy_range"):
             run_toy(committed("attitude"))
@@ -420,6 +431,35 @@ class TestCli:
         assert (out / "particles.csv").exists()
         assert (out / "toy_summary.csv").exists()
         assert "rms DA vs ODE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fails,code,err", [
+        (lambda call: False, 0, []),
+        # three epochs per run: the fourth polynomial-map step is run 1's first epoch
+        (lambda call: call == 4, 0, ["run 1 (da) diverged: injected failure"]),
+        (lambda call: True, 1, ["error: every Monte Carlo run diverged for method 'da' "
+                                "(run 0: injected failure; run 1: injected failure)"]),
+    ], ids=["no-failure", "one-run-fails", "every-run-fails"])
+    def test_attitude_run(self, tiny_mc, tmp_path, capsys, monkeypatch, fails, code, err):
+        calls = []
+
+        def step(*args):
+            calls.append(None)
+            if fails(len(calls)):
+                raise IntegrationError("injected failure")
+            return daruff_step(*args)
+
+        monkeypatch.setattr(harness, "daruff_step", step)
+        path = self.write_config(tmp_path, dataclasses.replace(tiny_mc, n_mc=2))
+        out = tmp_path / "out"
+        assert main(["attitude", "--config", path, "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == err
+        if code:
+            assert not out.exists()
+            return
+        assert sorted(p.name for p in out.iterdir()) == ["coverage.csv", "rmse.csv", "runs.csv"]
+        rmse_lines = [line for line in captured.out.splitlines() if "time-averaged RMSE" in line]
+        assert [line.split(":")[0] for line in rmse_lines] == ["da", "ode"]
 
     def test_cli_overrides_apply(self, tmp_path):
         path = self.write_config(

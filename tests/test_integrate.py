@@ -29,6 +29,31 @@ class TestSpecValidation:
             IntegratorSpec("rk4_fixed", step_size=-0.1)
 
 
+def _infinite_coefficient():
+    # the slope coefficient doubles past the float range; error control reads
+    # constant parts only, so the step is accepted and the finiteness check trips
+    ctx = da.AlgebraContext(1, 1)
+    huge = da.DAScalar(ctx, np.array([0.0, 1e308]))
+    return integrate(lambda y, t: huge, huge, 0.0, 1.0, RK78)
+
+
+@pytest.mark.parametrize("run,expected,match", [
+    (lambda: repr(Stacked(np.zeros(2), np.zeros(3))), "<Stacked 2 parts>", None),
+    (lambda: integrate(lambda y, t: y * np.nan, np.array([1.0]), 0.0, 1.0, RK78),
+     IntegrationError, "rk78_adaptive step size collapsed"),
+    (_infinite_coefficient, IntegrationError, r"non-finite state at t=1\.0"),
+], ids=["stacked-repr", "rk78-nan-collapses", "rk78-accepts-infinite-coefficient"])
+def test_edge_paths(run, expected, match):
+    """Stacked's repr, and the two RK7(8) failures: an exception type and
+    message, or a value."""
+    if match is None:
+        assert run() == expected
+        return
+    # the overflow and NaN are the point here; warnings are errors in tier-1
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(expected, match=match):
+        run()
+
+
 class TestRK4:
     def test_exponential(self):
         y = integrate(exponential, np.array([1.0]), 0.0, 1.0, RK4)

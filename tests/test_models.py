@@ -368,6 +368,20 @@ class TestAttitudeState:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             models.AttitudeState(**blocks)
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: models.AttitudeState(np.array([0.0, 0.0, 1.0]), np.zeros(3), np.zeros(3)),
+         r"attitude state blocks must be \(4,\), \(3,\), \(3,\)"),
+        (lambda: models.RigidBodyParams(np.eye(2), np.zeros(3)),
+         "inertia must be 3x3 and torque length 3"),
+        (lambda: models.RigidBodyParams(np.eye(3), np.zeros(2)),
+         "inertia must be 3x3 and torque length 3"),
+        (lambda: models.RigidBodyParams([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                                        np.zeros(3)), "inertia must be symmetric"),
+    ], ids=["state-blocks", "inertia-shape", "torque-shape", "inertia-asymmetric"])
+    def test_rejects_malformed_blocks(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_params_validation(self):
         with pytest.raises(ValueError, match="positive definite"):
             models.RigidBodyParams(-np.eye(3), np.zeros(3))
