@@ -22,7 +22,6 @@ from .filter import (
     StepTiming,
     baseline_pff_step,
     build_stpm,
-    combine_maps,
     daruff_step,
     ensemble_stats,
     spread_correction,

@@ -1,12 +1,12 @@
 """Polynomial-map particle flow filter and its per-particle ODE baseline.
 
 Each measurement epoch builds one state-transition polynomial map through
-the dynamics, one flow map through the measurement update, composes them
-into a single map from pre-propagation deviations to posterior states, and
-evaluates every particle through that map.  The baseline filter does the
-same work with direct numerical integration of every particle.  The
-dynamics are deterministic, so the composed map is the only evaluation
-path.
+the dynamics and then flows that polynomial state itself through the
+measurement update, so the flow's result is the epoch's single map from
+pre-propagation deviations to posterior states; every particle is evaluated
+through it.  The baseline filter does the same work with direct numerical
+integration of every particle.  The dynamics are deterministic, so that one
+map is the only evaluation path.
 
 Both maps and ODE solves realize only the drift of the measurement flow,
 which carries deviations by Phi = P1 P0^-1 and leaves the ensemble with
@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+# compose is not called here: perfbench's tracer looks up daflow.filter.compose
 from .algebra import AlgebraContext, DAVector, compose, evaluate_many, identity_map
 from .flow import (
     Ensemble,
@@ -41,14 +42,12 @@ __all__ = [
     "FilterState",
     "StepTiming",
     "build_stpm",
-    "combine_maps",
     "ensemble_stats",
     "spread_correction",
     "daruff_step",
     "baseline_pff_step",
 ]
 
-CENTER_MATCH_TOL = 1e-9
 # RK7(8) holds the map's integration error far below its truncation error in a few steps
 DYNAMICS_SPEC = IntegratorSpec("rk78_adaptive")
 # the geometric schedule's segments are short where the flow is stiff: one RK4 step each
@@ -112,19 +111,9 @@ def build_stpm(center, dynamics: DynamicsModel, t0: float, t1: float,
     return DAVector(out, center=center)
 
 
-def combine_maps(flow_map: DAVector, stpm: DAVector) -> DAVector:
-    """One polynomial from pre-propagation deviations to posterior states.
-
-    The flow map must be centered at the propagated mean, i.e. the constant
-    part of the state-transition map.
-    """
-    mismatch = np.abs(flow_map.center - stpm.components.constant).max()
-    if mismatch > CENTER_MATCH_TOL:
-        raise ValueError(
-            f"flow map center is {mismatch:g} away from the propagated mean; "
-            "the maps were built around different points"
-        )
-    return compose(flow_map, stpm)
+# the flow starts from the dynamics map, so no step composes two maps;
+# perfbench's tracer still looks up this name
+combine_maps = compose
 
 
 def ensemble_stats(ensemble: Ensemble) -> GaussianBelief:
@@ -179,9 +168,9 @@ def daruff_step(state: FilterState, dynamics: DynamicsModel,
     """One measurement epoch of the polynomial-map filter.
 
     Deviations are stored against the current estimate, the dynamics map is
-    built to the measurement time, the flow map at the propagated mean, both
-    are composed, and every particle moves by one map evaluation plus its
-    :func:`spread_correction`.
+    built to the measurement time and flowed through the measurement update
+    from the propagated mean, and every particle moves by one evaluation of
+    the flowed map plus its :func:`spread_correction`.
     """
     t0 = state.time
     t1 = t0 + cfg.meas_period
@@ -195,12 +184,12 @@ def daruff_step(state: FilterState, dynamics: DynamicsModel,
 
     tic = time.perf_counter()
     prior = GaussianBelief(stpm.components.constant, ensemble_stats(Ensemble(predicted)).cov)
-    flow_map, post_cov = build_flow_map(prior, model, y, cfg.schedule, cfg.order,
-                                        FLOW_SPEC, return_cov=True)
+    epoch_map, post_cov = build_flow_map(prior, model, y, cfg.schedule, stpm,
+                                         FLOW_SPEC, return_cov=True)
     t_flow = time.perf_counter() - tic
 
     tic = time.perf_counter()
-    posterior = evaluate_many(combine_maps(flow_map, stpm), devs)
+    posterior = evaluate_many(epoch_map, devs)
     posterior = posterior + spread_correction(predicted, prior.cov, post_cov)
     t_eval = time.perf_counter() - tic
 

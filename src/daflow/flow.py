@@ -15,14 +15,15 @@ This module integrates the drift only, with one driver for every route
 and one law: every particle's drift takes the nonlinear innovation
 y - h(x) and H at the particle itself.
 The state it carries is either a polynomial state, which the map route
-(:func:`build_flow_map`) starts as the identity around the prior mean and
-which replaces every particle integration with one polynomial evaluation,
-or a batch of particles (:func:`flow_ensemble_ode`, and
-:func:`flow_mean_cov` on the one-row batch of the prior mean).  Next to the
-state rides one real (n, n) information matrix J, shared by every
-particle, whose rate takes H at the running mean.  The running mean is the
-image of the prior mean, so it is read off the state: the polynomial
-state's constant part, or row 0 of a batch that starts with the prior mean.
+(:func:`build_flow_map`) starts as the identity around the prior mean or
+as the filter's dynamics map, and which replaces every particle
+integration with one polynomial evaluation, or a batch of particles
+(:func:`flow_ensemble_ode`, and :func:`flow_mean_cov` on the one-row batch
+of the prior mean).  Next to the state rides one real (n, n) information
+matrix J, shared by every particle, whose rate takes H at the running
+mean.  The running mean is the image of the prior mean, so it is read off
+the state: the polynomial state's constant part, or row 0 of a batch that
+starts with the prior mean.
 
 One drift body serves every kind of state: the model's h and Jacobian run
 on the state as it is, and on a polynomial state they return their
@@ -259,22 +260,27 @@ def flow_mean_cov(prior: GaussianBelief, model: MeasurementModel, y,
 
 
 def build_flow_map(prior: GaussianBelief, model: MeasurementModel, y,
-                   schedule: LambdaSchedule, order: int, spec: IntegratorSpec,
+                   schedule: LambdaSchedule, start, spec: IntegratorSpec,
                    *, return_cov: bool = False):
-    """Polynomial flow map from prior deviations to posterior states.
+    """Polynomial flow map from ``start``'s deviations to posterior states.
 
-    The polynomial state starts as the identity around the prior mean and is
-    integrated through the drift with a polynomial-valued H.  The covariance
-    entering the drift comes from the real information J, whose rate takes
-    H at the running mean.
+    The polynomial state starts as ``start``: an int order for the identity
+    around the prior mean, or a :class:`DAVector` whose constant part is
+    exactly the prior mean, such as the dynamics map that propagated it.
+    It is integrated through the drift with a polynomial-valued H.  The
+    covariance entering the drift comes from the real information J, whose
+    rate takes H at the running mean.
 
     The map realizes the drift only.  ``return_cov=True`` returns
     ``(map, P1)`` instead, where P1 is the covariance at pseudo-time 1 from
     the same integration.
     """
-    x0 = identity_map(AlgebraContext(prior.dim, order), prior.mean).components
-    x1, post_cov = _flow(x0, prior.cov, model, y, schedule, spec)
-    fmap = DAVector(x1, center=prior.mean)
+    if not isinstance(start, DAVector):
+        start = identity_map(AlgebraContext(prior.dim, start), prior.mean)
+    elif not np.array_equal(start.components.constant, prior.mean):
+        raise ValueError("the start map's constant part is not the prior mean")
+    x1, post_cov = _flow(start.components, prior.cov, model, y, schedule, spec)
+    fmap = DAVector(x1, center=start.center)
     return (fmap, post_cov) if return_cov else fmap
 
 

@@ -181,6 +181,10 @@ def _rk78(rhs, y0, t0, t1):
         )
         ref = np.maximum(np.abs(_leading_values(y)), np.abs(_leading_values(y8)))
         err = float(np.max(np.abs(diff) / (TOLERANCE + TOLERANCE * ref)))
+        # k1 = rhs(y, t) does not depend on h, so a smaller step cannot
+        # mend it; later stages may overflow on a long step and are retried
+        if not math.isfinite(err) and not _state_finite(ks[0]):
+            raise IntegrationError(f"non-finite right-hand side at t={t}")
 
         if err <= 1.0:
             y = y8

@@ -14,7 +14,6 @@ from daflow import models
 from daflow.filter import (
     FilterState,
     build_stpm,
-    combine_maps,
     daruff_step,
     ensemble_stats,
 )
@@ -135,10 +134,11 @@ class TestCriterion5MapCombination:
         stpm = build_stpm(x0, linear_dynamics(A), 0.0, 1.0, 1,
                           IntegratorSpec("rk4_fixed", step_size=0.01))
         prior = GaussianBelief(stpm.components.constant, np.eye(2))
-        fmap = build_flow_map(prior, linear_model(H, [[0.5]]), [0.3],
-                              LambdaSchedule(np.linspace(0, 1, 201)), 1,
-                              IntegratorSpec("rk4_fixed", step_size=1.0))
-        combined = combine_maps(fmap, stpm)
+        flow_args = (linear_model(H, [[0.5]]), [0.3], LambdaSchedule(np.linspace(0, 1, 201)))
+        one_step = IntegratorSpec("rk4_fixed", step_size=1.0)
+        fmap = build_flow_map(prior, *flow_args, 1, one_step)
+        # the flow started from the dynamics map is the combined map
+        combined = build_flow_map(prior, *flow_args, stpm, one_step)
         c1 = stpm.components.coeffs         # columns: constant, d0, d1
         c2 = fmap.components.coeffs
         oracle = np.empty_like(c1)
@@ -153,10 +153,9 @@ class TestCriterion5MapCombination:
         stpm_a = build_stpm(xa, dyn, 0.0, 2.0, 2,
                             IntegratorSpec("rk4_fixed", step_size=0.01))
         prior_a = GaussianBelief(stpm_a.components.constant, models.INITIAL_STATE_COV)
-        fmap_a = build_flow_map(prior_a, model, model.h(stpm_a.components.constant),
-                                geometric_schedule(0.001, 50), 2,
-                                IntegratorSpec("rk4_fixed", step_size=1.0))
-        combined_a = combine_maps(fmap_a, stpm_a)
+        flow_args_a = (model, model.h(stpm_a.components.constant), geometric_schedule(0.001, 50))
+        fmap_a = build_flow_map(prior_a, *flow_args_a, 2, one_step)
+        combined_a = build_flow_map(prior_a, *flow_args_a, stpm_a, one_step)
         seq_err = 0.0
         for _ in range(100):
             d = 0.005 * rng.standard_normal(10)

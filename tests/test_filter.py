@@ -3,13 +3,14 @@ import pytest
 from scipy.linalg import expm
 
 import daflow.algebra as da
+import daflow.filter as dfilter
+import daflow.flow as dflow
 from daflow.filter import (
     DynamicsModel,
     FilterConfig,
     FilterState,
     baseline_pff_step,
     build_stpm,
-    combine_maps,
     daruff_step,
     ensemble_stats,
     spread_correction,
@@ -141,11 +142,17 @@ class TestPropagateEnsembleMap:
 
 
 class TestCombineMaps:
+    """The flow started from the dynamics map is the epoch's one map from
+    pre-propagation deviations to posterior states."""
+
     def test_identity_flow_keeps_stpm(self):
+        # H = 0: the drift vanishes, so the flow returns its start map
         dyn = linear_dynamics([[0.0, 1.0], [-0.5, 0.0]])
         stpm = build_stpm([1.0, 2.0], dyn, 0.0, 0.7, 3, RK4)
-        ident_flow = da.identity_map(stpm.components.ctx, stpm.components.constant)
-        combined = combine_maps(ident_flow, stpm)
+        prior = GaussianBelief(stpm.components.constant, np.eye(2))
+        combined = build_flow_map(prior, linear_model(np.zeros((1, 2)), [[0.25]]), [0.7],
+                                  DENSE, stpm, ONE_STEP)
+        np.testing.assert_array_equal(combined.center, stpm.center)
         np.testing.assert_allclose(combined.components.coeffs,
                                    stpm.components.coeffs, atol=1e-13)
 
@@ -158,8 +165,9 @@ class TestCombineMaps:
         stpm = build_stpm(x0, dyn, 0.0, 2.0, 2, RK4)
         prior = GaussianBelief(stpm.components.constant, models.INITIAL_STATE_COV)
         truth_meas = model.h(stpm.components.constant)
-        fmap = build_flow_map(prior, model, truth_meas, geometric_schedule(0.001, 50), 2, ONE_STEP)
-        combined = combine_maps(fmap, stpm)
+        schedule = geometric_schedule(0.001, 50)
+        fmap = build_flow_map(prior, model, truth_meas, schedule, 2, ONE_STEP)
+        combined = build_flow_map(prior, model, truth_meas, schedule, stpm, ONE_STEP)
         for _ in range(100):
             d = 0.005 * rng.standard_normal(10)
             sequential = da.evaluate(fmap, da.evaluate(stpm, d) - stpm.components.constant)
@@ -180,8 +188,7 @@ class TestCombineMaps:
         phi = expm(A * dt)
         p_minus = phi @ P0 @ phi.T
         prior = GaussianBelief(stpm.components.constant, p_minus)
-        fmap = build_flow_map(prior, linear_model(H, R), y, DENSE, 1, ONE_STEP)
-        combined = combine_maps(fmap, stpm)
+        combined = build_flow_map(prior, linear_model(H, R), y, DENSE, stpm, ONE_STEP)
         for _ in range(5):
             d = rng.normal(size=2)
             x_pred = phi @ (x0 + d)
@@ -190,11 +197,12 @@ class TestCombineMaps:
                                        rtol=1e-6, atol=1e-8)
 
     def test_center_mismatch_rejected(self):
-        ctx = da.AlgebraContext(2, 2)
-        stpm = da.identity_map(ctx, [1.0, 1.0])
-        flow = da.identity_map(ctx, [1.0, 1.0 + 1e-6])
-        with pytest.raises(ValueError, match="propagated mean"):
-            combine_maps(flow, stpm)
+        # the start map's constant part must be the prior mean exactly
+        stpm = da.identity_map(da.AlgebraContext(2, 2), [1.0, 1.0])
+        prior = GaussianBelief([1.0, 1.0 + 1e-12], np.eye(2))
+        with pytest.raises(ValueError, match="not the prior mean"):
+            build_flow_map(prior, linear_model(np.eye(2), np.eye(2)), [1.0, 1.0],
+                           DENSE, stpm, ONE_STEP)
 
 
 class TestEnsembleStats:
@@ -276,6 +284,32 @@ class TestDaruffStep:
         out_ode = baseline_pff_step(state, dyn, model, y, cfg)
         np.testing.assert_allclose(out_da.ensemble.particles,
                                    out_ode.ensemble.particles, atol=1e-6)
+
+    def test_one_algebra_context_and_no_composition(self, monkeypatch):
+        # the flow starts from the dynamics map, so an epoch builds one
+        # context and joins no two maps by composition
+        contexts, composed = [], []
+        init, compose = da.AlgebraContext.__init__, da.compose
+
+        def counted_init(ctx, *args):
+            contexts.append(args)
+            init(ctx, *args)
+
+        def counted_compose(outer, inner):
+            composed.append(outer)
+            return compose(outer, inner)
+
+        rng = np.random.default_rng(11)
+        ens = Ensemble(rng.normal(size=(16, 2)))
+        state = FilterState(0.0, ensemble_stats(ens), ens)
+        dyn = linear_dynamics(0.3 * rng.normal(size=(2, 2)))
+        model = linear_model([[1.0, 0.5]], [[0.3]])
+        monkeypatch.setattr(da.AlgebraContext, "__init__", counted_init)
+        for module in (da, dfilter, dflow):
+            monkeypatch.setattr(module, "compose", counted_compose)
+        daruff_step(state, dyn, model, [0.4], make_filter_config(order=2))
+        assert contexts == [(2, 2)]
+        assert composed == []
 
     def test_timing_recorded(self):
         rng = np.random.default_rng(9)

@@ -37,14 +37,30 @@ def _infinite_coefficient():
     return integrate(lambda y, t: huge, huge, 0.0, 1.0, RK78)
 
 
+def _nan_rhs():
+    # the first attempt's error estimate is NaN: one attempt, 13 stages
+    calls = []
+
+    def rhs(y, t):
+        calls.append(t)
+        return y * np.nan
+
+    try:
+        integrate(rhs, np.array([1.0]), 0.0, 1.0, RK78)
+    finally:
+        assert len(calls) == 13
+
+
 @pytest.mark.parametrize("run,expected,match", [
     (lambda: repr(Stacked(np.zeros(2), np.zeros(3))), "<Stacked 2 parts>", None),
-    (lambda: integrate(lambda y, t: y * np.nan, np.array([1.0]), 0.0, 1.0, RK78),
+    (_nan_rhs, IntegrationError, r"non-finite right-hand side at t=0\.0"),
+    (lambda: integrate(lambda y, t: -1e15 * y, np.array([1.0]), 0.0, 1.0, RK78),
      IntegrationError, "rk78_adaptive step size collapsed"),
     (_infinite_coefficient, IntegrationError, r"non-finite state at t=1\.0"),
-], ids=["stacked-repr", "rk78-nan-collapses", "rk78-accepts-infinite-coefficient"])
+], ids=["stacked-repr", "rk78-nan-rhs", "rk78-stiff-collapses",
+        "rk78-accepts-infinite-coefficient"])
 def test_edge_paths(run, expected, match):
-    """Stacked's repr, and the two RK7(8) failures: an exception type and
+    """Stacked's repr, and the three RK7(8) failures: an exception type and
     message, or a value."""
     if match is None:
         assert run() == expected
@@ -128,6 +144,14 @@ class TestRK78:
 
         with pytest.raises(IntegrationError, match="max_steps"):
             integrate(ho, np.array([1.0, 0.0]), 0.0, 100.0, RK78)
+
+    def test_stage_overflow_on_first_attempt_is_retried(self):
+        # y' = -y^3, y(0) = 10: y(t) = 1 / sqrt(2 t + 0.01). The first attempt
+        # spans all 10 s and its later stages overflow although rhs(y0) is
+        # finite; the step is rejected and shrunk, not reported as a NaN RHS
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = integrate(lambda y, t: -y ** 3, np.array([10.0]), 0.0, 10.0, RK78)
+        assert y[0] == pytest.approx(1.0 / math.sqrt(20.01), rel=1e-8)
 
 
 class TestGenericStates:
