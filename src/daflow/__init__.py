@@ -3,7 +3,6 @@
 from .algebra import (
     AlgebraContext,
     DAScalar,
-    DAVector,
     DomainError,
     compose,
     dump,

@@ -19,7 +19,9 @@ polynomials for the other.
 A :class:`DAScalar` is an array of polynomials: one dense coefficient block
 of shape ``(*shape, basis size)``.  It indexes, broadcasts and multiplies
 like a numpy array over its leading axes, so one piece of model code serves
-float vectors, particle batches and polynomial states alike.
+float vectors, particle batches and polynomial states alike.  A polynomial
+map, such as a state-transition or flow map, is a 1-d one: one polynomial
+per component, in the deviations of the point it was expanded around.
 
 Monomials are ordered graded-lexicographically (total degree first, then
 the variable multiset), which fixes iteration order, printing, and the
@@ -38,7 +40,6 @@ import numpy as np
 __all__ = [
     "AlgebraContext",
     "DAScalar",
-    "DAVector",
     "DomainError",
     "constant",
     "make_variable",
@@ -469,11 +470,8 @@ def rsqrt(x):
 def evaluate(obj, deviation):
     """Substitute numbers for the deviation variables.
 
-    Single polynomial -> float; polynomial array or DAVector -> array of
-    its shape.
+    Single polynomial -> float; polynomial array -> array of its shape.
     """
-    if isinstance(obj, DAVector):
-        obj = obj.components
     n_vars = obj.ctx.n_vars
     dev = np.asarray(deviation, dtype=float)
     if dev.shape != (n_vars,):
@@ -482,17 +480,14 @@ def evaluate(obj, deviation):
     return float(out) if obj.ndim == 0 else out
 
 
-def evaluate_many(obj, deviations: np.ndarray) -> np.ndarray:
-    """Evaluate at a batch of deviation rows: (N, n_vars) -> (N, *shape);
-    a DAVector gives (N, n_components)."""
-    if isinstance(obj, DAVector):
-        obj = obj.components
+def evaluate_many(obj: DAScalar, deviations: np.ndarray) -> np.ndarray:
+    """Evaluate at a batch of deviation rows: (N, n_vars) -> (N, *shape)."""
     vals = obj.ctx.monomial_values(deviations)
     flat = obj.coeffs.reshape(-1, obj.ctx.size)
     return (vals @ flat.T).reshape(vals.shape[:1] + obj.shape)
 
 
-def truncation_indicator(vec: "DAVector", deviations: np.ndarray) -> np.ndarray:
+def truncation_indicator(fmap: DAScalar, deviations: np.ndarray) -> np.ndarray:
     """Per-row estimate of a map's truncation error: the norm of its
     highest-degree terms at each deviation row, (N, n_vars) -> (N,).
 
@@ -501,101 +496,70 @@ def truncation_indicator(vec: "DAVector", deviations: np.ndarray) -> np.ndarray:
     is large lies beyond the region.  An affine map has no nonlinear terms
     to estimate from and reads zero everywhere.
     """
-    ctx = vec.components.ctx
+    ctx = fmap.ctx
     vals = ctx.monomial_values(deviations)
     if ctx.max_order < 2:
         return np.zeros(len(vals))
     top = ctx.degrees == ctx.max_order
-    return np.linalg.norm(vals[:, top] @ vec.components.coeffs[:, top].T, axis=1)
+    flat = fmap.coeffs.reshape(-1, ctx.size)
+    return np.linalg.norm(vals[:, top] @ flat[:, top].T, axis=1)
 
 
 # ---------------------------------------------------------------------------
-# polynomial vectors / maps
+# polynomial maps: (n,) polynomial arrays
 
 
-class DAVector:
-    """A polynomial map: a 1-d polynomial array with its expansion center.
-
-    ``components`` is a :class:`DAScalar` of shape ``(n_components,)``
-    (a sequence of single polynomials is stacked into one).  ``center``
-    records the numeric expansion point the deviation variables measure
-    from, one entry per variable of the context.
-    """
-
-    __slots__ = ("components", "center")
-
-    def __init__(self, components, center):
-        if not isinstance(components, DAScalar):
-            components = list(components)
-            if not components:
-                raise ValueError("DAVector needs at least one component")
-            components = stack(components, 0)
-        if not isinstance(components, DAScalar) or components.ndim != 1:
-            raise ValueError("DAVector components must form a 1-d polynomial array")
-        ctx = components.ctx
-        center = np.atleast_1d(np.asarray(center, dtype=float))
-        if center.shape != (ctx.n_vars,):
-            raise ValueError(
-                f"center must have shape ({ctx.n_vars},), got {center.shape}"
-            )
-        self.components = components
-        self.center = center
-
-    def __repr__(self):
-        return (
-            f"<DAVector n={self.components.shape[0]} ctx={self.components.ctx!r} "
-            f"center={np.array2string(self.center, precision=4)}>"
-        )
+# a map is its (n,) polynomial array and carries no center; nothing here
+# calls this, but perfbench/micro.py still builds its operands with it
+def DAVector(components, center) -> DAScalar:
+    """``stack(components, 0)``; ``center`` is not read."""
+    return stack(components, 0)
 
 
-def identity_map(ctx: AlgebraContext, center) -> DAVector:
+def identity_map(ctx: AlgebraContext, center) -> DAScalar:
     """The map ``center_i + d_i``, one component per entry of ``center``."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    return DAVector(
-        [make_variable(ctx, center[i], i) for i in range(len(center))],
-        center,
-    )
+    return stack([make_variable(ctx, c, i) for i, c in enumerate(center)], 0)
 
 
-def compose(outer: DAVector, inner: DAVector) -> DAVector:
-    """Truncated polynomial of ``outer`` applied after ``inner``.
+def compose(outer: DAScalar, inner: DAScalar) -> DAScalar:
+    """Truncated polynomial of the map ``outer`` applied after the map
+    ``inner``, both (n,) polynomial arrays.
 
     The deviation variables of ``outer`` receive the components of
-    ``inner`` about their constant parts (which must match ``outer``'s
-    expansion center for the composition to be meaningful), so ``inner``
-    has one component per variable of ``outer``.  Exact whenever the
-    combined degree stays within the truncation order.
+    ``inner`` about their constant parts, so ``inner`` has one component
+    per variable of ``outer``, and the result lives in ``inner``'s algebra.
+    Exact whenever the combined degree stays within the truncation order.
     """
-    octx = outer.components.ctx
-    ictx = inner.components.ctx
-    n_inner = inner.components.shape[0]
+    octx = outer.ctx
+    ictx = inner.ctx
+    n_inner = inner.shape[0]
     if n_inner != octx.n_vars:
         raise ValueError(
             f"outer map expands {octx.n_vars} variables but inner has "
             f"{n_inner} components"
         )
 
-    devs = inner.components.coeffs.copy()
+    devs = inner.coeffs.copy()
     devs[:, 0] = 0.0
     # outer's basis monomials as polynomials of the inner algebra
     vals = octx.monomial_values(DAScalar(ictx, devs)).coeffs
     if octx.max_order < ictx.max_order:
         vals[:, ictx.degrees > octx.max_order] = 0.0
 
-    coeffs = outer.components.coeffs @ vals
-    return DAVector(DAScalar(ictx, coeffs), inner.center)
+    return DAScalar(ictx, outer.coeffs @ vals)
 
 
-def dump(v: DAVector) -> str:
+def dump(fmap: DAScalar) -> str:
     """Textual map dump: one line per monomial,
     ``component_index, coefficient, e0 e1 ... e{n-1}``.
 
     Coefficients below PRUNE_REL of the component's largest magnitude are
     dropped; line order is (component, graded-lex monomial).
     """
-    ctx = v.components.ctx
+    ctx = fmap.ctx
     lines = []
-    for ci, coeffs in enumerate(v.components.coeffs):
+    for ci, coeffs in enumerate(fmap.coeffs.reshape(-1, ctx.size)):
         cmax = np.abs(coeffs).max()
         if cmax == 0.0:
             continue

@@ -4,9 +4,10 @@ Each measurement epoch builds one state-transition polynomial map through
 the dynamics and then flows that polynomial state itself through the
 measurement update, so the flow's result is the epoch's single map from
 pre-propagation deviations to posterior states; every particle is evaluated
-through it.  The baseline filter does the same work with direct numerical
-integration of every particle.  The dynamics are deterministic, so that one
-map is the only evaluation path.
+through it.  Both maps are (n,) polynomial arrays whose constant part is
+the image of the current estimate.  The baseline filter does the same work
+with direct numerical integration of every particle.  The dynamics are
+deterministic, so that one map is the only evaluation path.
 
 Both maps and ODE solves realize only the drift of the measurement flow,
 which carries deviations by Phi = P1 P0^-1 and leaves the ensemble with
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 # compose is not called here: perfbench's tracer looks up daflow.filter.compose
-from .algebra import AlgebraContext, DAVector, compose, evaluate_many, identity_map
+from .algebra import AlgebraContext, DAScalar, compose, evaluate_many, identity_map
 from .flow import (
     Ensemble,
     GaussianBelief,
@@ -100,15 +101,14 @@ class FilterConfig:
 
 
 def build_stpm(center, dynamics: DynamicsModel, t0: float, t1: float,
-               order: int, spec: IntegratorSpec) -> DAVector:
-    """State-transition polynomial map of the dynamics from t0 to t1,
-    expanded around ``center``."""
+               order: int, spec: IntegratorSpec) -> DAScalar:
+    """State-transition polynomial map of the dynamics from t0 to t1, an
+    (n,) polynomial array in the deviations from ``center``."""
     if t1 <= t0:
         raise ValueError(f"need t1 > t0, got {t0} -> {t1}")
     center = np.atleast_1d(np.asarray(center, dtype=float))
     ctx = AlgebraContext(len(center), order)
-    out = integrate(dynamics.f, identity_map(ctx, center).components, t0, t1, spec)
-    return DAVector(out, center=center)
+    return integrate(dynamics.f, identity_map(ctx, center), t0, t1, spec)
 
 
 # the flow starts from the dynamics map, so no step composes two maps;
@@ -183,7 +183,7 @@ def daruff_step(state: FilterState, dynamics: DynamicsModel,
     t_prop = time.perf_counter() - tic
 
     tic = time.perf_counter()
-    prior = GaussianBelief(stpm.components.constant, ensemble_stats(Ensemble(predicted)).cov)
+    prior = GaussianBelief(stpm.constant, ensemble_stats(Ensemble(predicted)).cov)
     epoch_map, post_cov = build_flow_map(prior, model, y, cfg.schedule, stpm,
                                          FLOW_SPEC, return_cov=True)
     t_flow = time.perf_counter() - tic

@@ -14,16 +14,16 @@ so a step cannot make P indefinite.
 This module integrates the drift only, with one driver for every route
 and one law: every particle's drift takes the nonlinear innovation
 y - h(x) and H at the particle itself.
-The state it carries is either a polynomial state, which the map route
-(:func:`build_flow_map`) starts as the identity around the prior mean or
-as the filter's dynamics map, and which replaces every particle
-integration with one polynomial evaluation, or a batch of particles
-(:func:`flow_ensemble_ode`, and :func:`flow_mean_cov` on the one-row batch
-of the prior mean).  Next to the state rides one real (n, n) information
-matrix J, shared by every particle, whose rate takes H at the running
-mean.  The running mean is the image of the prior mean, so it is read off
-the state: the polynomial state's constant part, or row 0 of a batch that
-starts with the prior mean.
+The state it carries is either a polynomial state, an (n,) polynomial
+array that the map route (:func:`build_flow_map`) starts as the identity
+around the prior mean or as the filter's dynamics map, and which replaces
+every particle integration with one polynomial evaluation, or a batch of
+particles (:func:`flow_ensemble_ode`, and :func:`flow_mean_cov` on the
+one-row batch of the prior mean).  Next to the state rides one real
+(n, n) information matrix J, shared by every particle, whose rate takes H
+at the running mean.  The running mean is the image of the prior mean, so
+it is read off the state: the polynomial state's constant part, or row 0
+of a batch that starts with the prior mean.
 
 One drift body serves every kind of state: the model's h and Jacobian run
 on the state as it is, and on a polynomial state they return their
@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 # compose is not called here: perfbench's tracer looks up daflow.flow.compose
-from .algebra import AlgebraContext, DAScalar, DAVector, compose, identity_map
+from .algebra import AlgebraContext, DAScalar, compose, identity_map
 from .integrate import IntegrationError, IntegratorSpec, Stacked, integrate
 
 __all__ = [
@@ -144,7 +144,7 @@ def da_jacobian(h: Callable, x, m: int) -> np.ndarray:
     if isinstance(x, DAScalar):
         raise TypeError("da_jacobian takes a real state (n,), not a polynomial state")
     x = np.asarray(x, dtype=float)
-    hloc = h(identity_map(AlgebraContext(len(x), 1), x).components)
+    hloc = h(identity_map(AlgebraContext(len(x), 1), x))
     if hloc.shape != (m,):
         raise ValueError(f"h returned shape {hloc.shape}, expected ({m},)")
     # the degree-1 monomials follow the constant, in variable order; the
@@ -265,8 +265,8 @@ def build_flow_map(prior: GaussianBelief, model: MeasurementModel, y,
     """Polynomial flow map from ``start``'s deviations to posterior states.
 
     The polynomial state starts as ``start``: an int order for the identity
-    around the prior mean, or a :class:`DAVector` whose constant part is
-    exactly the prior mean, such as the dynamics map that propagated it.
+    around the prior mean, or an (n,) polynomial array whose constant part
+    is exactly the prior mean, such as the dynamics map that propagated it.
     It is integrated through the drift with a polynomial-valued H.  The
     covariance entering the drift comes from the real information J, whose
     rate takes H at the running mean.
@@ -275,12 +275,11 @@ def build_flow_map(prior: GaussianBelief, model: MeasurementModel, y,
     ``(map, P1)`` instead, where P1 is the covariance at pseudo-time 1 from
     the same integration.
     """
-    if not isinstance(start, DAVector):
+    if not isinstance(start, DAScalar):
         start = identity_map(AlgebraContext(prior.dim, start), prior.mean)
-    elif not np.array_equal(start.components.constant, prior.mean):
+    elif not np.array_equal(start.constant, prior.mean):
         raise ValueError("the start map's constant part is not the prior mean")
-    x1, post_cov = _flow(start.components, prior.cov, model, y, schedule, spec)
-    fmap = DAVector(x1, center=start.center)
+    fmap, post_cov = _flow(start, prior.cov, model, y, schedule, spec)
     return (fmap, post_cov) if return_cov else fmap
 
 

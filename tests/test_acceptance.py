@@ -133,18 +133,18 @@ class TestCriterion5MapCombination:
         x0 = rng.normal(size=2)
         stpm = build_stpm(x0, linear_dynamics(A), 0.0, 1.0, 1,
                           IntegratorSpec("rk4_fixed", step_size=0.01))
-        prior = GaussianBelief(stpm.components.constant, np.eye(2))
+        prior = GaussianBelief(stpm.constant, np.eye(2))
         flow_args = (linear_model(H, [[0.5]]), [0.3], LambdaSchedule(np.linspace(0, 1, 201)))
         one_step = IntegratorSpec("rk4_fixed", step_size=1.0)
         fmap = build_flow_map(prior, *flow_args, 1, one_step)
         # the flow started from the dynamics map is the combined map
         combined = build_flow_map(prior, *flow_args, stpm, one_step)
-        c1 = stpm.components.coeffs         # columns: constant, d0, d1
-        c2 = fmap.components.coeffs
+        c1 = stpm.coeffs                    # columns: constant, d0, d1
+        c2 = fmap.coeffs
         oracle = np.empty_like(c1)
         oracle[:, 0] = c2[:, 0]             # flow is centered at stpm's constant
         oracle[:, 1:] = c2[:, 1:] @ c1[:, 1:]
-        coeff_err = np.abs(combined.components.coeffs - oracle).max()
+        coeff_err = np.abs(combined.coeffs - oracle).max()
 
         # nonlinear attitude maps: 100 random deviations, sequential oracle
         dyn = models.attitude_dynamics()
@@ -152,14 +152,14 @@ class TestCriterion5MapCombination:
         model = models.stacked_measurement()
         stpm_a = build_stpm(xa, dyn, 0.0, 2.0, 2,
                             IntegratorSpec("rk4_fixed", step_size=0.01))
-        prior_a = GaussianBelief(stpm_a.components.constant, models.INITIAL_STATE_COV)
-        flow_args_a = (model, model.h(stpm_a.components.constant), geometric_schedule(0.001, 50))
+        prior_a = GaussianBelief(stpm_a.constant, models.INITIAL_STATE_COV)
+        flow_args_a = (model, model.h(stpm_a.constant), geometric_schedule(0.001, 50))
         fmap_a = build_flow_map(prior_a, *flow_args_a, 2, one_step)
         combined_a = build_flow_map(prior_a, *flow_args_a, stpm_a, one_step)
         seq_err = 0.0
         for _ in range(100):
             d = 0.005 * rng.standard_normal(10)
-            seq = da.evaluate(fmap_a, da.evaluate(stpm_a, d) - stpm_a.components.constant)
+            seq = da.evaluate(fmap_a, da.evaluate(stpm_a, d) - stpm_a.constant)
             seq_err = max(seq_err, np.abs(da.evaluate(combined_a, d) - seq).max())
         elapsed = time.perf_counter() - tic
         ok = coeff_err < 1e-9 and seq_err < 1e-7 and elapsed < 5.0
@@ -250,12 +250,12 @@ class TestCriterion9AlgebraPropertySuite:
                     comps.append(p)
                 return comps
 
-            a_map = da.DAVector(rand_map(rng.normal(size=2)), center=ca)
-            b_map = da.DAVector(rand_map(ca), center=cb)
-            c_map = da.DAVector(rand_map(cb), center=np.zeros(2))
+            a_map = da.stack(rand_map(rng.normal(size=2)), 0)
+            b_map = da.stack(rand_map(ca), 0)
+            c_map = da.stack(rand_map(cb), 0)
             left = da.compose(da.compose(a_map, b_map), c_map)
             right = da.compose(a_map, da.compose(b_map, c_map))
-            for l, r in zip(left.components, right.components):
+            for l, r in zip(left, right):
                 scale = max(1.0, np.abs(l.coeffs).max())
                 assert np.abs(l.coeffs - r.coeffs).max() < 1e-9 * scale
 
@@ -267,10 +267,10 @@ class TestCriterion9AlgebraPropertySuite:
             n = int(rng.integers(1, 5))
             ctx = da.AlgebraContext(n, int(rng.integers(2, 6)))
             center = rng.normal(size=n)
-            outer = da.DAVector(da.DAScalar(ctx, rng.normal(size=(n, ctx.size))), center)
+            outer = da.DAScalar(ctx, rng.normal(size=(n, ctx.size)))
             affine = rng.normal(size=(n, ctx.size)) * (ctx.degrees <= 1)
             affine[:, 0] = center
-            inner = da.DAVector(da.DAScalar(ctx, affine), rng.normal(size=n))
+            inner = da.DAScalar(ctx, affine)
             d = rng.normal(size=(3, n))
             got = da.evaluate_many(da.compose(outer, inner), d)
             want = da.evaluate_many(outer, da.evaluate_many(inner, d) - center)

@@ -53,18 +53,15 @@ class TestBuildStpm:
     def test_zero_dynamics_gives_identity(self):
         dyn = DynamicsModel(f=lambda x, t: 0.0 * x)
         stpm = build_stpm([1.0, -2.0], dyn, 0.0, 1.0, 2, RK4)
-        ident = da.identity_map(stpm.components.ctx, [1.0, -2.0])
-        np.testing.assert_allclose(stpm.components.coeffs,
-                                   ident.components.coeffs, atol=1e-15)
+        ident = da.identity_map(stpm.ctx, [1.0, -2.0])
+        np.testing.assert_allclose(stpm.coeffs, ident.coeffs, atol=1e-15)
 
     def test_linear_dynamics_matches_matrix_exponential(self):
         rng = np.random.default_rng(0)
         A = 0.5 * rng.normal(size=(3, 3))
         dt = 0.8
         stpm = build_stpm(rng.normal(size=3), linear_dynamics(A), 0.0, dt, 1, RK4)
-        slope = np.array([
-            [comp.coeffs[1 + j] for j in range(3)] for comp in stpm.components
-        ])
+        slope = stpm.coeffs[:, 1:4]
         np.testing.assert_allclose(slope, expm(A * dt), rtol=1e-8, atol=1e-10)
 
     def test_constant_part_is_plain_integration(self):
@@ -72,7 +69,7 @@ class TestBuildStpm:
         x0 = models.DEFAULT_INITIAL_STATE.as_vector()
         stpm = build_stpm(x0, dyn, 0.0, 2.0, 2, RK4)
         direct = integrate(dyn.f, x0, 0.0, 2.0, RK4)
-        np.testing.assert_allclose(stpm.components.constant, direct, rtol=1e-12)
+        np.testing.assert_allclose(stpm.constant, direct, rtol=1e-12)
 
     def test_adaptive_attitude_map_against_fine_reference(self):
         # rk78_adaptive controls its error on constant parts only, so pin
@@ -88,10 +85,10 @@ class TestBuildStpm:
         x0 = models.DEFAULT_INITIAL_STATE.as_vector()
         draws = rng.multivariate_normal(x0, models.INITIAL_STATE_COV, size=2)
         for center in [x0, *models.normalize_quaternion_block(draws)]:
-            ref = build_stpm(center, dyn, 0.0, 2.0, 3, fine).components.coeffs
+            ref = build_stpm(center, dyn, 0.0, 2.0, 3, fine).coeffs
             scale = np.abs(ref).max(axis=1)
             for order in (1, 2, 3):
-                got = build_stpm(center, dyn, 0.0, 2.0, order, adaptive).components.coeffs
+                got = build_stpm(center, dyn, 0.0, 2.0, order, adaptive).coeffs
                 err = np.abs(got - ref[:, :got.shape[1]]).max(axis=1) / scale
                 # at most 1.7e-11, 4.0e-10 and 6.9e-9 at orders 1, 2 and 3;
                 # 1e-7 is still four orders of magnitude below the order-2
@@ -117,7 +114,7 @@ class TestPropagateEnsembleMap:
         center = np.array([1.0, 0.0])
         stpm = build_stpm(center, dyn, 0.0, 0.5, 2, RK4)
         out = da.evaluate_many(stpm, np.zeros((2, 2)))
-        np.testing.assert_allclose(out[0], stpm.components.constant, rtol=1e-14)
+        np.testing.assert_allclose(out[0], stpm.constant, rtol=1e-14)
 
     def test_identity_map_keeps_ensemble(self):
         ctx = da.AlgebraContext(2, 2)
@@ -141,20 +138,18 @@ class TestPropagateEnsembleMap:
         assert rms.max() < 1e-6
 
 
-class TestCombineMaps:
+class TestFlowFromStpm:
     """The flow started from the dynamics map is the epoch's one map from
     pre-propagation deviations to posterior states."""
 
-    def test_identity_flow_keeps_stpm(self):
+    def test_zero_information_flow_keeps_stpm(self):
         # H = 0: the drift vanishes, so the flow returns its start map
         dyn = linear_dynamics([[0.0, 1.0], [-0.5, 0.0]])
         stpm = build_stpm([1.0, 2.0], dyn, 0.0, 0.7, 3, RK4)
-        prior = GaussianBelief(stpm.components.constant, np.eye(2))
+        prior = GaussianBelief(stpm.constant, np.eye(2))
         combined = build_flow_map(prior, linear_model(np.zeros((1, 2)), [[0.25]]), [0.7],
                                   DENSE, stpm, ONE_STEP)
-        np.testing.assert_array_equal(combined.center, stpm.center)
-        np.testing.assert_allclose(combined.components.coeffs,
-                                   stpm.components.coeffs, atol=1e-13)
+        np.testing.assert_allclose(combined.coeffs, stpm.coeffs, atol=1e-13)
 
     def test_sequential_evaluation_oracle(self):
         rng = np.random.default_rng(3)
@@ -163,14 +158,14 @@ class TestCombineMaps:
         x0 = models.normalize_quaternion_block(
             models.DEFAULT_INITIAL_STATE.as_vector() + 0.01 * rng.standard_normal(10))
         stpm = build_stpm(x0, dyn, 0.0, 2.0, 2, RK4)
-        prior = GaussianBelief(stpm.components.constant, models.INITIAL_STATE_COV)
-        truth_meas = model.h(stpm.components.constant)
+        prior = GaussianBelief(stpm.constant, models.INITIAL_STATE_COV)
+        truth_meas = model.h(stpm.constant)
         schedule = geometric_schedule(0.001, 50)
         fmap = build_flow_map(prior, model, truth_meas, schedule, 2, ONE_STEP)
         combined = build_flow_map(prior, model, truth_meas, schedule, stpm, ONE_STEP)
         for _ in range(100):
             d = 0.005 * rng.standard_normal(10)
-            sequential = da.evaluate(fmap, da.evaluate(stpm, d) - stpm.components.constant)
+            sequential = da.evaluate(fmap, da.evaluate(stpm, d) - stpm.constant)
             np.testing.assert_allclose(da.evaluate(combined, d), sequential,
                                        rtol=1e-7, atol=1e-9)
 
@@ -187,7 +182,7 @@ class TestCombineMaps:
         stpm = build_stpm(x0, linear_dynamics(A), 0.0, dt, 1, RK4)
         phi = expm(A * dt)
         p_minus = phi @ P0 @ phi.T
-        prior = GaussianBelief(stpm.components.constant, p_minus)
+        prior = GaussianBelief(stpm.constant, p_minus)
         combined = build_flow_map(prior, linear_model(H, R), y, DENSE, stpm, ONE_STEP)
         for _ in range(5):
             d = rng.normal(size=2)
@@ -196,13 +191,42 @@ class TestCombineMaps:
             np.testing.assert_allclose(da.evaluate(combined, d), expected,
                                        rtol=1e-6, atol=1e-8)
 
-    def test_center_mismatch_rejected(self):
+    def test_start_not_prior_mean_rejected(self):
         # the start map's constant part must be the prior mean exactly
         stpm = da.identity_map(da.AlgebraContext(2, 2), [1.0, 1.0])
         prior = GaussianBelief([1.0, 1.0 + 1e-12], np.eye(2))
         with pytest.raises(ValueError, match="not the prior mean"):
             build_flow_map(prior, linear_model(np.eye(2), np.eye(2)), [1.0, 1.0],
                            DENSE, stpm, ONE_STEP)
+
+
+def _map_and_point(name):
+    """One way of building a polynomial map on a 2-state problem, and the
+    point the map's constant part must hold."""
+    x0 = np.array([1.0, -2.0])
+    dyn = linear_dynamics([[0.0, 1.0], [-0.5, 0.0]])
+    ident = da.identity_map(da.AlgebraContext(2, 2), x0)
+    stpm = build_stpm(x0, dyn, 0.0, 0.7, 2, RK4)
+    if name == "identity_map":
+        return ident, x0
+    if name == "build_stpm":
+        return stpm, integrate(dyn.f, x0, 0.0, 0.7, RK4)
+    if name == "compose":
+        return da.compose(stpm, ident), stpm.constant
+    prior = GaussianBelief(stpm.constant, np.eye(2))
+    model, y = linear_model([[1.0, 0.5]], [[0.25]]), [0.7]
+    start = 2 if name == "flow-from-order" else stpm
+    return (build_flow_map(prior, model, y, DENSE, start, ONE_STEP),
+            dflow.flow_mean_cov(prior, model, y, DENSE, ONE_STEP).mean)
+
+
+@pytest.mark.parametrize("name", ["identity_map", "build_stpm", "compose",
+                                  "flow-from-order", "flow-from-map"])
+def test_map_is_polynomial_array(name):
+    # a map is its (n,) polynomial array, with no wrapper to unwrap
+    fmap, point = _map_and_point(name)
+    assert type(fmap) is da.DAScalar and fmap.shape == (2,)
+    np.testing.assert_allclose(fmap.constant, point, rtol=1e-12)
 
 
 class TestEnsembleStats:

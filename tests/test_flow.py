@@ -123,7 +123,7 @@ class TestFlowRhs:
         A, R, P0, x0, y = linear_case
         model = linear_model(A, R)
         ctx = da.AlgebraContext(3, 2)
-        xpoly = da.identity_map(ctx, x0).components
+        xpoly = da.identity_map(ctx, x0)
         dp = _drift(xpoly, P0, model, y)
         dr = _drift(x0, P0, model, y)
         np.testing.assert_allclose([p.constant for p in dp], dr, rtol=1e-12)
@@ -227,8 +227,7 @@ class TestBuildFlowMap:
         A, R, P0, x0, y = linear_case
         model = linear_model(A, R)
         fmap = build_flow_map(GaussianBelief(x0, P0), model, y, DENSE, 1, ONE_STEP)
-        for comp in fmap.components:
-            assert len(comp.coeffs) == 4  # constant + one slope per variable
+        assert fmap.coeffs.shape == (3, 4)  # constant + one slope per variable
 
     def test_measurement_must_be_finite(self, linear_case):
         A, R, P0, x0, _ = linear_case
@@ -247,8 +246,7 @@ class TestBuildFlowMap:
         prior = GaussianBelief(x0, P0)
         fmap, p1 = build_flow_map(prior, model, y, DENSE, 1, ONE_STEP, return_cov=True)
         plain = build_flow_map(prior, model, y, DENSE, 1, ONE_STEP)
-        np.testing.assert_array_equal(fmap.components.coeffs,
-                                      plain.components.coeffs)
+        np.testing.assert_array_equal(fmap.coeffs, plain.coeffs)
         np.testing.assert_allclose(p1, flow_mean_cov(prior, model, y, DENSE, ONE_STEP).cov,
                                    atol=1e-14)
 
@@ -321,7 +319,7 @@ class TestFlowEnsembleOde:
             # the running mean H is frozen at is the image of the prior mean
             # on every route, so all three carry the same mean and covariance
             post = flow_mean_cov(prior, model, y, schedule, spec)
-            np.testing.assert_allclose(fmap.components.constant, post.mean, rtol=1e-12)
+            np.testing.assert_allclose(fmap.constant, post.mean, rtol=1e-12)
             np.testing.assert_allclose(p1_map, post.cov, rtol=1e-12)
             np.testing.assert_allclose(p1, post.cov, rtol=1e-12)
 
@@ -432,7 +430,7 @@ class TestValidation:
             out, p1 = post.mean, post.cov
         elif kind == "map":
             fmap, p1 = build_flow_map(prior, model, y, one, 1, ONE_STEP, return_cov=True)
-            out = fmap.components.coeffs
+            out = fmap.coeffs
         else:
             out, p1 = flow_ensemble_ode(X0, prior, model, y, one, ONE_STEP, return_cov=True)
         _, p_k = kalman_information_update(prior.mean, prior.cov, np.asarray(A), R, y)
@@ -457,7 +455,7 @@ class TestValidation:
         elif kind == "map":
             fmap, p1 = build_flow_map(prior, *args, toy.order, toy.flow_spec(),
                                       return_cov=True)
-            out = fmap.components.coeffs
+            out = fmap.coeffs
         else:
             out, p1 = flow_ensemble_ode(X0, prior, *args, toy.flow_spec(), return_cov=True)
         assert np.isfinite(out).all()
@@ -477,6 +475,6 @@ class TestValidation:
             da_jacobian(range_model(0.1).h, np.array([3.0, 4.0]), 3)
 
     def test_da_jacobian_takes_a_real_state(self):
-        x = da.identity_map(da.AlgebraContext(2, 2), [3.0, 4.0]).components
+        x = da.identity_map(da.AlgebraContext(2, 2), [3.0, 4.0])
         with pytest.raises(TypeError, match="real state"):
             da_jacobian(range_model(0.1).h, x, 1)

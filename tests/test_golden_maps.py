@@ -10,9 +10,10 @@ the maps a change moves on purpose, by name, with
 Without a name the script lists the names and exits with status 1, so the
 maps a change keeps are never rewritten with last-digit noise.
 
-``tests/data/attitude_scaled_rmse.csv`` pins the end-to-end output of the
-scaled attitude Monte Carlo the same way; see
-:func:`test_scaled_attitude_rmse_matches_pinned_csv`.
+``tests/data/attitude_scaled_rmse.csv`` and ``tests/data/toy_particles.csv``
+pin the end-to-end outputs of the scaled attitude Monte Carlo and of the toy
+the same way; see :func:`test_scaled_attitude_rmse_matches_pinned_csv` and
+:func:`test_toy_particles_match_pinned_csv`.
 """
 
 import functools
@@ -37,6 +38,7 @@ DATA = Path(__file__).parent / "data"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 REL_TOL = 1e-9
 RMSE_RTOL = 1e-8
+TOY_RTOL = 1e-8
 
 
 @functools.cache
@@ -49,10 +51,10 @@ def _attitude_maps():
     stpm = build_stpm(x0, models.attitude_dynamics(), 0.0, cfg.meas_period,
                       cfg.order, DYNAMICS_SPEC)
     model = models.stacked_measurement()
-    prior = GaussianBelief(stpm.components.constant, models.INITIAL_STATE_COV)
+    prior = GaussianBelief(stpm.constant, models.INITIAL_STATE_COV)
     # a measurement off the predicted one by about one noise sigma per component
     sigma = np.sqrt(np.diag(model.noise_cov))
-    y = model.h(stpm.components.constant) + sigma * np.linspace(-1.0, 1.0, model.dim)
+    y = model.h(stpm.constant) + sigma * np.linspace(-1.0, 1.0, model.dim)
     fmap = build_flow_map(prior, model, y, cfg.schedule(), cfg.order, cfg.flow_spec())
     return stpm, fmap
 
@@ -87,9 +89,8 @@ def parse_dump(text: str, ctx: algebra.AlgebraContext, n_components: int) -> np.
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_map_matches_golden_dump(name):
     fmap = BUILDERS[name]()
-    got = fmap.components.coeffs
-    want = parse_dump(_path(name).read_text(), fmap.components.ctx,
-                      fmap.components.shape[0])
+    got = fmap.coeffs
+    want = parse_dump(_path(name).read_text(), fmap.ctx, fmap.shape[0])
     scale = np.abs(want).max(axis=1, keepdims=True)
     assert np.all(np.abs(got - want) <= REL_TOL * scale), (
         f"{name}: largest relative deviation "
@@ -120,6 +121,35 @@ def test_scaled_attitude_rmse_matches_pinned_csv(attitude_mc_scaled):
     for method in ("da", "ode"):
         want = np.stack([columns[f"xi_{block}_{method}"] for block in harness.BLOCKS], axis=1)
         np.testing.assert_allclose(summary.rmse[method], want, rtol=RMSE_RTOL, atol=0.0)
+
+
+def test_toy_particles_match_pinned_csv(toy_sweep):
+    """``particles.csv`` of ``daflow toy --config configs/toy.json``: the
+    order-8 run's prior cloud exactly, and its polynomial-map and
+    per-particle ODE posteriors to ``TOY_RTOL``.
+
+    The toy is one update with no feedback, but a round-off change can still
+    flip an adaptive RK7(8) step or a particle's route: scaling h by
+    1 + 1e-14 moved the posteriors by up to 4.4e-10 relative.  1e-8 is 20
+    times that and 5e4 times below the map's own DA-vs-ODE discrepancy (RMS
+    5.1e-4).  Regenerate the file, with BLAS on one thread, only for a
+    change that moves the toy on purpose::
+
+        OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=src \
+            python3 -m daflow.cli toy --config configs/toy.json --out OUT
+        cp OUT/particles.csv tests/data/toy_particles.csv
+    """
+    result = toy_sweep[0][8]
+    lines = (DATA / "toy_particles.csv").read_text().splitlines()
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    columns = dict(zip(lines[0].split(","), table.T))
+    np.testing.assert_array_equal(columns["particle_id"], np.arange(len(result.prior)))
+    np.testing.assert_array_equal(result.prior, np.stack(
+        [columns["x0_prior"], columns["x1_prior"]], axis=1))
+    for route in ("da", "ode"):
+        want = np.stack([columns[f"x0_post_{route}"], columns[f"x1_post_{route}"]], axis=1)
+        np.testing.assert_allclose(getattr(result, f"posterior_{route}"), want,
+                                   rtol=TOY_RTOL, atol=0.0)
 
 
 if __name__ == "__main__":

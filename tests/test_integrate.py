@@ -158,7 +158,7 @@ class TestGenericStates:
     def test_polynomial_state_linear_flow(self):
         # y' = y with initial polynomial 1 + d: solution e^t (1 + d)
         ctx = da.AlgebraContext(1, 3)
-        y0 = da.identity_map(ctx, [1.0]).components
+        y0 = da.identity_map(ctx, [1.0])
         y = integrate(exponential, y0, 0.0, 1.0, RK4)
         assert abs(y[0].constant - math.e) < 1e-8
         assert abs(y[0].terms[(1,)] - math.e) < 1e-8
@@ -170,7 +170,7 @@ class TestGenericStates:
             return y - 0.25 * y * y
 
         ctx = da.AlgebraContext(1, 6)
-        ypoly = integrate(logistic, da.identity_map(ctx, [0.8]).components,
+        ypoly = integrate(logistic, da.identity_map(ctx, [0.8]),
                           0.0, 1.5, RK4)
         for dev in (0.05, -0.08, 0.12):
             shifted = integrate(logistic, np.array([0.8 + dev]), 0.0, 1.5, RK4)
@@ -193,7 +193,7 @@ class TestGenericStates:
 
     def test_polynomial_state_rk78(self):
         ctx = da.AlgebraContext(1, 2)
-        y0 = da.identity_map(ctx, [1.0]).components
+        y0 = da.identity_map(ctx, [1.0])
         y = integrate(exponential, y0, 0.0, 1.0, RK78)
         assert abs(y[0].constant - math.e) < 1e-9
 
