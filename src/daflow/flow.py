@@ -25,9 +25,11 @@ at the running mean.  The running mean is the image of the prior mean, so
 it is read off the state: the polynomial state's constant part, or row 0
 of a batch that starts with the prior mean.
 
-One drift body serves every kind of state: the model's h and Jacobian run
-on the state as it is, and on a polynomial state they return their
-truncated expansions directly (as in DACE, Rasotto et al., 2016).
+One drift body serves every kind of state: the model's h and its
+vector-Jacobian product H(x)^T w run on the state as it is, and on a
+polynomial state they return their truncated expansions directly (as in
+DACE, Rasotto et al., 2016).  The drift never forms H itself; the model's
+Jacobian is evaluated only at the running mean, a real state, for J's rate.
 
 The drift alone carries deviations by Phi = P1 P0^-1, so a drift-flowed
 ensemble has covariance P1 P0^-1 P1 rather than P1; the filters restore
@@ -107,16 +109,19 @@ class MeasurementModel:
 
     ``h`` must accept a real state vector, a (N, n) batch, or a polynomial
     state (a (n,) :class:`DAScalar` array) and return the matching kind:
-    (m,), (N, m) or an (m,) polynomial array.  ``jac``, the Jacobian of h,
-    takes the same three kinds and returns (m, n), (N, m, n) or an (m, n)
-    polynomial array; a Jacobian that does not depend on the state may
-    return one float (m, n) matrix for every kind.  ``noise_inv`` is R^-1,
-    computed from ``noise_cov``.
+    (m,), (N, m) or an (m,) polynomial array.  ``vjp(x, w)``, the
+    vector-Jacobian product H(x)^T w, takes the same three kinds of state
+    with a w of the kind h returns, and returns (n,), (N, n) or an (n,)
+    polynomial array; the drift calls it on every kind.  ``jac``, the (m, n)
+    Jacobian of h, is called only on a real state, the running mean, for
+    the rate of the information J.  ``noise_inv`` is R^-1, computed from
+    ``noise_cov``.
     """
 
     h: Callable
     noise_cov: np.ndarray
     jac: Callable
+    vjp: Callable
     noise_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -213,12 +218,12 @@ def _drift(x, P, model: MeasurementModel, y):
     """Drift P H^T R^-1 (y - h(x)) at a polynomial state, a single state or
     a batch, with H taken at the state itself.
 
+    H^T w is the model's vector-Jacobian product, so no Jacobian is formed.
     The model code runs on the state as it is, so a polynomial state gets
-    the truncated expansions of h and H directly.
+    the truncated expansions of h and H^T w directly.
     """
     w = (y - model.h(x)) @ model.noise_inv.T
-    u = (w[..., None, :] @ model.jac(x))[..., 0, :]
-    return u @ P.T
+    return model.vjp(x, w) @ P.T
 
 
 def _flow(x, cov, model: MeasurementModel, y, schedule: LambdaSchedule,

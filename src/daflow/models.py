@@ -1,14 +1,15 @@
 """Benchmark models: planar range measurement and CubeSat attitude.
 
-Each model function, the measurement Jacobians included, has one body
-that serves plain state vectors, (N, n) particle batches, and polynomial
-arrays; on a polynomial state a Jacobian returns its truncated expansion.
-The range model unpacks the components along the last axis with ``x.T``
-and applies the :mod:`daflow.algebra` intrinsics.  Every attitude function
-is at most quadratic in the state, so each is one gathered pair product
-``x[..., a] * x[..., b]`` times a constant matrix plus a constant or linear
-term; :func:`_pair_coefficients` reads each matrix once off the textbook
-formula, and the measurement's affine Jacobian comes from its pair matrix.
+Each model function, the measurement Jacobians and vector-Jacobian
+products included, has one body that serves plain state vectors, (N, n)
+particle batches, and polynomial arrays; on a polynomial state it returns
+its truncated expansion.  The range model unpacks the components along the
+last axis with ``x.T`` and applies the :mod:`daflow.algebra` intrinsics.
+Every attitude function is at most quadratic in the state, so each is one
+gathered pair product ``x[..., a] * x[..., b]`` times a constant matrix plus
+a constant or linear term; :func:`_pair_coefficients` reads each matrix once
+off the textbook formula, and the measurement's affine Jacobian and its
+vector-Jacobian product come from its pair matrix.
 Quaternions are stored vector-first, scalar-last: q = (qi, qj, qk, qs).
 """
 
@@ -71,13 +72,17 @@ def range_model(noise_sigma: float) -> MeasurementModel:
 
     The Jacobian x / ||x|| is ``x * rsqrt(x . x)``: the algebra divides by
     numbers only, so a polynomial state takes the inverse norm as one series.
+    It is a single row, so the vector-Jacobian product contracts that row.
     """
 
     def jac(x):
         x = algebra.asarray(x)
         return (x * algebra.rsqrt(_squared_range(x))[..., None])[..., None, :]
 
-    return MeasurementModel(h=range_h, noise_cov=[[noise_sigma ** 2]], jac=jac)
+    def vjp(x, w):
+        return (w[..., None, :] @ jac(x))[..., 0, :]
+
+    return MeasurementModel(h=range_h, noise_cov=[[noise_sigma ** 2]], jac=jac, vjp=vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +244,12 @@ def attitude_dynamics(params: RigidBodyParams = DEFAULT_PARAMS) -> DynamicsModel
 
 def stacked_measurement(catalog: StarCatalog = DEFAULT_CATALOG) -> MeasurementModel:
     """Two star trackers, C(q) r1 and C(q) r2, and a rate gyro, body rates
-    plus bias, as one 9-dimensional quadratic form."""
+    plus bias, as one 9-dimensional quadratic form.
+
+    The vector-Jacobian product H(x)^T w is one product of the 24
+    (quaternion, star tracker) pairs x_i w_k times a (24, 10) matrix, plus
+    the gyro's constant part ``w @ H(0)``; it never forms H.
+    """
     quad = np.zeros((len(_Q_A), 9))
     quad[:, 0:3] = _DCM_PAIRS @ catalog.r1
     quad[:, 3:6] = _DCM_PAIRS @ catalog.r2
@@ -257,6 +267,9 @@ def stacked_measurement(catalog: StarCatalog = DEFAULT_CATALOG) -> MeasurementMo
     slope = np.zeros((STATE_DIM, 9, STATE_DIM))
     np.add.at(slope, (_Q_B, slice(None), _Q_A), quad)
     np.add.at(slope, (_Q_A, slice(None), _Q_B), quad)
+    # so H^T w = w @ h0 + sum_ik x_i w_k slope_i[k], in which only the 4 x 6
+    # (quaternion, star tracker) pairs (i, k) have a nonzero row
+    pair_rows = slope[0:4, 0:6].reshape(24, STATE_DIM)
     slope = slope.reshape(STATE_DIM, -1)
 
     def jac(x):
@@ -266,10 +279,17 @@ def stacked_measurement(catalog: StarCatalog = DEFAULT_CATALOG) -> MeasurementMo
         out += h0.ravel()
         return out.reshape(*x.shape[:-1], *h0.shape)
 
+    def vjp(x, w):
+        x, w = algebra.asarray(x), algebra.asarray(w)
+        pairs = x[..., 0:4, None] * w[..., None, 0:6]
+        out = pairs.reshape(*pairs.shape[:-2], 24) @ pair_rows
+        out += w @ h0
+        return out
+
     noise = np.diag(
         [STAR_NOISE_SIGMA ** 2] * 6 + [GYRO_NOISE_SIGMA ** 2] * 3
     )
-    return MeasurementModel(h=h, noise_cov=noise, jac=jac)
+    return MeasurementModel(h=h, noise_cov=noise, jac=jac, vjp=vjp)
 
 
 def normalize_quaternion_block(x):

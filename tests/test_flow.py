@@ -44,7 +44,10 @@ def linear_model(A, R):
     def jac(x):
         return np.broadcast_to(A, x.shape[:-1] + (m, n))
 
-    return MeasurementModel(h=h, noise_cov=R, jac=jac)
+    def vjp(x, w):
+        return w @ A
+
+    return MeasurementModel(h=h, noise_cov=R, jac=jac, vjp=vjp)
 
 
 def kalman_information_update(mean, cov, A, R, y):
@@ -150,7 +153,8 @@ class TestCovRhs:
 
     def test_zero_jacobian(self):
         model = MeasurementModel(h=lambda x: 0.0 * x[..., :2], noise_cov=np.eye(2),
-                                 jac=lambda x: np.zeros((2, 3)))
+                                 jac=lambda x: np.zeros((2, 3)),
+                                 vjp=lambda x, w: w @ np.zeros((2, 3)))
         P0 = np.eye(3) + 0.4 * np.ones((3, 3))
         post = flow_mean_cov(GaussianBelief(np.zeros(3), P0), model, [0.0, 0.0],
                              DENSE, ONE_STEP)
@@ -345,6 +349,10 @@ class TestFlowEnsembleOde:
                               innovation="linearized")
 
 
+# placeholders for the validation tests, which never call them
+ANY_CALLABLES = dict(h=lambda x: x, jac=lambda x: x, vjp=lambda x, w: w)
+
+
 class TestValidation:
     def test_belief_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -366,7 +374,7 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_measurement_model_rejects_non_finite_noise(self, bad):
         with pytest.raises(ValueError, match="noise_cov must be finite"):
-            MeasurementModel(h=lambda x: x, noise_cov=[[bad]], jac=lambda x: x)
+            MeasurementModel(noise_cov=[[bad]], **ANY_CALLABLES)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_schedule_rejects_non_finite_nodes(self, bad):
@@ -376,8 +384,8 @@ class TestValidation:
     @pytest.mark.parametrize("build,message", [
         (lambda: GaussianBelief([0.0, 0.0], np.eye(3)),
          r"cov shape \(3, 3\) does not match mean \(2,\)"),
-        (lambda: MeasurementModel(h=lambda x: x, noise_cov=[[1.0, 0.2], [0.1, 1.0]],
-                                  jac=lambda x: x), "noise_cov must be symmetric"),
+        (lambda: MeasurementModel(noise_cov=[[1.0, 0.2], [0.1, 1.0]], **ANY_CALLABLES),
+         "noise_cov must be symmetric"),
     ], ids=["belief-shape", "noise-asymmetric"])
     def test_rejects_shape_mismatch_and_asymmetric_noise(self, build, message):
         with pytest.raises(ValueError, match=message):
@@ -385,15 +393,20 @@ class TestValidation:
 
     def test_measurement_model_rejects_bad_noise(self):
         with pytest.raises(ValueError, match="positive definite"):
-            MeasurementModel(h=lambda x: x, noise_cov=[[0.0]], jac=lambda x: x)
+            MeasurementModel(noise_cov=[[0.0]], **ANY_CALLABLES)
         for bad in (np.ones((2, 3)), [0.01], 0.01):
             with pytest.raises(ValueError, match="square"):
-                MeasurementModel(h=lambda x: x, noise_cov=bad, jac=lambda x: x)
+                MeasurementModel(noise_cov=bad, **ANY_CALLABLES)
 
     def test_measurement_model_needs_jac_and_reads_dim_off_noise(self):
         with pytest.raises(TypeError, match="jac"):
-            MeasurementModel(h=lambda x: x, noise_cov=np.eye(2))
-        assert MeasurementModel(h=lambda x: x, noise_cov=np.eye(3), jac=lambda x: x).dim == 3
+            MeasurementModel(h=lambda x: x, noise_cov=np.eye(2), vjp=lambda x, w: w)
+        assert MeasurementModel(noise_cov=np.eye(3), **ANY_CALLABLES).dim == 3
+
+    def test_measurement_model_needs_vjp(self):
+        # the drift has one body, the vector-Jacobian product; jac alone is refused
+        with pytest.raises(TypeError, match="vjp"):
+            MeasurementModel(h=lambda x: x, noise_cov=np.eye(2), jac=lambda x: x)
 
     def test_ensemble_needs_two_particles(self):
         with pytest.raises(ValueError, match="2 particles"):

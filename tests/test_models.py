@@ -345,6 +345,66 @@ class TestStackedMeasurement:
         np.testing.assert_allclose(da.evaluate(J, d), model.jac(x0 + d), atol=1e-14)
 
 
+def vjp_case(name, rng):
+    """A model and a float state for the VJP tests: the range toy off the
+    origin, or the attitude measurement of a random catalog at a state with
+    a non-unit quaternion."""
+    if name == "range":
+        return models.range_model(0.1), np.array([-3.5, 0.7]) + 0.3 * rng.normal(size=2)
+    catalog = models.StarCatalog(rng.normal(size=3), rng.normal(size=3))
+    return models.stacked_measurement(catalog), 2.0 * rng.normal(size=10)
+
+
+@pytest.mark.parametrize("name", ["range", "attitude"])
+class TestVjp:
+    """vjp(x, w) is H(x)^T w, with da_jacobian's H as the oracle."""
+
+    def test_float_state(self, name):
+        rng = np.random.default_rng(30)
+        for _ in range(5):
+            model, x = vjp_case(name, rng)
+            w = rng.normal(size=model.dim)
+            u = model.vjp(x, w)
+            assert u.shape == x.shape
+            np.testing.assert_allclose(u, da_jacobian(model.h, x, model.dim).T @ w,
+                                       rtol=1e-12, atol=1e-14)
+
+    def test_batch_with_non_unit_quaternions(self, name):
+        rng = np.random.default_rng(31)
+        model, x = vjp_case(name, rng)
+        X = x + 0.5 * rng.normal(size=(6, len(x)))
+        W = rng.normal(size=(6, model.dim))
+        U = model.vjp(X, W)
+        assert U.shape == X.shape
+        for x, w, u in zip(X, W, U):
+            np.testing.assert_allclose(u, da_jacobian(model.h, x, model.dim).T @ w,
+                                       rtol=1e-12, atol=1e-14)
+            # a batch row and a single-state call differ by round-off only
+            np.testing.assert_allclose(u, model.vjp(x, w), rtol=1e-13, atol=1e-15)
+
+    def test_polynomial_state(self, name):
+        rng = np.random.default_rng(32)
+        model, x0 = vjp_case(name, rng)
+        n, m = len(x0), model.dim
+        xp = da.identity_map(da.AlgebraContext(n, 2), x0)
+        # an affine weight, so that the attitude's H^T w is exact at order 2
+        w0, B = rng.normal(size=m), rng.normal(size=(n, m))
+        wp = w0 + (xp - x0) @ B
+        U = model.vjp(xp, wp)
+        assert U.shape == (n,)
+        # the expansion of H^T w is that of the expanded Jacobian's contraction
+        full = (wp[None, :] @ model.jac(xp))[0]
+        np.testing.assert_allclose(U.coeffs, full.coeffs, rtol=1e-13,
+                                   atol=1e-14 * np.abs(full.coeffs).max())
+        # and at a deviation d it is w(d) @ H(x0 + d) up to truncation: none
+        # for the attitude, whose H is affine; for the range the dropped
+        # degree-3 terms are at most about 1e-9 at |d| ~ 1e-3
+        D = 1e-3 * rng.normal(size=(4, n))
+        expected = np.array([(w0 + d @ B) @ model.jac(x0 + d) for d in D])
+        atol = 5e-9 if name == "range" else 1e-12 * np.abs(expected).max()
+        np.testing.assert_allclose(da.evaluate_many(U, D), expected, rtol=1e-12, atol=atol)
+
+
 class TestAttitudeState:
     def test_unit_norm_enforced(self):
         with pytest.raises(ValueError, match="unit"):

@@ -15,6 +15,6 @@ def test_library_use_block_runs(capsys):
     namespace = {}
     exec(compile(block.group(1), f"{README}:Library use", "exec"), namespace)
     # the printed shapes and the median gap the block's comments promise
-    assert capsys.readouterr().out.splitlines()[:2] == ["(1,)", "(1, 2)"]
+    assert capsys.readouterr().out.splitlines()[:3] == ["(1,)", "(1, 2)", "(2,)"]
     assert namespace["posterior_cloud"].shape == (1000, 2)
     assert 1e-6 < np.median(namespace["gap"]) < 4e-6
