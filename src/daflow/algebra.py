@@ -194,11 +194,10 @@ class DAScalar:
     the context's graded-lex monomial basis.  Indexing, ``+``, ``-`` and
     ``*`` (the truncated polynomial product, elementwise) act on the leading
     axes with numpy broadcasting; real numbers and float arrays enter as
-    constant polynomials, and ``/`` takes only those.  ``@`` contracts the
-    last leading axis with a float matrix (one matmul on the coefficient
-    block), or follows numpy's matmul rules between polynomial arrays of two
-    or more axes (see :func:`_poly_matmul`).  Instances are immutable by
-    convention: all arithmetic returns new values.
+    constant polynomials, and ``/`` takes only those.  ``@`` takes a float
+    matrix only and contracts the last leading axis with it, one matmul on
+    the coefficient block; every polynomial product is ``*``.  Instances are
+    immutable by convention: all arithmetic returns new values.
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -256,9 +255,6 @@ class DAScalar:
 
     def reshape(self, *shape) -> "DAScalar":
         return DAScalar(self.ctx, self.coeffs.reshape(shape + (self.ctx.size,)))
-
-    def sum(self, axis: int) -> "DAScalar":
-        return DAScalar(self.ctx, self.coeffs.sum(axis=_coeff_axis(axis)))
 
     def _plus_constant(self, coeffs: np.ndarray, value) -> "DAScalar":
         """``coeffs`` plus a number, or a float array that broadcasts against it."""
@@ -319,8 +315,6 @@ class DAScalar:
         return DAScalar(self.ctx, self.coeffs / other)
 
     def __matmul__(self, other):
-        if isinstance(other, DAScalar):
-            return _poly_matmul(self, other)
         if not _is_constant(other):
             return NotImplemented
         if self.ndim == 0:
@@ -348,23 +342,6 @@ class DAScalar:
                 break
         body = " + ".join(parts) if parts else "0"
         return f"<DAScalar {body}>"
-
-
-def _poly_matmul(a: DAScalar, b: DAScalar) -> DAScalar:
-    """numpy matmul rules on the leading axes, polynomial products inside.
-
-    Contract, then reduce: both operands are gathered once onto the
-    multiplication table's (i, j) term pairs, one einsum sums each term over
-    the shared axis, and only the m * q sums are reduced onto the basis,
-    not the m * p * q products.
-    """
-    _check_context(a, b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError("matmul: polynomial operands need at least two axes")
-    ii, jj, _ = a.ctx.multiplication_table()
-    terms = np.einsum("...mpt,...pqt->...mqt",
-                      a.coeffs.take(ii, axis=-1), b.coeffs.take(jj, axis=-1))
-    return DAScalar(a.ctx, np.add.reduceat(terms, a.ctx._mul_starts, axis=-1))
 
 
 def constant(ctx: AlgebraContext, value) -> DAScalar:

@@ -392,8 +392,9 @@ def bench_timing(cfg: ScenarioConfig, particle_grid) -> TimingTable:
 
     ``particle_grid`` is in particles per state dimension.  Each cell runs
     one warm-up step plus ``BENCH_REPETITIONS`` timed steps, each from a
-    fresh particle draw that both methods share, and reports the medians;
-    the garbage collector is paused during each timed step.
+    fresh particle draw that both methods share, and reports the medians.
+    The two methods step on each draw back to back, alternating which goes
+    first, and the garbage collector is paused during each timed step.
     A step failing with one of ``RUN_FAILURES`` counts in ``failed_steps``
     and not in the medians; a cell with no timed step left reads NaN, and a
     method with fewer than two timed cells has a NaN slope.
@@ -405,14 +406,17 @@ def bench_timing(cfg: ScenarioConfig, particle_grid) -> TimingTable:
     truth, xhat0 = _draw_truth(rng, cfg, cfg.meas_period)
     y = truth.measurements[0]
 
+    methods = (("da", daruff_step), ("ode", baseline_pff_step))
     rows = []
     for per_dim in particle_grid:
         n_particles = int(per_dim) * models.STATE_DIM
         draws = [_draw_cloud(rng, xhat0, n_particles) for _ in range(BENCH_REPETITIONS + 1)]
-        for method, step in (("da", daruff_step), ("ode", baseline_pff_step)):
-            samples = []
-            failed_steps = 0
-            for rep, particles in enumerate(draws):
+        samples = {method: [] for method, _ in methods}
+        failed_steps = dict.fromkeys(samples, 0)
+        for rep, particles in enumerate(draws):
+            # both methods step on each draw back to back, the one that goes
+            # first alternating, so a host phase change moves both alike
+            for method, step in (methods if rep % 2 == 0 else methods[::-1]):
                 state = FilterState(0.0, GaussianBelief(xhat0, models.INITIAL_STATE_COV),
                                     Ensemble(particles))
                 # as in timeit, the collector pauses for the timed step, so a
@@ -424,19 +428,21 @@ def bench_timing(cfg: ScenarioConfig, particle_grid) -> TimingTable:
                     out = step(state, dynamics, measurement, y, fcfg)
                     elapsed = time.perf_counter() - tic
                 except RUN_FAILURES:
-                    failed_steps += 1
+                    failed_steps[method] += 1
                     continue
                 finally:
                     if gc_was_enabled:
                         gc.enable()
                 if rep > 0:  # discard warm-up
-                    samples.append((elapsed, out.timing))
+                    samples[method].append((elapsed, out.timing))
+        for method, _ in methods:
             row = dict(method=method, n_per_dim=int(per_dim), n_particles=n_particles,
                        step_seconds=np.nan, propagate=np.nan, flow=np.nan,
-                       evaluate=np.nan, failed_steps=failed_steps)
-            if samples:
-                med = int(np.argsort([s[0] for s in samples])[len(samples) // 2])
-                elapsed, timing = samples[med]
+                       evaluate=np.nan, failed_steps=failed_steps[method])
+            cell = samples[method]
+            if cell:
+                med = int(np.argsort([s[0] for s in cell])[len(cell) // 2])
+                elapsed, timing = cell[med]
                 row.update(step_seconds=elapsed, propagate=timing.propagate,
                            flow=timing.flow, evaluate=timing.evaluate)
             rows.append(row)

@@ -3,13 +3,16 @@
 Each model function, the measurement Jacobians and vector-Jacobian
 products included, has one body that serves plain state vectors, (N, n)
 particle batches, and polynomial arrays; on a polynomial state it returns
-its truncated expansion.  The range model unpacks the components along the
-last axis with ``x.T`` and applies the :mod:`daflow.algebra` intrinsics.
-Every attitude function is at most quadratic in the state, so each is one
-gathered pair product ``x[..., a] * x[..., b]`` times a constant matrix plus
-a constant or linear term; :func:`_pair_coefficients` reads each matrix once
-off the textbook formula, and the measurement's affine Jacobian and its
-vector-Jacobian product come from its pair matrix.
+its truncated expansion.  Every polynomial product is the algebra's
+elementwise ``*``, and ``@`` only ever takes a constant matrix.  The range
+model unpacks the components along the last axis with ``x.T`` and applies
+the :mod:`daflow.algebra` intrinsics; its vector-Jacobian product is w
+times the unit vector x / ||x||.  Every attitude function is at most
+quadratic in the state, so each is one gathered pair product
+``x[..., a] * x[..., b]`` times a constant matrix plus a constant or linear
+term; :func:`_pair_coefficients` reads each matrix once off the textbook
+formula, and the measurement's affine Jacobian and its vector-Jacobian
+product come from its pair matrix.
 Quaternions are stored vector-first, scalar-last: q = (qi, qj, qk, qs).
 """
 
@@ -70,17 +73,22 @@ def range_h(x):
 def range_model(noise_sigma: float) -> MeasurementModel:
     """Range measurement y = ||x|| + v for the planar toy problem.
 
-    The Jacobian x / ||x|| is ``x * rsqrt(x . x)``: the algebra divides by
-    numbers only, so a polynomial state takes the inverse norm as one series.
-    It is a single row, so the vector-Jacobian product contracts that row.
+    The Jacobian is the single row x / ||x||, the unit vector
+    ``x * rsqrt(x . x)``: the algebra divides by numbers only, so a
+    polynomial state takes the inverse norm as one series.  The
+    vector-Jacobian product is w times that row, one elementwise product in
+    which w's length-1 last axis broadcasts.
     """
 
-    def jac(x):
+    def unit(x):
         x = algebra.asarray(x)
-        return (x * algebra.rsqrt(_squared_range(x))[..., None])[..., None, :]
+        return x * algebra.rsqrt(_squared_range(x))[..., None]
+
+    def jac(x):
+        return unit(x)[..., None, :]
 
     def vjp(x, w):
-        return (w[..., None, :] @ jac(x))[..., 0, :]
+        return algebra.asarray(w) * unit(x)
 
     return MeasurementModel(h=range_h, noise_cov=[[noise_sigma ** 2]], jac=jac, vjp=vjp)
 

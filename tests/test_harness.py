@@ -354,6 +354,29 @@ class TestBenchTiming:
             bench_timing(committed("attitude"), [20])
         assert gc.isenabled()
 
+    def test_methods_alternate_on_each_shared_draw(self, monkeypatch):
+        # each draw is stepped by both methods back to back, and the one
+        # that goes first alternates from draw to draw
+        calls = []
+
+        def recorded(method, step):
+            def run(state, *args):
+                calls.append((method, state.ensemble.particles.copy()))
+                return step(state, *args)
+            return run
+
+        monkeypatch.setattr(harness, "daruff_step", recorded("da", daruff_step))
+        monkeypatch.setattr(harness, "baseline_pff_step",
+                            recorded("ode", harness.baseline_pff_step))
+        bench_timing(committed("attitude"), [20])
+        pairs = [calls[i:i + 2] for i in range(0, len(calls), 2)]
+        assert len(pairs) == harness.BENCH_REPETITIONS + 1
+        assert [[method for method, _ in pair] for pair in pairs] == [
+            ["da", "ode"] if rep % 2 == 0 else ["ode", "da"] for rep in range(len(pairs))]
+        for (_, first), (_, second) in pairs:
+            np.testing.assert_array_equal(first, second)
+        assert not np.array_equal(pairs[0][0][1], pairs[1][0][1])
+
     def test_cell_without_timed_steps_reads_nan(self, monkeypatch):
         def step(*args):
             raise IntegrationError("injected failure")

@@ -62,7 +62,10 @@ class TestRangeH:
                                    atol=1e-14 * np.abs(x.coeffs).max())
 
     def test_drift_product_count(self, monkeypatch):
-        # h takes 2 + 8 products, the Jacobian 2 + 8 + 1; the matmul none
+        # every polynomial product of the drift is one DAScalar.__mul__ call.
+        # The range's h takes 2 + 8, its unit vector 2 + 8 + 1 and the VJP
+        # one more for w times it; the attitude's h takes one call for its
+        # 10 pairs and the VJP one for its 24
         calls = []
         mul = da.DAScalar.__mul__
 
@@ -70,10 +73,15 @@ class TestRangeH:
             calls.append(isinstance(other, da.DAScalar))
             return mul(self, other)
 
-        x = da.identity_map(da.AlgebraContext(2, 8), [-3.5, 0.0])
         monkeypatch.setattr(da.DAScalar, "__mul__", counted)
-        flow._drift(x, np.eye(2), models.range_model(0.1), np.array([3.4]))
-        assert sum(calls) <= 21
+        for model, x0, order, products in (
+            (models.range_model(0.1), [-3.5, 0.0], 8, 22),
+            (models.stacked_measurement(), models.DEFAULT_INITIAL_STATE.as_vector(), 2, 2),
+        ):
+            calls.clear()
+            x = da.identity_map(da.AlgebraContext(len(x0), order), x0)
+            flow._drift(x, np.eye(len(x0)), model, np.full(model.dim, 0.1))
+            assert sum(calls) == products
 
     def test_float_jacobian_at_origin_warns_no_division(self):
         # 0 * rsqrt(0) is nan, an invalid value as 0 / 0 was; rsqrt's pole adds
@@ -393,7 +401,8 @@ class TestVjp:
         U = model.vjp(xp, wp)
         assert U.shape == (n,)
         # the expansion of H^T w is that of the expanded Jacobian's contraction
-        full = (wp[None, :] @ model.jac(xp))[0]
+        J = model.jac(xp)
+        full = sum(wp[k] * J[k] for k in range(m))
         np.testing.assert_allclose(U.coeffs, full.coeffs, rtol=1e-13,
                                    atol=1e-14 * np.abs(full.coeffs).max())
         # and at a deviation d it is w(d) @ H(x0 + d) up to truncation: none
