@@ -67,8 +67,10 @@ class AlgebraContext:
     """Algebra of polynomials in ``n_vars`` variables truncated at total
     degree ``max_order``.
 
-    Holds the monomial basis, its degree ladder and the lazily built
-    multiplication table shared by every polynomial in the context.
+    Holds the monomial basis, its degree ladder and the multiplication
+    table shared by every polynomial in the context.  The table is built on
+    the first product of each ``(n_vars, max_order)`` shape in a process
+    and kept, so a fresh context of a shape already used builds none.
     """
 
     def __init__(self, n_vars: int, max_order: int):
@@ -122,21 +124,10 @@ class AlgebraContext:
         """(i, j, k) index triples with ``basis[i] * basis[j] = basis[k]``,
         restricted to products that survive truncation, sorted by k."""
         if self._mul_table is None:
-            deg = self.degrees
-            k = self.max_order
-            ii, jj, kk = [], [], []
-            for i in range(self.size):
-                # monomials are degree-sorted, so each degree bound is a prefix
-                jend = int(self._degree_starts[k - deg[i] + 1])
-                ei = self.exponents[i]
-                for j in range(jend):
-                    kk.append(self._index[tuple(ei + self.exponents[j])])
-                ii.extend([i] * jend)
-                jj.extend(range(jend))
-            # a stable sort keeps each k's terms in (i, j) order
-            order = np.argsort(kk, kind="stable")
-            self._mul_table = tuple(np.array(t, dtype=np.intp)[order] for t in (ii, jj, kk))
-            self._mul_starts = np.searchsorted(self._mul_table[2], np.arange(self.size))
+            key = (self.n_vars, self.max_order)
+            if key not in _MUL_TABLES:
+                _MUL_TABLES[key] = _build_multiplication_table(self)
+            self._mul_table, self._mul_starts = _MUL_TABLES[key]
         return self._mul_table
 
     def monomial_values(self, x):
@@ -169,6 +160,33 @@ class AlgebraContext:
         return DAScalar(x.ctx, rows) if poly else rows.T
 
 
+# (n_vars, max_order) -> (multiplication table, start of each k's run)
+_MUL_TABLES = {}
+
+
+def _build_multiplication_table(ctx: AlgebraContext):
+    """The table of :meth:`AlgebraContext.multiplication_table` and the
+    start of each k's run in it, the offsets ``np.add.reduceat`` takes."""
+    deg = ctx.degrees
+    k = ctx.max_order
+    ii, jj, kk = [], [], []
+    for i in range(ctx.size):
+        # monomials are degree-sorted, so each degree bound is a prefix
+        jend = int(ctx._degree_starts[k - deg[i] + 1])
+        ei = ctx.exponents[i]
+        for j in range(jend):
+            kk.append(ctx._index[tuple(ei + ctx.exponents[j])])
+        ii.extend([i] * jend)
+        jj.extend(range(jend))
+    # a stable sort keeps each k's terms in (i, j) order
+    order = np.argsort(kk, kind="stable")
+    table = tuple(np.array(t, dtype=np.intp)[order] for t in (ii, jj, kk))
+    # every context of the shape reads these arrays, so none may write
+    # them; they stay writeable all the same, since take and reduceat copy
+    # a read-only index array on every call
+    return table, np.searchsorted(table[2], np.arange(ctx.size))
+
+
 def _check_context(a: "DAScalar", b: "DAScalar") -> None:
     if a.ctx is not b.ctx and not a.ctx.compatible(b.ctx):
         raise ValueError(f"context mismatch: {a.ctx!r} vs {b.ctx!r}")
@@ -176,9 +194,12 @@ def _check_context(a: "DAScalar", b: "DAScalar") -> None:
 
 def _is_constant(value) -> bool:
     """A real number or a float array, taken as constant polynomials."""
-    # float and int first: the numbers.Real check alone is ~20x slower
-    return isinstance(value, (float, int, numbers.Real)) or (
-        isinstance(value, np.ndarray) and value.dtype.kind in "biuf")
+    # float, int and arrays first: the numbers.Real check alone is ~20x slower
+    if isinstance(value, (float, int)):
+        return True
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "biuf"
+    return isinstance(value, numbers.Real)
 
 
 def _coeff_axis(axis: int) -> int:
@@ -242,6 +263,9 @@ class DAScalar:
         return DAScalar(self.ctx, self.coeffs.transpose(axes))
 
     def __getitem__(self, key):
+        # every model index starts with an Ellipsis: no scan for one needed
+        if type(key) is tuple and key and key[0] is Ellipsis:
+            return DAScalar(self.ctx, self.coeffs[key + (slice(None),)])
         if not isinstance(key, tuple):
             key = (key,)
         if not any(k is Ellipsis for k in key):
@@ -258,7 +282,7 @@ class DAScalar:
 
     def _plus_constant(self, coeffs: np.ndarray, value) -> "DAScalar":
         """``coeffs`` plus a number, or a float array that broadcasts against it."""
-        if not isinstance(value, np.ndarray):
+        if not isinstance(value, np.ndarray) or value.shape == coeffs.shape[:-1]:
             out = coeffs.copy()
             out[..., 0] += value
             return DAScalar(self.ctx, out)
@@ -317,15 +341,15 @@ class DAScalar:
     def __matmul__(self, other):
         if not _is_constant(other):
             return NotImplemented
-        if self.ndim == 0:
+        if self.coeffs.ndim == 1:
             raise ValueError("matmul: a single polynomial has no axis to contract")
-        if np.ndim(other) != 2:
+        if not isinstance(other, np.ndarray) or other.ndim != 2:
             raise ValueError(f"matmul: the float operand must be a matrix, got shape "
                              f"{np.shape(other)}")
         # contract the last leading axis, the coefficient block's axis -2,
         # with the matrix's first: other.T @ coeffs, in which the other
         # leading axes of the polynomial array are matmul batch axes
-        return DAScalar(self.ctx, np.swapaxes(other, -1, -2) @ self.coeffs)
+        return DAScalar(self.ctx, other.T @ self.coeffs)
 
     def __repr__(self):
         if self.ndim:

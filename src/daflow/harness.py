@@ -380,7 +380,7 @@ def run_attitude_mc(cfg: ScenarioConfig) -> MCSummary:
 
 @dataclass
 class TimingTable:
-    """Median per-step wall clock per (method, ensemble size), plus the
+    """Fastest per-step wall clock per (method, ensemble size), plus the
     fitted log-log slope of step time versus particle count per method."""
 
     rows: list
@@ -392,11 +392,13 @@ def bench_timing(cfg: ScenarioConfig, particle_grid) -> TimingTable:
 
     ``particle_grid`` is in particles per state dimension.  Each cell runs
     one warm-up step plus ``BENCH_REPETITIONS`` timed steps, each from a
-    fresh particle draw that both methods share, and reports the medians.
+    fresh particle draw that both methods share, and reports each method's
+    fastest timed step with that step's phase split: a slow host phase only
+    ever adds time, so the fastest step is the steadiest reading of a cell.
     The two methods step on each draw back to back, alternating which goes
     first, and the garbage collector is paused during each timed step.
     A step failing with one of ``RUN_FAILURES`` counts in ``failed_steps``
-    and not in the medians; a cell with no timed step left reads NaN, and a
+    and not in the timings; a cell with no timed step left reads NaN, and a
     method with fewer than two timed cells has a NaN slope.
     """
     if cfg.scenario != "attitude":
@@ -441,8 +443,7 @@ def bench_timing(cfg: ScenarioConfig, particle_grid) -> TimingTable:
                        evaluate=np.nan, failed_steps=failed_steps[method])
             cell = samples[method]
             if cell:
-                med = int(np.argsort([s[0] for s in cell])[len(cell) // 2])
-                elapsed, timing = cell[med]
+                elapsed, timing = min(cell, key=lambda sample: sample[0])
                 row.update(step_seconds=elapsed, propagate=timing.propagate,
                            flow=timing.flow, evaluate=timing.evaluate)
             rows.append(row)

@@ -56,11 +56,13 @@ class Stacked:
     def __init__(self, *parts):
         self.parts = parts
 
+    # the parts as lists: unpacking a generator costs more per op, and a
+    # flow step makes 13 of these ops
     def __add__(self, other):
-        return Stacked(*(p + q for p, q in zip(self.parts, other.parts)))
+        return Stacked(*[p + q for p, q in zip(self.parts, other.parts)])
 
     def __mul__(self, s):
-        return Stacked(*(s * p for p in self.parts))
+        return Stacked(*[s * p for p in self.parts])
 
     __rmul__ = __mul__
 

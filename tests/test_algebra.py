@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +379,17 @@ class TestContext:
         assert da.AlgebraContext(10, 2).size == 66
         assert da.AlgebraContext(2, 8).size == 45
 
+    def test_multiplication_table_is_built_once_per_shape(self):
+        # contexts stay separate objects, but one shape shares one table
+        a, b = da.AlgebraContext(10, 2), da.AlgebraContext(10, 2)
+        assert a is not b
+        table = a.multiplication_table()
+        assert all(t is u for t, u in zip(b.multiplication_table(), table))
+        assert b._mul_starts is a._mul_starts
+        other = da.AlgebraContext(2, 8).multiplication_table()
+        assert len(other[0]) != len(table[0])
+        assert not any(t is u for t, u in zip(other, table))
+
 
 class TestEvaluationHomomorphism:
     def test_mul_exact_within_budget(self):
@@ -495,8 +507,59 @@ class TestPolynomialArrays:
         ctx = da.AlgebraContext(2, 3)
         x = self.rand_array(ctx, rng, (3,))
         for operand in (np.ones(3), np.ones((2, 3, 2)), 2.0):
-            with pytest.raises(ValueError, match="must be a matrix"):
+            message = f"must be a matrix, got shape {np.shape(operand)}"
+            with pytest.raises(ValueError, match=re.escape(message)):
                 x @ operand
+
+    def test_float_matmul_reads_a_transposed_matrix(self):
+        # a non-contiguous view contracts as its contiguous copy does
+        rng = np.random.default_rng(29)
+        ctx = da.AlgebraContext(2, 3)
+        P = self.rand_array(ctx, rng, (4, 3))
+        A = rng.normal(size=(2, 3)).T
+        assert not A.flags.c_contiguous
+        np.testing.assert_array_equal((P @ A).coeffs, (P @ np.ascontiguousarray(A)).coeffs)
+        for i in range(4):
+            for j in range(2):
+                want = P[i, 0] * A[0, j] + P[i, 1] * A[1, j] + P[i, 2] * A[2, j]
+                np.testing.assert_allclose((P @ A)[i, j].coeffs, want.coeffs, atol=1e-13)
+
+    @pytest.mark.parametrize("key", [
+        (..., 0), (..., slice(1, 3)), (..., None), (..., np.array([2, 0, 2])),
+        (..., 1, slice(None, None, -1)), (Ellipsis,),
+        0, slice(1, None), (1, None), np.array([1, 0]), (None, ..., 1),
+        (slice(None), ...), (-1, np.array([0, 3])),
+    ])
+    def test_getitem_indexes_the_leading_axes(self, key):
+        # the coefficient block indexes as each of its coefficient planes does
+        ctx = da.AlgebraContext(2, 3)
+        x = self.rand_array(ctx, np.random.default_rng(31), (2, 4))
+        want = np.stack([x.coeffs[..., m][key] for m in range(ctx.size)], axis=-1)
+        np.testing.assert_array_equal(x[key].coeffs, want)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (1,), ()])
+    def test_float_array_minus_polynomials_either_way(self, shape):
+        # y - p and p - y equal the per-entry results, whether y has the
+        # polynomial array's own shape or broadcasts against it
+        rng = np.random.default_rng(32)
+        ctx = da.AlgebraContext(2, 3)
+        x = self.rand_array(ctx, rng, (3,))
+        y = rng.normal(size=shape)
+        x_before, y_before = x.coeffs.copy(), y.copy()
+        out_shape = np.broadcast_shapes(shape, (3,))
+        left, right = y - x, x - y
+        assert left.shape == right.shape == out_shape
+        yb = np.broadcast_to(y, out_shape)
+        for idx in np.ndindex(*out_shape):
+            entry = x[idx[-1]]
+            np.testing.assert_array_equal(left[idx].coeffs, (float(yb[idx]) - entry).coeffs)
+            np.testing.assert_array_equal(right[idx].coeffs, (entry - float(yb[idx])).coeffs)
+        # an int array of the polynomial array's shape enters as floats
+        ints = np.array([1, -2, 3])
+        np.testing.assert_array_equal((ints - x).coeffs, (ints.astype(float) - x).coeffs)
+        # the operands are left as they were
+        np.testing.assert_array_equal(x.coeffs, x_before)
+        np.testing.assert_array_equal(y, y_before)
 
     def test_intrinsic_per_entry(self):
         rng = np.random.default_rng(23)

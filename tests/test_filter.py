@@ -335,6 +335,30 @@ class TestDaruffStep:
         assert contexts == [(2, 2)]
         assert composed == []
 
+    def test_second_step_builds_no_multiplication_table(self, monkeypatch):
+        # each epoch makes a fresh context, but its shape's table is built
+        # once per process: the second step runs no table-building loop
+        built = []
+        build = da._build_multiplication_table
+
+        def counted_build(ctx):
+            built.append((ctx.n_vars, ctx.max_order))
+            return build(ctx)
+
+        monkeypatch.setattr(da, "_MUL_TABLES", {})
+        monkeypatch.setattr(da, "_build_multiplication_table", counted_build)
+        # the range model's rsqrt multiplies polynomials
+        rng = np.random.default_rng(12)
+        ens = Ensemble([-3.5, 0.0] + 0.1 * rng.normal(size=(16, 2)))
+        state = FilterState(0.0, ensemble_stats(ens), ens)
+        dyn = linear_dynamics(0.3 * rng.normal(size=(2, 2)))
+        model = models.range_model(0.1)
+        first = daruff_step(state, dyn, model, [3.4], make_filter_config(order=2))
+        assert built == [(2, 2)]
+        second = daruff_step(state, dyn, model, [3.4], make_filter_config(order=2))
+        assert built == [(2, 2)]
+        np.testing.assert_array_equal(second.ensemble.particles, first.ensemble.particles)
+
     def test_timing_recorded(self):
         rng = np.random.default_rng(9)
         ens = Ensemble(rng.normal(size=(16, 2)))

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -376,6 +377,31 @@ class TestBenchTiming:
         for (_, first), (_, second) in pairs:
             np.testing.assert_array_equal(first, second)
         assert not np.array_equal(pairs[0][0][1], pairs[1][0][1])
+
+    def test_cell_reports_its_fastest_timed_step(self, monkeypatch):
+        # each step advances a fake clock by a scripted time and reports it
+        # as its phase split: the cell reads the fastest timed step and that
+        # step's split, never the warm-up's
+        clock = [0.0]
+        durations = {"da": [0.001, 0.05, 0.02, 0.004, 0.03, 0.01],
+                     "ode": [0.5, 0.3, 0.1, 0.2, 0.6, 0.4]}
+
+        def scripted(method):
+            def step(*args):
+                seconds = durations[method].pop(0)
+                clock[0] += seconds
+                return SimpleNamespace(timing=SimpleNamespace(
+                    propagate=seconds, flow=2 * seconds, evaluate=3 * seconds))
+            return step
+
+        monkeypatch.setattr(harness, "daruff_step", scripted("da"))
+        monkeypatch.setattr(harness, "baseline_pff_step", scripted("ode"))
+        monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        da, ode = bench_timing(committed("attitude"), [20]).rows
+        assert [da[k] for k in ("step_seconds", "propagate", "flow", "evaluate")] == \
+            pytest.approx([0.004, 0.004, 0.008, 0.012])
+        assert [ode[k] for k in ("step_seconds", "propagate", "flow", "evaluate")] == \
+            pytest.approx([0.1, 0.1, 0.2, 0.3])
 
     def test_cell_without_timed_steps_reads_nan(self, monkeypatch):
         def step(*args):
