@@ -428,29 +428,35 @@ _series_sqrt = _binomial_series("sqrt", 0.5, math.sqrt)
 _series_rsqrt = _binomial_series("rsqrt", -0.5, lambda a0: 1.0 / math.sqrt(a0))
 
 
-def _horner(series_of, a: DAScalar) -> DAScalar:
+def _apply_series(series_of, a: DAScalar) -> DAScalar:
     """Apply a univariate function, given as ``series_of(a0, k)``, the
     Taylor coefficients about ``a0`` up to degree ``k``, to each polynomial
-    by series recomposition (Horner on the nilpotent part)."""
+    as its series summed over the powers of the nilpotent part p.
+
+    The powers p^1..p^k fill one block by doubling, p^{1..n} * p^n =
+    p^{n+1..2n}, so the k powers take ceil(log2 k) products, where
+    Horner's rule takes k sequential ones."""
     k = a.ctx.max_order
     # (k + 1, *shape): one series per polynomial
     per_entry = [series_of(float(c), k) for c in np.ravel(a.coeffs[..., 0])]
     series = np.array(per_entry).T.reshape((k + 1,) + a.shape)
-    p = a.coeffs.copy()
-    p[..., 0] = 0.0
-    p = DAScalar(a.ctx, p)
-    acc = constant(a.ctx, series[-1])
-    for c in series[-2::-1]:
-        acc = acc * p
-        # the product is a fresh block, so the constant goes in in place
-        acc.coeffs[..., 0] += c
-    return acc
+    powers = np.empty((k,) + a.coeffs.shape)
+    powers[0] = a.coeffs
+    powers[0, ..., 0] = 0.0
+    n = 1
+    while n < k:
+        m = min(n, k - n)
+        powers[n:n + m] = (DAScalar(a.ctx, powers[:m]) * DAScalar(a.ctx, powers[n - 1])).coeffs
+        n += m
+    out = (series[1:, ..., None] * powers).sum(axis=0)
+    out[..., 0] += series[0]
+    return DAScalar(a.ctx, out)
 
 
 def sqrt(x):
     """sqrt on floats/arrays (numpy) or DAScalar (series recomposition)."""
     if isinstance(x, DAScalar):
-        return _horner(_series_sqrt, x)
+        return _apply_series(_series_sqrt, x)
     return np.sqrt(x)
 
 
@@ -459,7 +465,7 @@ def rsqrt(x):
     series, not a division after :func:`sqrt`).  On floats
     ``rsqrt(0)`` is the pole, +inf, without numpy's divide-by-zero warning."""
     if isinstance(x, DAScalar):
-        return _horner(_series_rsqrt, x)
+        return _apply_series(_series_rsqrt, x)
     with np.errstate(divide="ignore"):
         return 1.0 / np.sqrt(x)
 

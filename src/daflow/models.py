@@ -61,8 +61,10 @@ GYRO_NOISE_SIGMA = 0.2 * np.pi / 180.0  # rad/s
 
 
 def _squared_range(x):
-    x0, x1 = algebra.asarray(x).T
-    return x0 * x0 + x1 * x1
+    x = algebra.asarray(x)
+    # one product squares both components of a polynomial state
+    xx = x * x
+    return xx[..., 0] + xx[..., 1]
 
 
 def range_h(x):

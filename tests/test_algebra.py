@@ -152,21 +152,41 @@ class TestIntrinsics:
     @pytest.mark.parametrize("name", ["rsqrt", "sqrt"])
     @pytest.mark.parametrize("shape", [(), (2, 3)])
     def test_intrinsic_equals_plain_horner(self, name, shape):
-        # the in-place constant update against acc * p + c on the same shape
-        ctx = da.AlgebraContext(2, 6)
+        # the series summed over the power ladder against Horner's rule,
+        # acc * p + c, on the same shape; the two sum in different orders
         rng = np.random.default_rng(31)
-        a = da.DAScalar(ctx, 0.2 * rng.normal(size=shape + (ctx.size,)))
-        a.coeffs[..., 0] = rng.uniform(0.5, 2.0, size=shape)
-        before = a.coeffs.copy()
-        got = getattr(da, name)(a)
-        np.testing.assert_array_equal(a.coeffs, before)
-        series = np.array([getattr(da, f"_series_{name}")(c, ctx.max_order)
-                           for c in np.ravel(a.constant)]).T.reshape((-1,) + shape)
-        p = a - a.constant
-        acc = da.constant(ctx, series[-1])
-        for c in series[-2::-1]:
-            acc = acc * p + c
-        np.testing.assert_array_equal(got.coeffs, acc.coeffs)
+        for order in (1, 2, 3, 8, 9):
+            ctx = da.AlgebraContext(2, order)
+            a = da.DAScalar(ctx, 0.2 * rng.normal(size=shape + (ctx.size,)))
+            a.coeffs[..., 0] = rng.uniform(0.5, 2.0, size=shape)
+            before = a.coeffs.copy()
+            got = getattr(da, name)(a)
+            np.testing.assert_array_equal(a.coeffs, before)
+            series = np.array([getattr(da, f"_series_{name}")(c, order)
+                               for c in np.ravel(a.constant)]).T.reshape((-1,) + shape)
+            p = a - a.constant
+            acc = da.constant(ctx, series[-1])
+            for c in series[-2::-1]:
+                acc = acc * p + c
+            np.testing.assert_allclose(got.coeffs, acc.coeffs, rtol=0.0,
+                                       atol=1e-14 * np.abs(acc.coeffs).max())
+
+    @pytest.mark.parametrize("name", ["rsqrt", "sqrt"])
+    def test_intrinsic_products_per_call(self, name, monkeypatch):
+        # the power ladder doubles: ceil(log2 k) products at order k
+        calls = []
+        mul = da.DAScalar.__mul__
+
+        def counted(self, other):
+            calls.append(isinstance(other, da.DAScalar))
+            return mul(self, other)
+
+        monkeypatch.setattr(da.DAScalar, "__mul__", counted)
+        for order in range(1, 10):
+            a = da.make_variable(da.AlgebraContext(2, order), 1.7, 1)
+            calls.clear()
+            getattr(da, name)(a)
+            assert sum(calls) == math.ceil(math.log2(order))
 
 
 class TestEvaluate:

@@ -55,3 +55,20 @@ def test_summary_of_canned_result_lines(tmp_path):
     # an --workload all line is already prefixed
     line = json.loads(result_line(5.0, 0.2))
     assert bench_pairs.normalize(line, "all") == line
+
+
+def test_one_pair_reads_not_applicable(tmp_path, capsys):
+    # one parent value has an IQR of 0: a move of any size is not resolved
+    log = tmp_path / "pairs.jsonl"
+    with log.open("w") as out:
+        for side, values in (("parent", (5.0, 0.20)), ("change", (4.0, 0.30))):
+            result = bench_pairs.normalize(json.loads(result_line(*values)), "toy-range")
+            out.write(json.dumps({"pair": 0, "side": side, "result": result}) + "\n")
+    rows = {r["metric"]: r for r in bench_pairs.summarize(bench_pairs.read_log(log))}
+    step = rows["toy-range.step_rel"]
+    assert (step["rel"], step["lower"], step["pairs"]) == (pytest.approx(-0.2), 1, 1)
+    assert step["resolved"] is None and rows["toy-range.setup_s"]["resolved"] is None
+    assert bench_pairs.main(["--from-log", str(log)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[3].split() == ["toy-range.step_rel", "ref", "5", "0", "4", "-20.0%",
+                                  "1", "of", "1", "n/a"]

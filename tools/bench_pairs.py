@@ -7,7 +7,8 @@ goes first alternating from pair to pair so that a slow phase of the host
 falls on both sides alike, and prints one row per metric: the parent's
 median and interquartile range (IQR), the change's median, the relative
 move of the medians, and in how many pairs the change read lower.  A move
-is resolved when it exceeds the parent's IQR.  ``--log`` writes every
+is resolved when it exceeds the parent's IQR; with one pair the IQR
+says nothing, and the move reads ``n/a``.  ``--log`` writes every
 run's result line to a JSON-lines file as it comes; ``--from-log``
 summarizes such a file without running anything.
 """
@@ -22,6 +23,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+RESOLVED = {True: "yes", False: "no", None: "n/a"}
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -66,6 +68,8 @@ def summarize(pairs) -> list:
         change = [c["metrics"][name]["value"] for _, c in pairs]
         q1, parent_median, q3 = quartiles(parent)
         change_median = statistics.median(change)
+        # one parent value has an IQR of 0, which no spread of runs backs
+        resolved = abs(change_median - parent_median) > q3 - q1 if len(pairs) > 1 else None
         rows.append({
             "metric": name,
             "unit": pairs[0][0]["metrics"][name]["unit"],
@@ -75,7 +79,7 @@ def summarize(pairs) -> list:
             "rel": change_median / parent_median - 1.0 if parent_median else float("nan"),
             "lower": sum(c < p for p, c in zip(parent, change)),
             "pairs": len(pairs),
-            "resolved": abs(change_median - parent_median) > q3 - q1,
+            "resolved": resolved,
         })
     return rows
 
@@ -98,7 +102,7 @@ def format_rows(rows) -> str:
         lines.append("  ".join([
             r["metric"], r["unit"], f"{r['parent_median']:.4g}", f"{r['parent_iqr']:.3g}",
             f"{r['change_median']:.4g}", f"{100 * r['rel']:+.1f}%",
-            f"{r['lower']} of {r['pairs']}", "yes" if r["resolved"] else "no"]))
+            f"{r['lower']} of {r['pairs']}", RESOLVED[r["resolved"]]]))
     return "\n".join(lines)
 
 
