@@ -1,18 +1,18 @@
 """Benchmark models: planar range measurement and CubeSat attitude.
 
-Each model function, the measurement Jacobians and vector-Jacobian
-products included, has one body that serves plain state vectors, (N, n)
-particle batches, and polynomial arrays; on a polynomial state it returns
-its truncated expansion.  Every polynomial product is the algebra's
-elementwise ``*``, and ``@`` only ever takes a constant matrix.  The range
-model unpacks the components along the last axis with ``x.T`` and applies
-the :mod:`daflow.algebra` intrinsics; its vector-Jacobian product is w
-times the unit vector x / ||x||.  Every attitude function is at most
-quadratic in the state, so each is one gathered pair product
-``x[..., a] * x[..., b]`` times a constant matrix plus a constant or linear
-term; :func:`_pair_coefficients` reads each matrix once off the textbook
-formula, and the measurement's affine Jacobian and its vector-Jacobian
-product come from its pair matrix.
+Each model function, the measurement Jacobians and log-likelihood
+gradients H(x)^T R^-1 (y - h(x)) included, has one body that serves plain
+state vectors, (N, n) particle batches, and polynomial arrays; on a
+polynomial state it returns its truncated expansion.  Every polynomial
+product is the algebra's elementwise ``*``, and ``@`` only ever takes a
+constant matrix.  The range model unpacks the components along the last
+axis with ``x.T`` and applies the :mod:`daflow.algebra` intrinsics; its
+gradient is R^-1 (y rsqrt(x . x) - 1) x, which never expands the norm.
+Every attitude function is at most quadratic in the state, so each is one
+gathered pair product ``x[..., a] * x[..., b]`` times a constant matrix
+plus a constant or linear term; :func:`_pair_coefficients` reads each
+matrix once off the textbook formula, and the measurement's affine
+Jacobian and its gradient come from its pair matrix.
 Quaternions are stored vector-first, scalar-last: q = (qi, qj, qk, qs).
 """
 
@@ -77,22 +77,24 @@ def range_model(noise_sigma: float) -> MeasurementModel:
 
     The Jacobian is the single row x / ||x||, the unit vector
     ``x * rsqrt(x . x)``: the algebra divides by numbers only, so a
-    polynomial state takes the inverse norm as one series.  The
-    vector-Jacobian product is w times that row, one elementwise product in
-    which w's length-1 last axis broadcasts.
+    polynomial state takes the inverse norm as one series.  So the
+    log-likelihood gradient H^T R^-1 (y - ||x||) is R^-1 (y rsqrt(x . x) - 1)
+    times x: one product for x . x, one ``rsqrt`` and one elementwise
+    product with x, in which the length-1 last axis broadcasts; it never
+    expands ``sqrt``.
     """
 
-    def unit(x):
-        x = algebra.asarray(x)
-        return x * algebra.rsqrt(_squared_range(x))[..., None]
-
     def jac(x):
-        return unit(x)[..., None, :]
+        x = algebra.asarray(x)
+        return (x * algebra.rsqrt(_squared_range(x))[..., None])[..., None, :]
 
-    def vjp(x, w):
-        return algebra.asarray(w) * unit(x)
+    def loglik_grad(x, y, noise_inv):
+        x = algebra.asarray(x)
+        inv_norm = algebra.rsqrt(_squared_range(x))[..., None]
+        return ((inv_norm * y - 1.0) @ noise_inv.T) * x
 
-    return MeasurementModel(h=range_h, noise_cov=[[noise_sigma ** 2]], jac=jac, vjp=vjp)
+    return MeasurementModel(h=range_h, noise_cov=[[noise_sigma ** 2]], jac=jac,
+                            loglik_grad=loglik_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +258,10 @@ def stacked_measurement(catalog: StarCatalog = DEFAULT_CATALOG) -> MeasurementMo
     """Two star trackers, C(q) r1 and C(q) r2, and a rate gyro, body rates
     plus bias, as one 9-dimensional quadratic form.
 
-    The vector-Jacobian product H(x)^T w is one product of the 24
-    (quaternion, star tracker) pairs x_i w_k times a (24, 10) matrix, plus
-    the gyro's constant part ``w @ H(0)``; it never forms H.
+    The log-likelihood gradient H(x)^T w, with w = (y - h(x)) R^-1, is one
+    product of the 24 (quaternion, star tracker) pairs x_i w_k times a
+    (24, 10) matrix, plus the gyro's constant part ``w @ H(0)``; it never
+    forms H.
     """
     quad = np.zeros((len(_Q_A), 9))
     quad[:, 0:3] = _DCM_PAIRS @ catalog.r1
@@ -289,8 +292,9 @@ def stacked_measurement(catalog: StarCatalog = DEFAULT_CATALOG) -> MeasurementMo
         out += h0.ravel()
         return out.reshape(*x.shape[:-1], *h0.shape)
 
-    def vjp(x, w):
-        x, w = algebra.asarray(x), algebra.asarray(w)
+    def loglik_grad(x, y, noise_inv):
+        x = algebra.asarray(x)
+        w = (y - h(x)) @ noise_inv.T
         pairs = x[..., 0:4, None] * w[..., None, 0:6]
         out = pairs.reshape(*pairs.shape[:-2], 24) @ pair_rows
         out += w @ h0
@@ -299,7 +303,7 @@ def stacked_measurement(catalog: StarCatalog = DEFAULT_CATALOG) -> MeasurementMo
     noise = np.diag(
         [STAR_NOISE_SIGMA ** 2] * 6 + [GYRO_NOISE_SIGMA ** 2] * 3
     )
-    return MeasurementModel(h=h, noise_cov=noise, jac=jac, vjp=vjp)
+    return MeasurementModel(h=h, noise_cov=noise, jac=jac, loglik_grad=loglik_grad)
 
 
 def normalize_quaternion_block(x):

@@ -42,11 +42,11 @@ def test_summary_of_canned_result_lines(tmp_path):
     assert step["parent_iqr"] == pytest.approx(0.15)
     assert step["change_median"] == pytest.approx(4.45)
     assert step["rel"] == pytest.approx(4.45 / 5.15 - 1)
-    assert (step["lower"], step["pairs"], step["resolved"]) == (3, 4, True)
+    assert (step["better"], step["pairs"], step["resolved"]) == (3, 4, True)
     setup = rows["attitude-da.setup_s"]
     assert setup["parent_median"] == pytest.approx(0.225)
     assert setup["parent_iqr"] == pytest.approx(0.0875)
-    assert (setup["lower"], setup["resolved"]) == (2, False)
+    assert (setup["better"], setup["resolved"]) == (2, False)
     assert bench_pairs.runs_line(pairs) == ("parent: 4 of 4 runs correct, 0 failed ops; "
                                             "change: 3 of 4 runs correct, 0 failed ops")
     table = bench_pairs.format_rows(bench_pairs.summarize(pairs)).splitlines()
@@ -66,9 +66,31 @@ def test_one_pair_reads_not_applicable(tmp_path, capsys):
             out.write(json.dumps({"pair": 0, "side": side, "result": result}) + "\n")
     rows = {r["metric"]: r for r in bench_pairs.summarize(bench_pairs.read_log(log))}
     step = rows["toy-range.step_rel"]
-    assert (step["rel"], step["lower"], step["pairs"]) == (pytest.approx(-0.2), 1, 1)
+    assert (step["rel"], step["better"], step["pairs"]) == (pytest.approx(-0.2), 1, 1)
     assert step["resolved"] is None and rows["toy-range.setup_s"]["resolved"] is None
     assert bench_pairs.main(["--from-log", str(log)]) == 0
     printed = capsys.readouterr().out.splitlines()
     assert printed[3].split() == ["toy-range.step_rel", "ref", "5", "0", "4", "-20.0%",
                                   "1", "of", "1", "n/a"]
+
+
+def test_better_counts_by_each_metric_direction():
+    # BENCHMARK.json declares the accept ratio and the top span's share
+    # better when higher; a metric it does not name counts lower as better
+    def line(step_rel, accept, share, other):
+        values = {"step_rel": step_rel, "integrate.rk78_accept_ratio": accept,
+                  "trace.top_span_share": share, "made.up_metric": other}
+        return {"correct": True, "attempted": 40, "failed": 0, "metrics": {
+            f"toy-range.{key}": {"value": v, "unit": "x"} for key, v in values.items()}}
+
+    pairs = [(line(5.0, 0.90, 0.50, 1.0), line(4.0, 0.95, 0.40, 2.0)),
+             (line(5.0, 0.90, 0.50, 1.0), line(4.5, 0.97, 0.45, 0.5)),
+             (line(5.0, 0.90, 0.50, 1.0), line(5.5, 0.80, 0.60, 0.5))]
+    directions = bench_pairs.read_directions()
+    assert directions["integrate.rk78_accept_ratio"] == "higher"
+    assert directions["step_rel"] == "lower"
+    rows = {r["metric"]: r["better"] for r in bench_pairs.summarize(pairs)}
+    assert rows == {"toy-range.step_rel": 2, "toy-range.integrate.rk78_accept_ratio": 2,
+                    "toy-range.trace.top_span_share": 1, "toy-range.made.up_metric": 2}
+    table = bench_pairs.format_rows(bench_pairs.summarize(pairs)).splitlines()
+    assert table[0].split()[-2:] == ["better", "resolved"]

@@ -44,10 +44,10 @@ def linear_model(A, R):
     def jac(x):
         return np.broadcast_to(A, x.shape[:-1] + (m, n))
 
-    def vjp(x, w):
-        return w @ A
+    def loglik_grad(x, y, noise_inv):
+        return (y - h(x)) @ noise_inv.T @ A
 
-    return MeasurementModel(h=h, noise_cov=R, jac=jac, vjp=vjp)
+    return MeasurementModel(h=h, noise_cov=R, jac=jac, loglik_grad=loglik_grad)
 
 
 def kalman_information_update(mean, cov, A, R, y):
@@ -154,7 +154,7 @@ class TestCovRhs:
     def test_zero_jacobian(self):
         model = MeasurementModel(h=lambda x: 0.0 * x[..., :2], noise_cov=np.eye(2),
                                  jac=lambda x: np.zeros((2, 3)),
-                                 vjp=lambda x, w: w @ np.zeros((2, 3)))
+                                 loglik_grad=lambda x, y, noise_inv: 0.0 * x)
         P0 = np.eye(3) + 0.4 * np.ones((3, 3))
         post = flow_mean_cov(GaussianBelief(np.zeros(3), P0), model, [0.0, 0.0],
                              DENSE, ONE_STEP)
@@ -350,7 +350,7 @@ class TestFlowEnsembleOde:
 
 
 # placeholders for the validation tests, which never call them
-ANY_CALLABLES = dict(h=lambda x: x, jac=lambda x: x, vjp=lambda x, w: w)
+ANY_CALLABLES = dict(h=lambda x: x, jac=lambda x: x, loglik_grad=lambda x, y, noise_inv: x)
 
 
 class TestValidation:
@@ -400,12 +400,13 @@ class TestValidation:
 
     def test_measurement_model_needs_jac_and_reads_dim_off_noise(self):
         with pytest.raises(TypeError, match="jac"):
-            MeasurementModel(h=lambda x: x, noise_cov=np.eye(2), vjp=lambda x, w: w)
+            MeasurementModel(h=lambda x: x, noise_cov=np.eye(2),
+                             loglik_grad=lambda x, y, noise_inv: x)
         assert MeasurementModel(noise_cov=np.eye(3), **ANY_CALLABLES).dim == 3
 
-    def test_measurement_model_needs_vjp(self):
-        # the drift has one body, the vector-Jacobian product; jac alone is refused
-        with pytest.raises(TypeError, match="vjp"):
+    def test_measurement_model_needs_loglik_grad(self):
+        # the drift has one body, the log-likelihood gradient; jac alone is refused
+        with pytest.raises(TypeError, match="loglik_grad"):
             MeasurementModel(h=lambda x: x, noise_cov=np.eye(2), jac=lambda x: x)
 
     def test_ensemble_needs_two_particles(self):

@@ -63,10 +63,9 @@ class TestRangeH:
 
     def test_drift_product_count(self, monkeypatch):
         # every polynomial product of the drift is one DAScalar.__mul__ call.
-        # At order 8 the range's h takes 1 for x * x and 3 for sqrt's power
-        # ladder, its unit vector 1 + 3 + 1 and the VJP one more for w times
-        # it; the attitude's h takes one call for its 10 pairs and the VJP
-        # one for its 24
+        # At order 8 the range's gradient takes 1 for x * x, 3 for rsqrt's
+        # power ladder and 1 for its weight times x; the attitude's takes
+        # one call for h's 10 pairs and one for the gradient's 24
         calls = []
         mul = da.DAScalar.__mul__
 
@@ -76,13 +75,27 @@ class TestRangeH:
 
         monkeypatch.setattr(da.DAScalar, "__mul__", counted)
         for model, x0, order, products in (
-            (models.range_model(0.1), [-3.5, 0.0], 8, 10),
+            (models.range_model(0.1), [-3.5, 0.0], 8, 5),
             (models.stacked_measurement(), models.DEFAULT_INITIAL_STATE.as_vector(), 2, 2),
         ):
             calls.clear()
             x = da.identity_map(da.AlgebraContext(len(x0), order), x0)
             flow._drift(x, np.eye(len(x0)), model, np.full(model.dim, 0.1))
             assert sum(calls) == products
+
+    def test_gradient_matches_two_call_form_at_order_8(self):
+        # R^-1 (y rsqrt(x . x) - 1) x against (y - h(x)) R^-1 times the unit
+        # vector x rsqrt(x . x): equal up to round-off, since the truncated
+        # sqrt and rsqrt multiply to exactly 1
+        model = models.range_model(0.1)
+        x = da.identity_map(da.AlgebraContext(2, 8), [-3.5, 0.7])
+        y = np.array([3.3])
+        unit = x * da.rsqrt(models._squared_range(x))[..., None]
+        two_call = ((y - model.h(x)) @ model.noise_inv.T) * unit
+        grad = model.loglik_grad(x, y, model.noise_inv)
+        assert grad.shape == (2,)
+        np.testing.assert_allclose(grad.coeffs, two_call.coeffs, rtol=0,
+                                   atol=1e-14 * np.abs(two_call.coeffs).max())
 
     def test_float_jacobian_at_origin_warns_no_division(self):
         # 0 * rsqrt(0) is nan, an invalid value as 0 / 0 was; rsqrt's pole adds
@@ -354,65 +367,72 @@ class TestStackedMeasurement:
         np.testing.assert_allclose(da.evaluate(J, d), model.jac(x0 + d), atol=1e-14)
 
 
-def vjp_case(name, rng):
-    """A model and a float state for the VJP tests: the range toy off the
-    origin, or the attitude measurement of a random catalog at a state with
-    a non-unit quaternion."""
+def grad_case(name, rng):
+    """A model, a float state, a measurement and an R^-1 for the gradient
+    tests: the range toy off the origin, or the attitude measurement of a
+    random catalog at a state with a non-unit quaternion.  R^-1 is a random
+    symmetric positive definite matrix, so a transposed R^-1 would show."""
     if name == "range":
-        return models.range_model(0.1), np.array([-3.5, 0.7]) + 0.3 * rng.normal(size=2)
-    catalog = models.StarCatalog(rng.normal(size=3), rng.normal(size=3))
-    return models.stacked_measurement(catalog), 2.0 * rng.normal(size=10)
+        model, x = models.range_model(0.1), np.array([-3.5, 0.7]) + 0.3 * rng.normal(size=2)
+    else:
+        catalog = models.StarCatalog(rng.normal(size=3), rng.normal(size=3))
+        model, x = models.stacked_measurement(catalog), 2.0 * rng.normal(size=10)
+    A = rng.normal(size=(model.dim, model.dim))
+    return model, x, rng.normal(size=model.dim), A @ A.T + np.eye(model.dim)
+
+
+def grad_oracle(model, x, y, noise_inv):
+    """H(x)^T R^-1 (y - h(x)) at a float state, with da_jacobian's H."""
+    return da_jacobian(model.h, x, model.dim).T @ noise_inv @ (y - model.h(x))
 
 
 @pytest.mark.parametrize("name", ["range", "attitude"])
 class TestVjp:
-    """vjp(x, w) is H(x)^T w, with da_jacobian's H as the oracle."""
+    """loglik_grad(x, y, R^-1) is the vector-Jacobian product H(x)^T w at
+    the weight w = R^-1 (y - h(x)), with da_jacobian's H as the oracle."""
 
     def test_float_state(self, name):
         rng = np.random.default_rng(30)
         for _ in range(5):
-            model, x = vjp_case(name, rng)
-            w = rng.normal(size=model.dim)
-            u = model.vjp(x, w)
+            model, x, y, noise_inv = grad_case(name, rng)
+            u = model.loglik_grad(x, y, noise_inv)
             assert u.shape == x.shape
-            np.testing.assert_allclose(u, da_jacobian(model.h, x, model.dim).T @ w,
-                                       rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(u, grad_oracle(model, x, y, noise_inv),
+                                       rtol=1e-12, atol=1e-13)
 
     def test_batch_with_non_unit_quaternions(self, name):
         rng = np.random.default_rng(31)
-        model, x = vjp_case(name, rng)
+        model, x, y, noise_inv = grad_case(name, rng)
         X = x + 0.5 * rng.normal(size=(6, len(x)))
-        W = rng.normal(size=(6, model.dim))
-        U = model.vjp(X, W)
+        U = model.loglik_grad(X, y, noise_inv)
         assert U.shape == X.shape
-        for x, w, u in zip(X, W, U):
-            np.testing.assert_allclose(u, da_jacobian(model.h, x, model.dim).T @ w,
-                                       rtol=1e-12, atol=1e-14)
+        for x, u in zip(X, U):
+            np.testing.assert_allclose(u, grad_oracle(model, x, y, noise_inv),
+                                       rtol=1e-12, atol=1e-13)
             # a batch row and a single-state call differ by round-off only
-            np.testing.assert_allclose(u, model.vjp(x, w), rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(u, model.loglik_grad(x, y, noise_inv),
+                                       rtol=1e-13, atol=1e-15)
 
     def test_polynomial_state(self, name):
         rng = np.random.default_rng(32)
-        model, x0 = vjp_case(name, rng)
-        n, m = len(x0), model.dim
+        model, x0, y, noise_inv = grad_case(name, rng)
+        n = len(x0)
         xp = da.identity_map(da.AlgebraContext(n, 2), x0)
-        # an affine weight, so that the attitude's H^T w is exact at order 2
-        w0, B = rng.normal(size=m), rng.normal(size=(n, m))
-        wp = w0 + (xp - x0) @ B
-        U = model.vjp(xp, wp)
+        U = model.loglik_grad(xp, y, noise_inv)
         assert U.shape == (n,)
-        # the expansion of H^T w is that of the expanded Jacobian's contraction
+        # the expansion is that of the expanded Jacobian's contraction with
+        # the expanded weight
+        w = (y - model.h(xp)) @ noise_inv.T
         J = model.jac(xp)
-        full = sum(wp[k] * J[k] for k in range(m))
+        full = sum(w[k] * J[k] for k in range(model.dim))
         np.testing.assert_allclose(U.coeffs, full.coeffs, rtol=1e-13,
                                    atol=1e-14 * np.abs(full.coeffs).max())
-        # and at a deviation d it is w(d) @ H(x0 + d) up to truncation: none
-        # for the attitude, whose H is affine; for the range the dropped
-        # degree-3 terms are at most about 1e-9 at |d| ~ 1e-3
+        # and at a deviation d it is the oracle at x0 + d up to the dropped
+        # degree-3 terms, about 3e-11 of the largest entry at |d| ~ 1e-3
         D = 1e-3 * rng.normal(size=(4, n))
-        expected = np.array([(w0 + d @ B) @ model.jac(x0 + d) for d in D])
-        atol = 5e-9 if name == "range" else 1e-12 * np.abs(expected).max()
-        np.testing.assert_allclose(da.evaluate_many(U, D), expected, rtol=1e-12, atol=atol)
+        expected = np.array([grad_oracle(model, x0 + d, y, noise_inv) for d in D])
+        np.testing.assert_allclose(da.evaluate_many(U, D), expected, rtol=1e-12,
+                                   atol=1e-9 * np.abs(expected).max())
 
 
 class TestAttitudeState:

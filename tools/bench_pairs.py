@@ -6,11 +6,14 @@ runs each checkout's ``perfbench/run.py`` once per pair, the side that
 goes first alternating from pair to pair so that a slow phase of the host
 falls on both sides alike, and prints one row per metric: the parent's
 median and interquartile range (IQR), the change's median, the relative
-move of the medians, and in how many pairs the change read lower.  A move
-is resolved when it exceeds the parent's IQR; with one pair the IQR
-says nothing, and the move reads ``n/a``.  ``--log`` writes every
-run's result line to a JSON-lines file as it comes; ``--from-log``
-summarizes such a file without running anything.
+move of the medians, and in how many pairs the change read better: lower,
+or higher for a metric that the repository's ``BENCHMARK.json`` declares
+``"better": "higher"`` (looked up without the ``<workload>.`` prefix; a
+metric the file does not name counts lower).  A move is resolved when it
+exceeds the parent's IQR; with one pair the IQR says nothing, and the
+move reads ``n/a``.  ``--log`` writes every run's result line to a
+JSON-lines file as it comes; ``--from-log`` summarizes such a file
+without running anything.
 """
 
 from __future__ import annotations
@@ -24,6 +27,14 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 RESOLVED = {True: "yes", False: "no", None: "n/a"}
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def read_directions() -> dict:
+    """``better`` ("lower" or "higher") of each metric ``BENCHMARK.json``
+    declares; the file is only read."""
+    spec = json.loads(BENCHMARK.read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -60,10 +71,14 @@ def quartiles(values) -> tuple:
 def summarize(pairs) -> list:
     """One row per metric over ``pairs`` of ``(parent, change)`` result
     lines: medians, the parent's IQR, and the pairs in which the change
-    read lower.  Only metrics present on both sides of every pair count."""
+    read better by :func:`read_directions`.  Only metrics present on both
+    sides of every pair count."""
+    directions = read_directions()
     names = set.intersection(*(set(r["metrics"]) for pair in pairs for r in pair))
     rows = []
     for name in sorted(names):
+        # names read <workload>.<metric>; workload names hold no dot
+        higher = directions.get(name.split(".", 1)[-1]) == "higher"
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         q1, parent_median, q3 = quartiles(parent)
@@ -77,7 +92,7 @@ def summarize(pairs) -> list:
             "parent_iqr": q3 - q1,
             "change_median": change_median,
             "rel": change_median / parent_median - 1.0 if parent_median else float("nan"),
-            "lower": sum(c < p for p, c in zip(parent, change)),
+            "better": sum((c > p) if higher else (c < p) for p, c in zip(parent, change)),
             "pairs": len(pairs),
             "resolved": resolved,
         })
@@ -96,13 +111,13 @@ def runs_line(pairs) -> str:
 
 
 def format_rows(rows) -> str:
-    header = ("metric", "unit", "parent", "parent IQR", "change", "move", "lower", "resolved")
+    header = ("metric", "unit", "parent", "parent IQR", "change", "move", "better", "resolved")
     lines = ["  ".join(header)]
     for r in rows:
         lines.append("  ".join([
             r["metric"], r["unit"], f"{r['parent_median']:.4g}", f"{r['parent_iqr']:.3g}",
             f"{r['change_median']:.4g}", f"{100 * r['rel']:+.1f}%",
-            f"{r['lower']} of {r['pairs']}", RESOLVED[r["resolved"]]]))
+            f"{r['better']} of {r['pairs']}", RESOLVED[r["resolved"]]]))
     return "\n".join(lines)
 
 
