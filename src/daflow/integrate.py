@@ -1,10 +1,17 @@
 """Explicit Runge-Kutta integration over duck-typed state algebras.
 
-One integrator body serves plain float vectors, batches of particles,
+One integrator serves plain float vectors, batches of particles,
 polynomial states (:class:`~daflow.algebra.DAScalar` arrays), and
-heterogeneous bundles (:class:`Stacked`): the state only has to support
-``a + b`` and ``scalar * a``.  Two methods are provided, a fixed-step
-classic RK4 and the Fehlberg 7(8) embedded adaptive pair.
+heterogeneous bundles (:class:`Stacked`).  Two methods are provided:
+
+- ``rk4_fixed``, classic RK4 in fixed steps, runs on the state's own
+  arithmetic, so the state only has to support ``a + b`` and
+  ``scalar * a``.
+- ``rk78_adaptive``, the Fehlberg 7(8) embedded adaptive pair, reads the
+  state's float leaves: a float array, a ``DAScalar``'s coefficient block,
+  and each part of a ``Stacked``.  It forms every stage from one block of
+  stage derivatives per leaf and rebuilds each stage state into the
+  state's own type before the right-hand side sees it.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ class IntegrationError(RuntimeError):
 class IntegratorSpec:
     """Integrator selection.  rk4_fixed splits the span into
     ceil(span/step_size) equal steps, so the last step lands exactly on the
-    endpoint; rk78_adaptive holds its error estimate within ``TOLERANCE``.
+    endpoint; rk78_adaptive holds its error estimate within ``TOLERANCE``
+    and chooses its own steps, so it takes no step_size.
     """
 
     method: str
@@ -40,15 +48,19 @@ class IntegratorSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.method == "rk4_fixed" and (self.step_size is None or self.step_size <= 0):
+        # "not > 0" refuses a NaN step too
+        if self.method == "rk4_fixed" and (self.step_size is None or not self.step_size > 0):
             raise ValueError("rk4_fixed requires step_size > 0")
+        if self.method == "rk78_adaptive" and self.step_size is not None:
+            raise ValueError("rk78_adaptive takes no step_size; it chooses its own steps")
 
 
 class Stacked:
     """Fixed-shape bundle of states integrated as one ODE state.
 
-    Parts may be float arrays or polynomial arrays; elementwise add and
-    scalar multiply distribute over the parts.
+    Parts may be float arrays, polynomial arrays or ``Stacked`` bundles;
+    elementwise add and scalar multiply, which RK4 uses, distribute over
+    the parts.
     """
 
     __slots__ = ("parts",)
@@ -56,8 +68,8 @@ class Stacked:
     def __init__(self, *parts):
         self.parts = parts
 
-    # the parts as lists: unpacking a generator costs more per op, and a
-    # flow step makes 13 of these ops
+    # the parts as lists: unpacking a generator costs more per op, and an
+    # RK4 step makes 13 of these ops
     def __add__(self, other):
         return Stacked(*[p + q for p, q in zip(self.parts, other.parts)])
 
@@ -70,21 +82,35 @@ class Stacked:
         return f"<Stacked {len(self.parts)} parts>"
 
 
-def _leading_values(y) -> np.ndarray:
-    """Float view of a state used for error control: constant parts for
-    polynomial entries, the raw values otherwise."""
+def _leaves(y) -> list:
+    """The float leaves of a state, in order, each as ``(array, stride)``:
+    a float array with stride 1, a ``DAScalar``'s coefficient block with
+    stride the basis size, and each part of a ``Stacked``, taken
+    recursively.  ``array.ravel()[::stride]`` are the leaf's leading
+    values: its constant column for a polynomial leaf, every value
+    otherwise."""
     if isinstance(y, Stacked):
-        return np.concatenate([_leading_values(p) for p in y.parts])
+        return [leaf for p in y.parts for leaf in _leaves(p)]
     if isinstance(y, DAScalar):
-        return y.coeffs[..., 0].ravel()
-    return np.asarray(y).ravel().astype(float)
+        return [(y.coeffs, y.coeffs.shape[-1])]
+    return [(np.asarray(y), 1)]
+
+
+def _rebuild(like, values):
+    """The state of ``like``'s type and structure whose leaves, in
+    :func:`_leaves` order, are the next flat arrays of ``values``."""
+    if isinstance(like, Stacked):
+        return Stacked(*[_rebuild(p, values) for p in like.parts])
+    if isinstance(like, DAScalar):
+        return DAScalar(like.ctx, next(values).reshape(like.coeffs.shape))
+    return next(values).reshape(np.shape(like))
 
 
 def _state_finite(y) -> bool:
-    if isinstance(y, Stacked):
-        return all(_state_finite(p) for p in y.parts)
-    arr = y.coeffs if isinstance(y, DAScalar) else np.asarray(y)
-    return bool(np.isfinite(arr).all())
+    for a, _ in _leaves(y):
+        if not np.isfinite(a).all():
+            return False
+    return True
 
 
 def integrate(rhs, y0, t0: float, t1: float, spec: IntegratorSpec):
@@ -122,7 +148,8 @@ def _rk4(rhs, y0, t0, t1, spec):
 # Fehlberg 7(8) embedded pair: 13 stages, 8th-order solution propagated,
 # error estimated against the embedded 7th-order formula.
 _C = np.array([0, 2/27, 1/9, 1/6, 5/12, 1/2, 5/6, 1/6, 2/3, 1/3, 1, 0, 1])
-_A = [
+# A is zero-padded to (13, 13): stage s reads its row's first s entries
+_A = np.array([row + [0] * (13 - len(row)) for row in [
     [],
     [2/27],
     [1/36, 1/12],
@@ -136,25 +163,23 @@ _A = [
     [2383/4100, 0, 0, -341/164, 4496/1025, -301/82, 2133/4100, 45/82, 45/164, 18/41],
     [3/205, 0, 0, 0, 0, -6/41, -3/205, -3/41, 3/41, 6/41, 0],
     [-1777/4100, 0, 0, -341/164, 4496/1025, -289/82, 2193/4100, 51/82, 33/164, 12/41, 0, 1],
-]
+]])
 _B7 = np.array([41/840, 0, 0, 0, 0, 34/105, 9/35, 9/35, 9/280, 9/280, 41/840, 0, 0])
 _B8 = np.array([0, 0, 0, 0, 0, 34/105, 9/35, 9/35, 9/280, 9/280, 0, 41/840, 41/840])
-
-
-def _weighted_sum(terms):
-    """sum of (weight, state) pairs, skipping zero weights."""
-    acc = None
-    for w, k in terms:
-        if w == 0.0:
-            continue
-        wk = w * k
-        acc = wk if acc is None else acc + wk
-    return acc
+_E = _B8 - _B7  # weights of the 8th- minus the 7th-order solution
 
 
 def _rk78(rhs, y0, t0, t1):
+    """Fehlberg 7(8) on the float leaves of the state.  Each leaf keeps one
+    (13, leaf size) stage block K, and every stage state, the solution and
+    the error estimate is one weighted sum over it, rebuilt into the
+    state's own type before ``rhs`` sees it."""
     t = t0
     y = y0
+    leaves = _leaves(y0)
+    values = [a.ravel() for a, _ in leaves]  # y's leaves, flat
+    strides = [stride for _, stride in leaves]
+    blocks = [np.empty((13, v.size)) for v in values]
     h = t1 - t0
     attempts = 0
     tiny = 1e-14 * (t1 - t0)
@@ -168,28 +193,29 @@ def _rk78(rhs, y0, t0, t1):
             )
         attempts += 1
 
-        ks = []
+        ha = h * _A
+        ys = y
         for s in range(13):
-            inc = _weighted_sum(zip(_A[s], ks))
-            ys = y if inc is None else y + h * inc
-            ks.append(rhs(ys, t + _C[s] * h))
+            if s:
+                ys = _rebuild(y, (v + ha[s, :s] @ k[:s] for v, k in zip(values, blocks)))
+            for k, (a, _) in zip(blocks, _leaves(rhs(ys, t + _C[s] * h))):
+                k[s] = a.ravel()
 
-        y8 = y + h * _weighted_sum(zip(_B8, ks))
-        # leading-value error estimate of the 7th- vs 8th-order solutions
-        diff = h * sum(
-            (b8 - b7) * _leading_values(k)
-            for b7, b8, k in zip(_B7, _B8, ks)
-            if b8 != b7
-        )
-        ref = np.maximum(np.abs(_leading_values(y)), np.abs(_leading_values(y8)))
-        err = float(np.max(np.abs(diff) / (TOLERANCE + TOLERANCE * ref)))
+        y8 = [v + (h * _B8) @ k for v, k in zip(values, blocks)]
+        # error estimate of the 7th- vs 8th-order solutions at the leading values
+        err = float(np.max(np.concatenate([
+            np.abs((h * _E) @ k[:, ::st])
+            / (TOLERANCE + TOLERANCE * np.maximum(np.abs(v[::st]), np.abs(v8[::st])))
+            for v, v8, k, st in zip(values, y8, blocks, strides)
+        ])))
         # k1 = rhs(y, t) does not depend on h, so a smaller step cannot
         # mend it; later stages may overflow on a long step and are retried
-        if not math.isfinite(err) and not _state_finite(ks[0]):
+        if not math.isfinite(err) and not all(np.isfinite(k[0]).all() for k in blocks):
             raise IntegrationError(f"non-finite right-hand side at t={t}")
 
         if err <= 1.0:
-            y = y8
+            values = y8
+            y = _rebuild(y, iter(y8))
             t = t + h
             if not _state_finite(y):
                 raise IntegrationError(f"non-finite state at t={t}")

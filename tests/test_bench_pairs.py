@@ -94,3 +94,41 @@ def test_better_counts_by_each_metric_direction():
                     "toy-range.trace.top_span_share": 1, "toy-range.made.up_metric": 2}
     table = bench_pairs.format_rows(bench_pairs.summarize(pairs)).splitlines()
     assert table[0].split()[-2:] == ["better", "resolved"]
+
+
+def test_verdicts_against_the_bounds_of_benchmark_json():
+    # ten pairs; BENCHMARK.json bounds step_rel and setup_s at 0.25 and
+    # peak_rss_mb at 0.1 of the parent's median
+    def line(step_rel, tail, setup_s, rss, self_s):
+        values = {"step_rel": step_rel, "step_tail_rel": tail, "setup_s": setup_s,
+                  "peak_rss_mb": rss, "integrate.self_s": self_s}
+        return {"correct": True, "attempted": 40, "failed": 0, "metrics": {
+            f"toy-range.{key}": {"value": v, "unit": "x"} for key, v in values.items()}}
+
+    pairs = []
+    for i in range(10):
+        # step_rel: 15.0-15.9 against 12.0-12.9, better in 10 of 10;
+        # step_tail_rel better in 8 of 10 only; setup_s spread over
+        # 0.1-1.0 s; peak_rss_mb 40 against 45 MB, 12.5% worse
+        tail_change = 21.0 if i < 2 else 17.0
+        pairs.append((line(15.0 + 0.1 * i, 20.0, 0.1 * (i + 1), 40.0, 0.03),
+                      line(12.0 + 0.1 * i, tail_change, 0.1 * (i + 1), 45.0, 0.015)))
+    bounds = bench_pairs.read_bounds()
+    assert bounds == {"step_rel": 0.25, "step_tail_rel": 0.25, "setup_s": 0.25,
+                      "peak_rss_mb": 0.1}
+    rows = {r["metric"].split(".", 1)[1]: r for r in bench_pairs.summarize(pairs)}
+    assert (rows["step_rel"]["verdict"], rows["step_rel"]["claim_met"]) == ("within bound", True)
+    assert (rows["step_tail_rel"]["verdict"], rows["step_tail_rel"]["claim_met"]) == (
+        "within bound", False)
+    assert (rows["setup_s"]["verdict"], rows["setup_s"]["claim_met"]) == ("unresolved", False)
+    assert (rows["peak_rss_mb"]["verdict"], rows["peak_rss_mb"]["bound"]) == ("regressed", 0.1)
+    # a per-layer metric has no bound and no verdict
+    assert (rows["integrate.self_s"]["verdict"], rows["integrate.self_s"]["claim_met"]) == (
+        None, None)
+    lines = bench_pairs.format_verdicts(bench_pairs.summarize(pairs)).splitlines()
+    assert lines == [
+        "toy-range.peak_rss_mb: regressed, move +12.5%, parent IQR 0.0%, bound 10%",
+        "toy-range.setup_s: unresolved, move +0.0%, parent IQR 81.8%, bound 25%",
+        "toy-range.step_rel: within bound, move -19.4%, parent IQR 2.9%, bound 25%, claim met",
+        "toy-range.step_tail_rel: within bound, move -15.0%, parent IQR 0.0%, bound 25%",
+    ]

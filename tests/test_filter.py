@@ -24,7 +24,8 @@ from daflow.flow import (
 )
 from daflow.integrate import IntegratorSpec, integrate
 from daflow import models
-from test_flow import kalman_information_update, linear_model
+from daflow.harness import ScenarioConfig
+from test_flow import CONFIGS, kalman_information_update, linear_model, record_integrations
 
 RK4 = IntegratorSpec("rk4_fixed", step_size=0.01)
 ONE_STEP = IntegratorSpec("rk4_fixed", step_size=1.0)
@@ -98,6 +99,15 @@ class TestBuildStpm:
         got = integrate(dyn.f, particles, 0.0, 2.0, adaptive)
         ref = integrate(dyn.f, particles, 0.0, 2.0, fine)
         assert np.abs(got - ref).max() < 1e-10  # 3.3e-12
+
+    def test_attitude_epoch_takes_one_attempt(self, monkeypatch):
+        # the tracer counts RK7(8) attempts off the rhs t values
+        cfg = ScenarioConfig.from_json(CONFIGS / "attitude.json")
+        calls = record_integrations(monkeypatch, dfilter)
+        build_stpm(models.DEFAULT_INITIAL_STATE.as_vector(), models.attitude_dynamics(),
+                   0.0, cfg.meas_period, cfg.order, dfilter.DYNAMICS_SPEC)
+        [(t0, t1, ts)] = calls
+        assert (t0, t1, len(ts), ts[0]) == (0.0, cfg.meas_period, 13, 0.0)
 
     def test_requires_forward_interval(self):
         dyn = DynamicsModel(f=lambda x, t: x)

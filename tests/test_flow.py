@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import daflow.algebra as da
+import daflow.flow as dflow
 from daflow.flow import (
     Ensemble,
     GaussianBelief,
@@ -55,6 +56,27 @@ def kalman_information_update(mean, cov, A, R, y):
     p_post = np.linalg.inv(s_post)
     x_post = p_post @ (np.linalg.inv(cov) @ mean + A.T @ np.linalg.inv(R) @ y)
     return x_post, p_post
+
+
+def record_integrations(monkeypatch, module):
+    """Patch ``module.integrate`` to record, for each call, ``(t0, t1, ts)``:
+    its span and the t of every rhs call it makes, as perfbench's tracer
+    sees them."""
+    calls = []
+    inner = module.integrate
+
+    def integrate(rhs, y0, t0, t1, spec):
+        ts = []
+        calls.append((t0, t1, ts))
+
+        def recorded(y, t):
+            ts.append(t)
+            return rhs(y, t)
+
+        return inner(recorded, y0, t0, t1, spec)
+
+    monkeypatch.setattr(module, "integrate", integrate)
+    return calls
 
 
 @pytest.fixture
@@ -232,6 +254,19 @@ class TestBuildFlowMap:
         model = linear_model(A, R)
         fmap = build_flow_map(GaussianBelief(x0, P0), model, y, DENSE, 1, ONE_STEP)
         assert fmap.coeffs.shape == (3, 4)  # constant + one slope per variable
+
+    def test_toy_flow_takes_one_attempt_per_segment(self, monkeypatch):
+        # the tracer counts RK7(8) attempts off the rhs t values: 13 per
+        # attempt, the first at the attempt's start
+        toy = ScenarioConfig.from_json(CONFIGS / "toy.json")
+        calls = record_integrations(monkeypatch, dflow)
+        build_flow_map(GaussianBelief(TOY_PRIOR_MEAN, TOY_PRIOR_COV),
+                       range_model(TOY_NOISE_SIGMA), [TOY_MEASUREMENT], toy.schedule(),
+                       toy.order, toy.flow_spec())
+        assert [(t0, t1) for t0, t1, _ in calls] == list(toy.schedule().segments())
+        assert sum(len(ts) for *_, ts in calls) == 650
+        for t0, _, ts in calls:
+            assert len(ts) == 13 and ts[0] == t0
 
     def test_measurement_must_be_finite(self, linear_case):
         A, R, P0, x0, _ = linear_case

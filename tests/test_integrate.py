@@ -27,41 +27,59 @@ class TestSpecValidation:
             IntegratorSpec("rk4_fixed")
         with pytest.raises(ValueError, match="step_size"):
             IntegratorSpec("rk4_fixed", step_size=-0.1)
+        with pytest.raises(ValueError, match="step_size"):
+            IntegratorSpec("rk4_fixed", step_size=float("nan"))
+
+    def test_rk78_takes_no_step(self):
+        # an ignored step size would read as a setting that took effect
+        with pytest.raises(ValueError, match="rk78_adaptive takes no step_size"):
+            IntegratorSpec("rk78_adaptive", step_size=0.01)
 
 
-def _infinite_coefficient():
+def _infinite_coefficient(bundle=lambda poly: poly):
     # the slope coefficient doubles past the float range; error control reads
     # constant parts only, so the step is accepted and the finiteness check trips
     ctx = da.AlgebraContext(1, 1)
-    huge = da.DAScalar(ctx, np.array([0.0, 1e308]))
+    huge = bundle(da.DAScalar(ctx, np.array([0.0, 1e308])))
     return integrate(lambda y, t: huge, huge, 0.0, 1.0, RK78)
 
 
-def _nan_rhs():
+def _nan_rhs(y0, nan_of):
     # the first attempt's error estimate is NaN: one attempt, 13 stages
     calls = []
 
     def rhs(y, t):
         calls.append(t)
-        return y * np.nan
+        return nan_of(y)
 
     try:
-        integrate(rhs, np.array([1.0]), 0.0, 1.0, RK78)
+        integrate(rhs, y0, 0.0, 1.0, RK78)
     finally:
         assert len(calls) == 13
 
 
+def _stacked_nan_rhs():
+    # NaN in the float matrix only: error control reads all of its values
+    ctx = da.AlgebraContext(2, 3)
+    y0 = Stacked(da.identity_map(ctx, [1.0, 2.0]), np.eye(2))
+    _nan_rhs(y0, lambda s: Stacked(s.parts[0], s.parts[1] * np.nan))
+
+
 @pytest.mark.parametrize("run,expected,match", [
     (lambda: repr(Stacked(np.zeros(2), np.zeros(3))), "<Stacked 2 parts>", None),
-    (_nan_rhs, IntegrationError, r"non-finite right-hand side at t=0\.0"),
+    (lambda: _nan_rhs(np.array([1.0]), lambda y: y * np.nan),
+     IntegrationError, r"non-finite right-hand side at t=0\.0"),
+    (_stacked_nan_rhs, IntegrationError, r"non-finite right-hand side at t=0\.0"),
     (lambda: integrate(lambda y, t: -1e15 * y, np.array([1.0]), 0.0, 1.0, RK78),
      IntegrationError, "rk78_adaptive step size collapsed"),
     (_infinite_coefficient, IntegrationError, r"non-finite state at t=1\.0"),
-], ids=["stacked-repr", "rk78-nan-rhs", "rk78-stiff-collapses",
-        "rk78-accepts-infinite-coefficient"])
+    (lambda: _infinite_coefficient(lambda poly: Stacked(poly, np.zeros((2, 2)))),
+     IntegrationError, r"non-finite state at t=1\.0"),
+], ids=["stacked-repr", "rk78-nan-rhs", "rk78-stacked-nan-rhs", "rk78-stiff-collapses",
+        "rk78-accepts-infinite-coefficient", "rk78-stacked-accepts-infinite-coefficient"])
 def test_edge_paths(run, expected, match):
-    """Stacked's repr, and the three RK7(8) failures: an exception type and
-    message, or a value."""
+    """Stacked's repr, and the RK7(8) failures, on plain and ``Stacked``
+    states: an exception type and message, or a value."""
     if match is None:
         assert run() == expected
         return
@@ -152,6 +170,116 @@ class TestRK78:
         with np.errstate(over="ignore", invalid="ignore"):
             y = integrate(lambda y, t: -y ** 3, np.array([10.0]), 0.0, 10.0, RK78)
         assert y[0] == pytest.approx(1.0 / math.sqrt(20.01), rel=1e-8)
+
+
+def _weighted_sum(terms):
+    """sum of (weight, state) pairs, skipping zero weights."""
+    acc = None
+    for w, k in terms:
+        if w == 0.0:
+            continue
+        wk = w * k
+        acc = wk if acc is None else acc + wk
+    return acc
+
+
+def _leading_values(y):
+    if isinstance(y, Stacked):
+        return np.concatenate([_leading_values(p) for p in y.parts])
+    if isinstance(y, da.DAScalar):
+        return y.coeffs[..., 0].ravel()
+    return np.asarray(y).ravel().astype(float)
+
+
+def reference_rk78(rhs, y0, t0, t1):
+    """The sequential Fehlberg 7(8) step on the state's own ``+`` and
+    ``*``: each stage a sum of scaled derivatives, zero weights skipped.
+    Same tableau, tolerance and step control as ``integrate``; no failure
+    checks."""
+    A, B7, B8, C = INTEGRATE._A, INTEGRATE._B7, INTEGRATE._B8, INTEGRATE._C
+    t, y, h = t0, y0, t1 - t0
+    tiny = 1e-14 * (t1 - t0)
+    while t < t1 - tiny:
+        h = min(h, t1 - t)
+        ks = []
+        for s in range(13):
+            inc = _weighted_sum(zip(A[s, :s], ks))
+            ys = y if inc is None else y + h * inc
+            ks.append(rhs(ys, t + C[s] * h))
+        y8 = y + h * _weighted_sum(zip(B8, ks))
+        diff = h * sum((b8 - b7) * _leading_values(k)
+                       for b7, b8, k in zip(B7, B8, ks) if b8 != b7)
+        ref = np.maximum(np.abs(_leading_values(y)), np.abs(_leading_values(y8)))
+        err = float(np.max(np.abs(diff) / (INTEGRATE.TOLERANCE + INTEGRATE.TOLERANCE * ref)))
+        if err <= 1.0:
+            y, t = y8, t + h
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
+        else:
+            factor = max(0.2, 0.9 * err ** -0.125)
+        h = h * factor
+    return y
+
+
+def _arrays(y):
+    """The float arrays a state is made of."""
+    if isinstance(y, Stacked):
+        return [a for p in y.parts for a in _arrays(p)]
+    return [y.coeffs if isinstance(y, da.DAScalar) else y]
+
+
+def forced_oscillator(y, t):
+    # a damped linear oscillator on the last axis, a quadratic term and a forcing
+    M = np.array([[0.0, 1.0], [-1.0, -0.1]])
+    return y @ M.T - 0.1 * (y * y) + 0.1 * math.cos(t)
+
+
+def oscillator_with_information(s, t):
+    # the matrix part grows with the polynomial part's constant, as the
+    # flow's information grows with H at the running mean
+    x, J = s.parts
+    c = x.constant
+    return Stacked(forced_oscillator(x, t), np.outer(c, c) - 0.3 * J)
+
+
+_POLY = da.identity_map(da.AlgebraContext(2, 4), [1.0, 0.5])
+
+
+class TestRK78AgainstReference:
+    @pytest.mark.parametrize("rhs,y0", [
+        (forced_oscillator, np.array([1.0, 0.5])),
+        (forced_oscillator, np.random.default_rng(3).normal(size=(6, 2))),
+        (forced_oscillator, _POLY),
+        (oscillator_with_information, Stacked(_POLY, np.eye(2))),
+    ], ids=["vector", "batch", "polynomial", "stacked"])
+    def test_stage_block_matches_sequential_step(self, rhs, y0):
+        # the stage block sums in another order than the sequential step,
+        # so the two states agree to rounding
+        calls = {"block": [], "reference": []}
+
+        def recorded(name):
+            def f(y, t):
+                calls[name].append(t)
+                return rhs(y, t)
+            return f
+
+        got = integrate(recorded("block"), y0, 0.0, 3.0, RK78)
+        want = reference_rk78(recorded("reference"), y0, 0.0, 3.0)
+        assert type(got) is type(want)
+        scale = max(np.abs(a).max() for a in _arrays(want))
+        for g, w in zip(_arrays(got), _arrays(want), strict=True):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-14 * scale
+        # the same attempts, rejections at the same places: a rejected
+        # attempt's retry starts at the same t
+        block, reference = calls["block"], calls["reference"]
+        assert len(block) == len(reference)
+        rejected = [[a == b for a, b in zip(ts[::13], ts[13::13])] for ts in (block, reference)]
+        assert rejected[0] == rejected[1] and any(rejected[0])
+        # the first attempt spans the whole interval in both; later step sizes
+        # follow error estimates that cancel four stages, which amplifies
+        # the rounding of the two sums to about 1e-8 relative
+        assert block[:13] == reference[:13]
+        np.testing.assert_allclose(block, reference, rtol=1e-7, atol=0)
 
 
 class TestGenericStates:

@@ -11,9 +11,18 @@ or higher for a metric that the repository's ``BENCHMARK.json`` declares
 ``"better": "higher"`` (looked up without the ``<workload>.`` prefix; a
 metric the file does not name counts lower).  A move is resolved when it
 exceeds the parent's IQR; with one pair the IQR says nothing, and the
-move reads ``n/a``.  ``--log`` writes every run's result line to a
-JSON-lines file as it comes; ``--from-log`` summarizes such a file
-without running anything.
+move reads ``n/a``.
+
+Below the table, each end-to-end metric gets a verdict against the
+``bound`` that ``BENCHMARK.json`` fixes for it, a share of the parent's
+median: ``regressed`` when the change's median is worse than the parent's
+by more than the bound, ``unresolved`` when the parent's IQR is wider than
+the bound (or there is one pair), ``within bound`` otherwise.  ``claim
+met`` marks a metric on which the change read better in at least nine
+tenths of the pairs and moved its median by more than the parent's IQR.
+
+``--log`` writes every run's result line to a JSON-lines file as it
+comes; ``--from-log`` summarizes such a file without running anything.
 """
 
 from __future__ import annotations
@@ -30,11 +39,34 @@ RESOLVED = {True: "yes", False: "no", None: "n/a"}
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
+def _benchmark() -> dict:
+    return json.loads(BENCHMARK.read_text())
+
+
 def read_directions() -> dict:
     """``better`` ("lower" or "higher") of each metric ``BENCHMARK.json``
     declares; the file is only read."""
-    spec = json.loads(BENCHMARK.read_text())
+    spec = _benchmark()
     return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def read_bounds() -> dict:
+    """``bound`` of each end-to-end metric ``BENCHMARK.json`` declares: how
+    far, as a share of the parent's median, it may worsen; the file is only
+    read."""
+    return {m["name"]: m["bound"] for m in _benchmark()["end_to_end"]}
+
+
+def verdict(row: dict, higher: bool) -> str:
+    """``regressed``, ``unresolved`` or ``within bound`` for a summary row
+    of an end-to-end metric, against its ``bound``."""
+    bound = row["bound"]
+    worse = -row["rel"] if higher else row["rel"]
+    if worse > bound:
+        return "regressed"
+    if row["resolved"] is None or row["parent_iqr"] > bound * abs(row["parent_median"]):
+        return "unresolved"
+    return "within bound"
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -72,30 +104,44 @@ def summarize(pairs) -> list:
     """One row per metric over ``pairs`` of ``(parent, change)`` result
     lines: medians, the parent's IQR, and the pairs in which the change
     read better by :func:`read_directions`.  Only metrics present on both
-    sides of every pair count."""
+    sides of every pair count.  End-to-end metrics also get their
+    :func:`verdict` and whether a claim on them is met; other rows hold
+    ``None`` there."""
     directions = read_directions()
+    bounds = read_bounds()
     names = set.intersection(*(set(r["metrics"]) for pair in pairs for r in pair))
     rows = []
     for name in sorted(names):
         # names read <workload>.<metric>; workload names hold no dot
-        higher = directions.get(name.split(".", 1)[-1]) == "higher"
+        metric = name.split(".", 1)[-1]
+        higher = directions.get(metric) == "higher"
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         q1, parent_median, q3 = quartiles(parent)
         change_median = statistics.median(change)
         # one parent value has an IQR of 0, which no spread of runs backs
         resolved = abs(change_median - parent_median) > q3 - q1 if len(pairs) > 1 else None
-        rows.append({
+        better = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        row = {
             "metric": name,
             "unit": pairs[0][0]["metrics"][name]["unit"],
             "parent_median": parent_median,
             "parent_iqr": q3 - q1,
             "change_median": change_median,
             "rel": change_median / parent_median - 1.0 if parent_median else float("nan"),
-            "better": sum((c > p) if higher else (c < p) for p, c in zip(parent, change)),
+            "better": better,
             "pairs": len(pairs),
             "resolved": resolved,
-        })
+            "bound": bounds.get(metric),
+            "verdict": None,
+            "claim_met": None,
+        }
+        if row["bound"] is not None:
+            row["verdict"] = verdict(row, higher)
+            moved_better = (change_median > parent_median) if higher else (
+                change_median < parent_median)
+            row["claim_met"] = bool(resolved) and moved_better and better >= 0.9 * len(pairs)
+        rows.append(row)
     return rows
 
 
@@ -118,6 +164,20 @@ def format_rows(rows) -> str:
             r["metric"], r["unit"], f"{r['parent_median']:.4g}", f"{r['parent_iqr']:.3g}",
             f"{r['change_median']:.4g}", f"{100 * r['rel']:+.1f}%",
             f"{r['better']} of {r['pairs']}", RESOLVED[r["resolved"]]]))
+    return "\n".join(lines)
+
+
+def format_verdicts(rows) -> str:
+    """One line per end-to-end row: its verdict, the move and the parent's
+    IQR as shares of the parent's median, the bound, and a met claim."""
+    lines = []
+    for r in rows:
+        if r["verdict"] is None:
+            continue
+        iqr = r["parent_iqr"] / abs(r["parent_median"]) if r["parent_median"] else float("nan")
+        lines.append(f"{r['metric']}: {r['verdict']}, move {100 * r['rel']:+.1f}%, "
+                     f"parent IQR {100 * iqr:.1f}%, bound {100 * r['bound']:.0f}%"
+                     + (", claim met" if r["claim_met"] else ""))
     return "\n".join(lines)
 
 
@@ -175,8 +235,10 @@ def main(argv=None) -> int:
     if not pairs:
         print("error: no complete pair", file=sys.stderr)
         return 1
+    rows = summarize(pairs)
     print(runs_line(pairs))
-    print(format_rows(summarize(pairs)))
+    print(format_rows(rows))
+    print(format_verdicts(rows))
     return 0
 
 
