@@ -68,9 +68,10 @@ class AlgebraContext:
     degree ``max_order``.
 
     Holds the monomial basis, its degree ladder and the multiplication
-    table shared by every polynomial in the context.  The table is built on
-    the first product of each ``(n_vars, max_order)`` shape in a process
-    and kept, so a fresh context of a shape already used builds none.
+    table shared by every polynomial in the context.  The table and its slot
+    index are built on the first product of each ``(n_vars, max_order)``
+    shape in a process and kept, so a fresh context of a shape already used
+    builds none.
     """
 
     def __init__(self, n_vars: int, max_order: int):
@@ -108,8 +109,7 @@ class AlgebraContext:
                 lo = int(starts[d - 1] + np.searchsorted(lowest[starts[d - 1]:starts[d]], v))
                 self._ladder.append((dst, lo, int(starts[d]), v))
                 dst += int(starts[d]) - lo
-        self._mul_table = None
-        self._mul_starts = None
+        self._products = None
 
     def __repr__(self):
         return f"AlgebraContext(n_vars={self.n_vars}, max_order={self.max_order})"
@@ -122,13 +122,16 @@ class AlgebraContext:
 
     def multiplication_table(self):
         """(i, j, k) index triples with ``basis[i] * basis[j] = basis[k]``,
-        restricted to products that survive truncation, sorted by k."""
-        if self._mul_table is None:
+        restricted to products that survive truncation.  Each k's terms
+        keep (i, j) order; across k the table takes every k's first term,
+        then every k's second, and so on, so that consecutive terms add
+        into different coefficients."""
+        if self._products is None:
             key = (self.n_vars, self.max_order)
             if key not in _MUL_TABLES:
-                _MUL_TABLES[key] = _build_multiplication_table(self)
-            self._mul_table, self._mul_starts = _MUL_TABLES[key]
-        return self._mul_table
+                _MUL_TABLES[key] = _Products(_build_multiplication_table(self), self.size)
+            self._products = _MUL_TABLES[key]
+        return self._products.table
 
     def monomial_values(self, x):
         """Values of every basis monomial at ``x``: an (N, n_vars) float
@@ -160,13 +163,40 @@ class AlgebraContext:
         return DAScalar(x.ctx, rows) if poly else rows.T
 
 
-# (n_vars, max_order) -> (multiplication table, start of each k's run)
+class _Products:
+    """The multiplication table of one ``(n_vars, max_order)`` shape and the
+    slot index its products sum with, shared by every context of the shape.
+
+    Entry ``p * len(kk) + t`` of ``slots`` is ``p * size + kk[t]``, the
+    coefficient that term t of polynomial p of a flattened stack adds into,
+    so one ``np.bincount`` over ``slots[:terms.size]`` sums a whole stack.
+    The index grows to the largest stack multiplied so far and only ever
+    grows, so a product reads a view of it and builds nothing."""
+
+    __slots__ = ("table", "size", "slots")
+
+    def __init__(self, table, size: int):
+        self.table = table
+        self.size = size
+        self.slots = table[2]  # one polynomial's slots are kk itself
+
+    def grow(self, n: int) -> np.ndarray:
+        """A slot index of at least ``n`` entries, whose prefix is the one
+        before; the stack it covers at least doubles, so growing is rare."""
+        kk = self.table[2]
+        count = max(-(-n // len(kk)), 2 * (len(self.slots) // len(kk)))
+        slots = (np.arange(count)[:, None] * self.size + kk).ravel()
+        if len(slots) > len(self.slots):
+            self.slots = slots
+        return slots
+
+
+# (n_vars, max_order) -> _Products
 _MUL_TABLES = {}
 
 
 def _build_multiplication_table(ctx: AlgebraContext):
-    """The table of :meth:`AlgebraContext.multiplication_table` and the
-    start of each k's run in it, the offsets ``np.add.reduceat`` takes."""
+    """The table of :meth:`AlgebraContext.multiplication_table`."""
     deg = ctx.degrees
     k = ctx.max_order
     ii, jj, kk = [], [], []
@@ -178,13 +208,17 @@ def _build_multiplication_table(ctx: AlgebraContext):
             kk.append(ctx._index[tuple(ei + ctx.exponents[j])])
         ii.extend([i] * jend)
         jj.extend(range(jend))
-    # a stable sort keeps each k's terms in (i, j) order
-    order = np.argsort(kk, kind="stable")
-    table = tuple(np.array(t, dtype=np.intp)[order] for t in (ii, jj, kk))
-    # every context of the shape reads these arrays, so none may write
-    # them; they stay writeable all the same, since take and reduceat copy
-    # a read-only index array on every call
-    return table, np.searchsorted(table[2], np.arange(ctx.size))
+    # a stable sort keeps each k's terms in (i, j) order; interleaving the
+    # runs by rank lets consecutive adds of the sum go to different
+    # coefficients, so none waits on the one before, and changes no sum
+    by_k = np.argsort(kk, kind="stable")
+    sorted_k = np.array(kk)[by_k]
+    rank = np.arange(len(sorted_k)) - np.searchsorted(sorted_k, sorted_k)
+    order = by_k[np.lexsort((sorted_k, rank))]
+    # every context of the shape reads these arrays and the slot index, so
+    # none may write them; they stay writeable all the same, since take and
+    # bincount copy a read-only index array on every call
+    return tuple(np.array(t, dtype=np.intp)[order] for t in (ii, jj, kk))
 
 
 def _check_context(a: "DAScalar", b: "DAScalar") -> None:
@@ -319,9 +353,21 @@ class DAScalar:
     def __mul__(self, other):
         if isinstance(other, DAScalar):
             _check_context(self, other)
-            ii, jj, _ = self.ctx.multiplication_table()
+            ctx = self.ctx
+            ii, jj, _ = ctx.multiplication_table()
             terms = self.coeffs.take(ii, axis=-1) * other.coeffs.take(jj, axis=-1)
-            return DAScalar(self.ctx, np.add.reduceat(terms, self.ctx._mul_starts, axis=-1))
+            shape = terms.shape[:-1] + (ctx.size,)
+            n = terms.size
+            if not n:  # bincount returns ints for no input
+                return DAScalar(ctx, np.zeros(shape))
+            slots = ctx._products.slots
+            if len(slots) < n:
+                slots = ctx._products.grow(n)
+            # each coefficient sums its terms in table order, one stack
+            # entry as any other, so a stacked product is bit for bit the
+            # product of each entry alone; every last coefficient has a term
+            # (1 times it), so the counts end at the last slot
+            return DAScalar(ctx, np.bincount(slots[:n], terms.ravel()).reshape(shape))
         return self.__rmul__(other)
 
     def __rmul__(self, other):
@@ -448,7 +494,8 @@ def _apply_series(series_of, a: DAScalar) -> DAScalar:
         m = min(n, k - n)
         powers[n:n + m] = (DAScalar(a.ctx, powers[:m]) * DAScalar(a.ctx, powers[n - 1])).coeffs
         n += m
-    out = (series[1:, ..., None] * powers).sum(axis=0)
+    # sum_j c_j p^j in one contraction, without a (k, *shape, size) temporary
+    out = np.einsum("k...,k...c->...c", series[1:], powers)
     out[..., 0] += series[0]
     return DAScalar(a.ctx, out)
 

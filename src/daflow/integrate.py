@@ -9,9 +9,9 @@ heterogeneous bundles (:class:`Stacked`).  Two methods are provided:
   ``scalar * a``.
 - ``rk78_adaptive``, the Fehlberg 7(8) embedded adaptive pair, reads the
   state's float leaves: a float array, a ``DAScalar``'s coefficient block,
-  and each part of a ``Stacked``.  It forms every stage from one block of
-  stage derivatives per leaf and rebuilds each stage state into the
-  state's own type before the right-hand side sees it.
+  and each part of a ``Stacked``, laid end to end in one flat vector.  It
+  forms every stage from one flat block of stage derivatives, into one
+  buffer that a state of the state's own type views.
 """
 
 from __future__ import annotations
@@ -170,16 +170,26 @@ _E = _B8 - _B7  # weights of the 8th- minus the 7th-order solution
 
 
 def _rk78(rhs, y0, t0, t1):
-    """Fehlberg 7(8) on the float leaves of the state.  Each leaf keeps one
-    (13, leaf size) stage block K, and every stage state, the solution and
-    the error estimate is one weighted sum over it, rebuilt into the
-    state's own type before ``rhs`` sees it."""
+    """Fehlberg 7(8) on the float leaves of the state, laid end to end in
+    one flat vector.  One (13, size) stage block K holds every stage
+    derivative; each stage state is one weighted sum over it, written into
+    one buffer whose leaf views form a state of ``y0``'s type, built once,
+    which ``rhs`` sees at every stage after the first.  The solution and
+    the error estimate are one product each."""
+    leaves = _leaves(y0)
+    ends = np.cumsum([a.size for a, _ in leaves])
+    bounds = list(zip([0, *ends[:-1]], ends))
+    # the leading values of the flat vector, where the error is measured
+    lead = np.concatenate([np.arange(lo, hi, stride)
+                           for (lo, hi), (_, stride) in zip(bounds, leaves)])
+    if len(lead) == ends[-1]:  # every value leads: read them in place
+        lead = slice(None)
+    values = np.concatenate([a.ravel() for a, _ in leaves], dtype=float)  # y, flat
+    block = np.empty((13, values.size))
+    buf = np.empty(values.size)
+    stage = _rebuild(y0, (buf[lo:hi] for lo, hi in bounds))
     t = t0
     y = y0
-    leaves = _leaves(y0)
-    values = [a.ravel() for a, _ in leaves]  # y's leaves, flat
-    strides = [stride for _, stride in leaves]
-    blocks = [np.empty((13, v.size)) for v in values]
     h = t1 - t0
     attempts = 0
     tiny = 1e-14 * (t1 - t0)
@@ -194,30 +204,29 @@ def _rk78(rhs, y0, t0, t1):
         attempts += 1
 
         ha = h * _A
-        ys = y
         for s in range(13):
             if s:
-                ys = _rebuild(y, (v + ha[s, :s] @ k[:s] for v, k in zip(values, blocks)))
-            for k, (a, _) in zip(blocks, _leaves(rhs(ys, t + _C[s] * h))):
-                k[s] = a.ravel()
+                np.add(values, ha[s, :s] @ block[:s], out=buf)
+            k = rhs(stage if s else y, t + _C[s] * h)
+            # copied out at once: the next stage overwrites the buffer,
+            # which an rhs may return as it is
+            np.concatenate([a.ravel() for a, _ in _leaves(k)], out=block[s])
 
-        y8 = [v + (h * _B8) @ k for v, k in zip(values, blocks)]
-        # error estimate of the 7th- vs 8th-order solutions at the leading values
-        err = float(np.max(np.concatenate([
-            np.abs((h * _E) @ k[:, ::st])
-            / (TOLERANCE + TOLERANCE * np.maximum(np.abs(v[::st]), np.abs(v8[::st])))
-            for v, v8, k, st in zip(values, y8, blocks, strides)
-        ])))
+        y8 = values + (h * _B8) @ block
+        # error estimate of the 7th- vs 8th-order solutions at the leading
+        # values; np.max, unlike max(), passes a NaN on
+        ref = np.maximum(np.abs(values[lead]), np.abs(y8[lead]))
+        err = float(np.max(np.abs(((h * _E) @ block)[lead]) / (TOLERANCE + TOLERANCE * ref)))
         # k1 = rhs(y, t) does not depend on h, so a smaller step cannot
         # mend it; later stages may overflow on a long step and are retried
-        if not math.isfinite(err) and not all(np.isfinite(k[0]).all() for k in blocks):
+        if not math.isfinite(err) and not np.isfinite(block[0]).all():
             raise IntegrationError(f"non-finite right-hand side at t={t}")
 
         if err <= 1.0:
             values = y8
-            y = _rebuild(y, iter(y8))
+            y = _rebuild(y0, (y8[lo:hi] for lo, hi in bounds))
             t = t + h
-            if not _state_finite(y):
+            if not np.isfinite(y8).all():
                 raise IntegrationError(f"non-finite state at t={t}")
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
         else:

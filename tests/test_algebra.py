@@ -405,7 +405,11 @@ class TestContext:
         assert a is not b
         table = a.multiplication_table()
         assert all(t is u for t, u in zip(b.multiplication_table(), table))
-        assert b._mul_starts is a._mul_starts
+        # and one slot index, which a product through either context grows
+        assert b._products is a._products
+        x = da.DAScalar(a, np.ones((3, 4, a.size)))
+        x * x
+        assert len(b._products.slots) >= 12 * len(table[0])
         other = da.AlgebraContext(2, 8).multiplication_table()
         assert len(other[0]) != len(table[0])
         assert not any(t is u for t, u in zip(other, table))
@@ -477,6 +481,46 @@ class TestPolynomialArrays:
             for i in range(3):
                 for j in range(4):
                     np.testing.assert_array_equal(ab[i, j].coeffs, (a[i, 0] * b[j]).coeffs)
+
+    @pytest.mark.parametrize("n,k,shape_a,shape_b", [
+        (10, 2, (10,), (10,)), (10, 2, (4, 1), (1, 6)), (2, 8, (4,), ()),
+    ])
+    def test_stacked_product_is_each_entry_bit_for_bit(self, n, k, shape_a, shape_b):
+        # the drift's pair products and the power ladder's (m,) x () shape
+        rng = np.random.default_rng(23)
+        ctx = da.AlgebraContext(n, k)
+        a = self.rand_array(ctx, rng, shape_a)
+        b = self.rand_array(ctx, rng, shape_b)
+        ab = a * b
+        assert ab.shape == np.broadcast_shapes(shape_a, shape_b)
+        A = da.DAScalar(ctx, np.broadcast_to(a.coeffs, ab.coeffs.shape))
+        B = da.DAScalar(ctx, np.broadcast_to(b.coeffs, ab.coeffs.shape))
+        for idx in np.ndindex(ab.shape):
+            np.testing.assert_array_equal(ab[idx].coeffs, (A[idx] * B[idx]).coeffs)
+
+    def test_zero_size_stack(self):
+        ctx = da.AlgebraContext(2, 3)
+        x = self.rand_array(ctx, np.random.default_rng(24), (0,))
+        for got in (x * x, x * self.rand_array(ctx, np.random.default_rng(25), ())):
+            assert got.coeffs.shape == (0, ctx.size)
+            assert got.coeffs.dtype == np.float64
+
+    def test_larger_stack_grows_the_slot_index(self):
+        # a stack larger than any multiplied before grows the shared slot
+        # index; the products of smaller stacks read as they did
+        rng = np.random.default_rng(26)
+        ctx = da.AlgebraContext(3, 4)
+        terms = len(ctx.multiplication_table()[0])
+        small = self.rand_array(ctx, rng, (2,))
+        before = (small * small).coeffs
+        slots = ctx._products.slots
+        big = self.rand_array(ctx, rng, (len(slots) // terms + 5,))
+        big_product = big * big
+        assert len(ctx._products.slots) >= big.shape[0] * terms
+        np.testing.assert_array_equal(ctx._products.slots[:len(slots)], slots)
+        np.testing.assert_array_equal((small * small).coeffs, before)
+        for i in range(big.shape[0]):
+            np.testing.assert_array_equal(big_product[i].coeffs, (big[i] * big[i]).coeffs)
 
     def test_constants_and_float_arrays(self):
         rng = np.random.default_rng(21)

@@ -132,3 +132,26 @@ def test_verdicts_against_the_bounds_of_benchmark_json():
         "toy-range.step_rel: within bound, move -19.4%, parent IQR 2.9%, bound 25%, claim met",
         "toy-range.step_tail_rel: within bound, move -15.0%, parent IQR 0.0%, bound 25%",
     ]
+
+
+def test_resolved_worse_move_within_the_bound_is_named():
+    # step_rel 12.00-12.09 against 12.50-12.59, worse by about 4% in every
+    # pair with a parent IQR of about 0.4%; step_tail_rel worse by 1.0
+    # against a parent IQR of 1.75, so not resolved
+    def line(step_rel, tail):
+        values = {"step_rel": step_rel, "step_tail_rel": tail}
+        return {"correct": True, "attempted": 40, "failed": 0, "metrics": {
+            f"toy-range.{key}": {"value": v, "unit": "ref"} for key, v in values.items()}}
+
+    pairs = [(line(12.0 + 0.01 * i, 14.0 + (i % 4)), line(12.5 + 0.01 * i, 15.0 + (i % 4)))
+             for i in range(10)]
+    rows = {r["metric"].split(".", 1)[1]: r for r in bench_pairs.summarize(pairs)}
+    step = rows["step_rel"]
+    assert step["resolved"] and 0 < step["rel"] < step["bound"]
+    assert (step["verdict"], step["claim_met"]) == ("worse, within bound", False)
+    tail = rows["step_tail_rel"]
+    assert (tail["resolved"], tail["verdict"]) == (False, "within bound")
+    assert bench_pairs.format_verdicts(bench_pairs.summarize(pairs)).splitlines() == [
+        "toy-range.step_rel: worse, within bound, move +4.2%, parent IQR 0.4%, bound 25%",
+        "toy-range.step_tail_rel: within bound, move +6.7%, parent IQR 11.7%, bound 25%",
+    ]

@@ -172,6 +172,18 @@ class TestRK78:
         assert y[0] == pytest.approx(1.0 / math.sqrt(20.01), rel=1e-8)
 
 
+    def test_stage_overflow_in_one_leaf_is_retried(self):
+        # the same blow-up in the second leaf of a bundle whose first leaf
+        # stays finite: the error estimate must pass the second leaf's NaN
+        # on, or the first attempt's finite first-leaf error would accept it
+        ctx = da.AlgebraContext(1, 2)
+        y0 = Stacked(da.identity_map(ctx, [1.0]), np.array([10.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = integrate(lambda s, t: Stacked(0.0 * s.parts[0], -s.parts[1] ** 3),
+                          y0, 0.0, 10.0, RK78)
+        assert y.parts[1][0] == pytest.approx(1.0 / math.sqrt(20.01), rel=1e-8)
+
+
 def _weighted_sum(terms):
     """sum of (weight, state) pairs, skipping zero weights."""
     acc = None
@@ -280,6 +292,39 @@ class TestRK78AgainstReference:
         # the rounding of the two sums to about 1e-8 relative
         assert block[:13] == reference[:13]
         np.testing.assert_allclose(block, reference, rtol=1e-7, atol=0)
+
+
+class TestRK78StageBuffer:
+    """Every stage after the first hands ``rhs`` views of one buffer that
+    the next stage overwrites."""
+
+    @pytest.mark.parametrize("y0", [
+        np.array([1.0, -0.5]), _POLY, Stacked(_POLY, np.eye(2)),
+    ], ids=["vector", "polynomial", "stacked"])
+    def test_rhs_that_returns_its_argument(self, y0):
+        # y' = y: each stage derivative is the stage buffer itself
+        got = integrate(lambda y, t: y, y0, 0.0, 1.0, RK78)
+        want = reference_rk78(lambda y, t: y, y0, 0.0, 1.0)
+        for g, w, a in zip(_arrays(got), _arrays(want), _arrays(y0), strict=True):
+            np.testing.assert_allclose(g, w, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(g, math.e * a, rtol=1e-9, atol=0)
+
+    def test_rhs_that_keeps_its_argument(self):
+        kept = []
+
+        def rhs(s, t):
+            kept.append(s)
+            return oscillator_with_information(s, t)
+
+        y0 = Stacked(_POLY, np.eye(2))
+        got = integrate(rhs, y0, 0.0, 3.0, RK78)
+        want = reference_rk78(oscillator_with_information, y0, 0.0, 3.0)
+        for g, w in zip(_arrays(got), _arrays(want), strict=True):
+            assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
+        # stage 0 reads the step's start, every later stage the buffer
+        assert len(kept) % 13 == 0 and kept[1] is kept[2]
+        for g in _arrays(got):
+            assert not any(np.shares_memory(g, a) for a in _arrays(kept[1]))
 
 
 class TestGenericStates:

@@ -17,7 +17,9 @@ Below the table, each end-to-end metric gets a verdict against the
 ``bound`` that ``BENCHMARK.json`` fixes for it, a share of the parent's
 median: ``regressed`` when the change's median is worse than the parent's
 by more than the bound, ``unresolved`` when the parent's IQR is wider than
-the bound (or there is one pair), ``within bound`` otherwise.  ``claim
+the bound (or there is one pair), ``worse, within bound`` when the median
+moved worse by more than the parent's IQR but not past the bound, and
+``within bound`` otherwise.  ``claim
 met`` marks a metric on which the change read better in at least nine
 tenths of the pairs and moved its median by more than the parent's IQR.
 
@@ -58,14 +60,17 @@ def read_bounds() -> dict:
 
 
 def verdict(row: dict, higher: bool) -> str:
-    """``regressed``, ``unresolved`` or ``within bound`` for a summary row
-    of an end-to-end metric, against its ``bound``."""
+    """``regressed``, ``unresolved``, ``worse, within bound`` or ``within
+    bound`` for a summary row of an end-to-end metric, against its
+    ``bound``."""
     bound = row["bound"]
     worse = -row["rel"] if higher else row["rel"]
     if worse > bound:
         return "regressed"
     if row["resolved"] is None or row["parent_iqr"] > bound * abs(row["parent_median"]):
         return "unresolved"
+    if row["resolved"] and worse > 0:
+        return "worse, within bound"
     return "within bound"
 
 
