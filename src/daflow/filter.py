@@ -7,7 +7,11 @@ pre-propagation deviations to posterior states; every particle is evaluated
 through it.  Both maps are (n,) polynomial arrays whose constant part is
 the image of the current estimate.  The baseline filter does the same work
 with direct numerical integration of every particle.  The dynamics are
-deterministic, so that one map is the only evaluation path.
+deterministic, so that one map is the only evaluation path.  Both filters
+integrate the dynamics with ``DYNAMICS_SPEC`` and the measurement flow with
+``FLOW_SPEC``, one RK7(8) call over the flow's log pseudo-time, whose
+step count follows the flow's error: many steps on a track's first epochs,
+one on a converged epoch.
 
 Both maps and ODE solves realize only the drift of the measurement flow,
 which carries deviations by Phi = P1 P0^-1 and leaves the ensemble with
@@ -51,8 +55,10 @@ __all__ = [
 
 # RK7(8) holds the map's integration error far below its truncation error in a few steps
 DYNAMICS_SPEC = IntegratorSpec("rk78_adaptive")
-# the geometric schedule's segments are short where the flow is stiff: one RK4 step each
-FLOW_SPEC = IntegratorSpec("rk4_fixed", step_size=1.0)
+# one RK7(8) call over the flow's log pseudo-time (daflow.flow._flow); its
+# integration error stays far below the order-2 attitude map's truncation
+# error, 1.6e-3 at most and 1.2e-5 at the median particle
+FLOW_SPEC = IntegratorSpec("rk78_adaptive", tolerance=1e-6)
 
 
 @dataclass
@@ -86,7 +92,8 @@ class FilterState:
 @dataclass
 class FilterConfig:
     """Knobs shared by both filters for one scenario; both integrate the
-    dynamics with ``DYNAMICS_SPEC`` and the flow with ``FLOW_SPEC``."""
+    dynamics with ``DYNAMICS_SPEC`` and the flow with ``FLOW_SPEC``, which
+    reads no ``schedule``."""
 
     order: int
     schedule: LambdaSchedule

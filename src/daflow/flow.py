@@ -33,6 +33,14 @@ that is its truncated expansion (as in DACE, Rasotto et al., 2016).  So the
 drift never calls h and never forms H; the model's Jacobian is evaluated
 only at the running mean, a real state, for J's rate.
 
+The pseudo-time is integrated in one of two ways.  ``rk4_fixed`` takes
+one integration per segment of a :class:`LambdaSchedule`, short where the
+flow is stiff.  ``rk78_adaptive`` ignores the schedule and makes one
+error-controlled integration over tau in [0, 1], with
+l(tau) = ((1 + kappa)^tau - 1) / kappa and kappa = tr(P0 H^T R^-1 H) at
+the prior mean, so the stiffness the schedule worked around is absorbed by
+the change of variable and the step control sets the work.
+
 The drift alone carries deviations by Phi = P1 P0^-1, so a drift-flowed
 ensemble has covariance P1 P0^-1 P1 rather than P1; the filters restore
 the diffusion's share with :func:`daflow.filter.spread_correction`, from
@@ -41,6 +49,7 @@ the P1 that both routes return on request (``return_cov=True``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -228,6 +237,15 @@ def _drift(x, P, model: MeasurementModel, y):
     return model.loglik_grad(x, y, model.noise_inv) @ P.T
 
 
+def _log_time_rate(kappa: float):
+    """dl/dtau of the pseudo-time l(tau) = ((1 + kappa)^tau - 1) / kappa,
+    which maps tau in [0, 1] onto l in [0, 1]; l = tau when kappa = 0."""
+    if kappa == 0.0:
+        return lambda tau: 1.0
+    log_growth = math.log1p(kappa)
+    return lambda tau: log_growth * math.exp(tau * log_growth) / kappa
+
+
 def _flow(x, cov, model: MeasurementModel, y, schedule: LambdaSchedule,
           spec: IntegratorSpec):
     """Carry the state ``x`` and the information gained from pseudo-time 0
@@ -239,20 +257,35 @@ def _flow(x, cov, model: MeasurementModel, y, schedule: LambdaSchedule,
     the prior covariance P0.  Next to ``x`` rides the information J, from
     J = 0, whose rate H^T R^-1 H takes H at the running mean; the drift's
     covariance is P = (I + P0 J)^-1 P0.  Returns ``(x1, P1)``.
+
+    ``rk4_fixed`` takes one integration per segment of ``schedule``.
+    ``rk78_adaptive`` takes one integration over tau in [0, 1], with
+    l(tau) = ((1 + kappa)^tau - 1) / kappa and kappa = tr(P0 H^T R^-1 H), H
+    at the prior mean.  Along a direction that gains information kappa per
+    unit l, a linear drift contracts at the rate kappa / (1 + kappa l),
+    which is stiff near l = 0; per unit tau that rate is the constant
+    ln(1 + kappa), so the step control needs no schedule.
     """
     y = _measurement(model, y)
     poly = isinstance(x, DAScalar)
     eye = np.eye(len(cov))
+    if spec.method == "rk4_fixed":
+        spans, rate = schedule.segments(), _log_time_rate(0.0)
+    else:
+        H = model.jac(x.constant if poly else x[0])
+        kappa = float(np.trace(cov @ H.T @ model.noise_inv @ H))
+        spans, rate = [(0.0, 1.0)], _log_time_rate(kappa)
 
-    def rhs(s, lam):
+    def rhs(s, tau):
         x, J = s.parts
         H = model.jac(x.constant if poly else x[0])
-        P = np.linalg.solve(eye + cov @ J, cov)
-        return Stacked(_drift(x, P, model, y), H.T @ model.noise_inv @ H)
+        dl = rate(tau)
+        P = dl * np.linalg.solve(eye + cov @ J, cov)
+        return Stacked(_drift(x, P, model, y), dl * (H.T @ model.noise_inv @ H))
 
     state = Stacked(x, np.zeros_like(cov))
-    for lam0, lam1 in schedule.segments():
-        state = integrate(rhs, state, lam0, lam1, spec)
+    for t0, t1 in spans:
+        state = integrate(rhs, state, t0, t1, spec)
     x1, J1 = state.parts
     P1 = np.linalg.solve(eye + cov @ J1, cov)
     return x1, 0.5 * (P1 + P1.T)

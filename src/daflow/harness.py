@@ -42,8 +42,10 @@ __all__ = [
     "emit_csv",
 ]
 
-# flow-map integrator per scenario: the attitude filter's, and adaptive RK7(8)
-# inside each pseudo-time segment for the toy
+# flow integrator per scenario, each one RK7(8) call over the log
+# pseudo-time: the attitude filter's, and for the toy the default tolerance,
+# 1e-10, since the toy's DA-vs-ODE agreement is the accuracy oracle of the
+# flow map; neither reads the lambda_schedule
 FLOW_SPECS = {
     "toy_range": IntegratorSpec("rk78_adaptive"),
     "attitude": FLOW_SPEC,
@@ -81,7 +83,9 @@ class ScenarioConfig:
     fields are required; the last four set up the attitude filter, which
     requires them, and the toy, one flow update with no filter, refuses them.
     The filters integrate with ``daflow.filter``'s constants, and ``dt`` is the
-    truth simulation's RK4 step only.  Every experiment runs both filters."""
+    truth simulation's RK4 step only.  ``lambda_schedule`` is validated and
+    passed on, but no experiment reads it: every flow spec is RK7(8), which
+    takes its own steps.  Every experiment runs both filters."""
 
     scenario: str
     order: int

@@ -7,11 +7,14 @@ heterogeneous bundles (:class:`Stacked`).  Two methods are provided:
 - ``rk4_fixed``, classic RK4 in fixed steps, runs on the state's own
   arithmetic, so the state only has to support ``a + b`` and
   ``scalar * a``.
-- ``rk78_adaptive``, the Fehlberg 7(8) embedded adaptive pair, reads the
-  state's float leaves: a float array, a ``DAScalar``'s coefficient block,
-  and each part of a ``Stacked``, laid end to end in one flat vector.  It
+- ``rk78_adaptive``, the Fehlberg 7(8) embedded adaptive pair, holds its
+  error estimate within the spec's ``tolerance``.  It reads the state's
+  float leaves: a float array, a ``DAScalar``'s coefficient block, and
+  each part of a ``Stacked``, laid end to end in one flat vector.  It
   forms every stage from one flat block of stage derivatives, into one
-  buffer that a state of the state's own type views.
+  buffer that a state of the state's own type views.  An attempt that
+  overflows is rejected and retried with a shorter step, without a
+  floating-point warning.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .algebra import DAScalar
 __all__ = ["IntegratorSpec", "IntegrationError", "Stacked", "integrate"]
 
 METHODS = ("rk4_fixed", "rk78_adaptive")
-TOLERANCE = 1e-10  # rk78_adaptive's relative and absolute error tolerance
+TOLERANCE = 1e-10  # rk78_adaptive's default relative and absolute error tolerance
 MAX_STEPS = 1_000_000  # steps (rk4_fixed) or attempts (rk78_adaptive) per call
 
 
@@ -38,21 +41,31 @@ class IntegrationError(RuntimeError):
 class IntegratorSpec:
     """Integrator selection.  rk4_fixed splits the span into
     ceil(span/step_size) equal steps, so the last step lands exactly on the
-    endpoint; rk78_adaptive holds its error estimate within ``TOLERANCE``
-    and chooses its own steps, so it takes no step_size.
+    endpoint, and takes no tolerance; rk78_adaptive holds its error
+    estimate within ``tolerance`` (``TOLERANCE`` unless given) and chooses
+    its own steps, so it takes no step_size.
     """
 
     method: str
     step_size: float | None = None
+    tolerance: float | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        # "not > 0" refuses a NaN step too
-        if self.method == "rk4_fixed" and (self.step_size is None or not self.step_size > 0):
-            raise ValueError("rk4_fixed requires step_size > 0")
-        if self.method == "rk78_adaptive" and self.step_size is not None:
+        # "not > 0" refuses a NaN step or tolerance too
+        if self.method == "rk4_fixed":
+            if self.step_size is None or not self.step_size > 0:
+                raise ValueError("rk4_fixed requires step_size > 0")
+            if self.tolerance is not None:
+                raise ValueError("rk4_fixed takes no tolerance; its steps are fixed")
+            return
+        if self.step_size is not None:
             raise ValueError("rk78_adaptive takes no step_size; it chooses its own steps")
+        if self.tolerance is None:
+            object.__setattr__(self, "tolerance", TOLERANCE)
+        elif not 0 < self.tolerance < math.inf:
+            raise ValueError(f"rk78_adaptive requires 0 < tolerance < inf, got {self.tolerance}")
 
 
 class Stacked:
@@ -121,7 +134,7 @@ def integrate(rhs, y0, t0: float, t1: float, spec: IntegratorSpec):
         return y0
     if spec.method == "rk4_fixed":
         return _rk4(rhs, y0, t0, t1, spec)
-    return _rk78(rhs, y0, t0, t1)
+    return _rk78(rhs, y0, t0, t1, spec.tolerance)
 
 
 def _rk4(rhs, y0, t0, t1, spec):
@@ -169,13 +182,18 @@ _B8 = np.array([0, 0, 0, 0, 0, 34/105, 9/35, 9/35, 9/280, 9/280, 0, 41/840, 41/8
 _E = _B8 - _B7  # weights of the 8th- minus the 7th-order solution
 
 
-def _rk78(rhs, y0, t0, t1):
+def _rk78(rhs, y0, t0, t1, tol):
     """Fehlberg 7(8) on the float leaves of the state, laid end to end in
     one flat vector.  One (13, size) stage block K holds every stage
     derivative; each stage state is one weighted sum over it, written into
     one buffer whose leaf views form a state of ``y0``'s type, built once,
     which ``rhs`` sees at every stage after the first.  The solution and
-    the error estimate are one product each."""
+    the error estimate are one product each.
+
+    An attempt runs under ``np.errstate(over="ignore", invalid="ignore")``:
+    a long first step may overflow in a late stage, and the finiteness
+    checks, not a warning, decide whether the attempt is rejected or the
+    integration fails."""
     leaves = _leaves(y0)
     ends = np.cumsum([a.size for a, _ in leaves])
     bounds = list(zip([0, *ends[:-1]], ends))
@@ -204,19 +222,20 @@ def _rk78(rhs, y0, t0, t1):
         attempts += 1
 
         ha = h * _A
-        for s in range(13):
-            if s:
-                np.add(values, ha[s, :s] @ block[:s], out=buf)
-            k = rhs(stage if s else y, t + _C[s] * h)
-            # copied out at once: the next stage overwrites the buffer,
-            # which an rhs may return as it is
-            np.concatenate([a.ravel() for a, _ in _leaves(k)], out=block[s])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(13):
+                if s:
+                    np.add(values, ha[s, :s] @ block[:s], out=buf)
+                k = rhs(stage if s else y, t + _C[s] * h)
+                # copied out at once: the next stage overwrites the buffer,
+                # which an rhs may return as it is
+                np.concatenate([a.ravel() for a, _ in _leaves(k)], out=block[s])
 
-        y8 = values + (h * _B8) @ block
-        # error estimate of the 7th- vs 8th-order solutions at the leading
-        # values; np.max, unlike max(), passes a NaN on
-        ref = np.maximum(np.abs(values[lead]), np.abs(y8[lead]))
-        err = float(np.max(np.abs(((h * _E) @ block)[lead]) / (TOLERANCE + TOLERANCE * ref)))
+            y8 = values + (h * _B8) @ block
+            # error estimate of the 7th- vs 8th-order solutions at the
+            # leading values; np.max, unlike max(), passes a NaN on
+            ref = np.maximum(np.abs(values[lead]), np.abs(y8[lead]))
+            err = float(np.max(np.abs(((h * _E) @ block)[lead]) / (tol + tol * ref)))
         # k1 = rhs(y, t) does not depend on h, so a smaller step cannot
         # mend it; later stages may overflow on a long step and are retried
         if not math.isfinite(err) and not np.isfinite(block[0]).all():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -200,6 +202,45 @@ class TestFlowFromStpm:
             expected, _ = kalman_information_update(x_pred, p_minus, np.asarray(H), R, y)
             np.testing.assert_allclose(da.evaluate(combined, d), expected,
                                        rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("route", ["map", "ode"])
+    def test_track_start_epoch_under_flow_spec(self, route, monkeypatch):
+        # the first epoch of a 10 s arc: an estimate one prior draw off the
+        # truth, at the initial covariance.  RK7(8)'s first attempt spans
+        # all of pseudo-time and is rejected; on the ODE route it overflows
+        # at some particles, which must warn nothing.  The call still takes
+        # fewer rhs than RK4's 200 on the 50-segment schedule
+        cfg = ScenarioConfig.from_json(CONFIGS / "attitude_arc10.json")
+        dyn = models.attitude_dynamics()
+        model = models.stacked_measurement()
+        rng = np.random.default_rng(0)
+        truth = models.DEFAULT_INITIAL_STATE.as_vector()
+        xhat = models.normalize_quaternion_block(
+            truth + rng.multivariate_normal(np.zeros(10), models.INITIAL_STATE_COV))
+        y = model.h(integrate(dyn.f, truth, 0.0, cfg.meas_period, dfilter.DYNAMICS_SPEC))
+        calls = record_integrations(monkeypatch, dflow)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if route == "map":
+                stpm = build_stpm(xhat, dyn, 0.0, cfg.meas_period, cfg.order,
+                                  dfilter.DYNAMICS_SPEC)
+                prior = GaussianBelief(stpm.constant, models.INITIAL_STATE_COV)
+                out = build_flow_map(prior, model, y, cfg.schedule(), stpm,
+                                     dfilter.FLOW_SPEC).coeffs
+            else:
+                cloud = xhat + rng.multivariate_normal(np.zeros(10), models.INITIAL_STATE_COV,
+                                                       size=20)
+                predicted = integrate(dyn.f, cloud, 0.0, cfg.meas_period,
+                                      dfilter.DYNAMICS_SPEC)
+                prior = ensemble_stats(Ensemble(predicted))
+                out = dflow.flow_ensemble_ode(predicted, prior, model, y, cfg.schedule(),
+                                              dfilter.FLOW_SPEC)
+        [(t0, t1, ts)] = calls
+        starts = ts[::13]
+        assert (t0, t1) == (0.0, 1.0) and len(ts) % 13 == 0
+        assert any(a == b for a, b in zip(starts, starts[1:]))  # a rejected attempt
+        assert len(ts) < 200
+        assert np.isfinite(out).all()
 
     def test_start_not_prior_mean_rejected(self):
         # the start map's constant part must be the prior mean exactly

@@ -304,6 +304,17 @@ class TestAttitudeMc:
         runs_lines = emit_csv(summary, tmp_path)[2].read_text().splitlines()
         assert runs_lines == ["run_index,seed,failed_methods", "0,0:0,", "1,0:1,da"]
 
+    def test_ten_second_arc_runs_without_failure(self):
+        # configs/attitude_arc10.json shortened to two runs of two epochs;
+        # a 50-segment RK4 flow diverged on its first epoch
+        cfg = committed("attitude_arc10", n_mc=2, duration=20.0)
+        summary = run_attitude_mc(cfg)
+        assert summary.failed_runs == []
+        for method in ("da", "ode"):
+            assert [r.seed_label for r in summary.runs[method]] == ["0:0", "0:1"]
+            assert summary.rmse[method].shape == (2, 3)
+            assert np.isfinite(summary.rmse[method]).all()
+
     def test_domain_error_run_is_reported(self, tiny_mc, tmp_path, monkeypatch):
         # three epochs per run: the second polynomial-map step is run 0's second epoch
         calls = []

@@ -35,6 +35,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="rk78_adaptive takes no step_size"):
             IntegratorSpec("rk78_adaptive", step_size=0.01)
 
+    def test_rk4_takes_no_tolerance(self):
+        with pytest.raises(ValueError, match="rk4_fixed takes no tolerance"):
+            IntegratorSpec("rk4_fixed", step_size=0.01, tolerance=1e-6)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, float("nan"), float("inf")])
+    def test_rk78_needs_a_positive_finite_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            IntegratorSpec("rk78_adaptive", tolerance=tolerance)
+
+    def test_rk78_tolerance_defaults_to_module_tolerance(self):
+        assert IntegratorSpec("rk78_adaptive").tolerance == INTEGRATE.TOLERANCE
+        assert IntegratorSpec("rk78_adaptive", tolerance=1e-6).tolerance == 1e-6
+
 
 def _infinite_coefficient(bundle=lambda poly: poly):
     # the slope coefficient doubles past the float range; error control reads
@@ -143,13 +156,13 @@ class TestRK78:
         y = integrate(ho, np.array([1.0, 0.0]), 0.0, 2.0 * math.pi, RK78)
         assert np.abs(y - [1.0, 0.0]).max() < 1e-8
 
-    def test_loose_tolerance_is_less_accurate(self, monkeypatch):
+    def test_loose_tolerance_is_less_accurate(self):
         def ho(y, t):
             return np.array([y[1], -y[0]])
 
         y_tight = integrate(ho, np.array([1.0, 0.0]), 0.0, 20.0, RK78)
-        monkeypatch.setattr(INTEGRATE, "TOLERANCE", 1e-4)
-        y_loose = integrate(ho, np.array([1.0, 0.0]), 0.0, 20.0, RK78)
+        loose = IntegratorSpec("rk78_adaptive", tolerance=1e-4)
+        y_loose = integrate(ho, np.array([1.0, 0.0]), 0.0, 20.0, loose)
         exact = np.array([math.cos(20.0), -math.sin(20.0)])
         assert np.abs(y_tight - exact).max() < np.abs(y_loose - exact).max()
         assert np.abs(y_tight - exact).max() < 1e-9
@@ -166,9 +179,9 @@ class TestRK78:
     def test_stage_overflow_on_first_attempt_is_retried(self):
         # y' = -y^3, y(0) = 10: y(t) = 1 / sqrt(2 t + 0.01). The first attempt
         # spans all 10 s and its later stages overflow although rhs(y0) is
-        # finite; the step is rejected and shrunk, not reported as a NaN RHS
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = integrate(lambda y, t: -y ** 3, np.array([10.0]), 0.0, 10.0, RK78)
+        # finite; the step is rejected and shrunk, not reported as a NaN RHS,
+        # and no overflow warning escapes (the test suite makes it an error)
+        y = integrate(lambda y, t: -y ** 3, np.array([10.0]), 0.0, 10.0, RK78)
         assert y[0] == pytest.approx(1.0 / math.sqrt(20.01), rel=1e-8)
 
 
@@ -178,9 +191,8 @@ class TestRK78:
         # on, or the first attempt's finite first-leaf error would accept it
         ctx = da.AlgebraContext(1, 2)
         y0 = Stacked(da.identity_map(ctx, [1.0]), np.array([10.0]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = integrate(lambda s, t: Stacked(0.0 * s.parts[0], -s.parts[1] ** 3),
-                          y0, 0.0, 10.0, RK78)
+        y = integrate(lambda s, t: Stacked(0.0 * s.parts[0], -s.parts[1] ** 3),
+                      y0, 0.0, 10.0, RK78)
         assert y.parts[1][0] == pytest.approx(1.0 / math.sqrt(20.01), rel=1e-8)
 
 
