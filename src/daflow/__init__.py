@@ -28,13 +28,11 @@ from .filter import (
 from .flow import (
     Ensemble,
     GaussianBelief,
-    LambdaSchedule,
     MeasurementModel,
     build_flow_map,
     da_jacobian,
     flow_ensemble_ode,
     flow_mean_cov,
-    geometric_schedule,
 )
 from .harness import (
     ConfigError,

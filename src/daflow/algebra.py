@@ -32,7 +32,6 @@ returns a new value and never mutates its inputs.
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 
 import numpy as np
@@ -457,35 +456,37 @@ def stack(items, axis: int):
 
 def _binomial_series(name: str, alpha: float, leading):
     """Series of a0 ** alpha from its leading term ``leading(a0)`` by the
-    binomial recurrence c_j = c_{j-1} (alpha - j + 1) / (j a0)."""
+    binomial recurrence c_j = c_{j-1} (alpha - j + 1) / (j a0), run once
+    over an array of centers ``a0``; returns (k + 1, *a0.shape)."""
 
-    def series(a0: float, k: int):
-        if a0 <= 0.0:
-            raise DomainError(f"{name}: expansion center {a0} is not positive")
+    def series(a0: np.ndarray, k: int) -> np.ndarray:
+        a0 = a0[()]  # a 0-d array as a numpy scalar, whose arithmetic is cheaper
+        if np.count_nonzero(a0 <= 0.0):
+            bad = np.ravel(a0)[np.ravel(a0) <= 0.0][0]
+            raise DomainError(f"{name}: expansion center {bad} is not positive")
         out = [leading(a0)]
         for j in range(1, k + 1):
             out.append(out[-1] * (alpha - (j - 1)) / (j * a0))
-        return out
+        return np.array(out)
 
     return series
 
 
-_series_sqrt = _binomial_series("sqrt", 0.5, math.sqrt)
-_series_rsqrt = _binomial_series("rsqrt", -0.5, lambda a0: 1.0 / math.sqrt(a0))
+_series_sqrt = _binomial_series("sqrt", 0.5, np.sqrt)
+_series_rsqrt = _binomial_series("rsqrt", -0.5, lambda a0: 1.0 / np.sqrt(a0))
 
 
 def _apply_series(series_of, a: DAScalar) -> DAScalar:
     """Apply a univariate function, given as ``series_of(a0, k)``, the
-    Taylor coefficients about ``a0`` up to degree ``k``, to each polynomial
-    as its series summed over the powers of the nilpotent part p.
+    Taylor coefficients up to degree ``k`` about every center of the array
+    ``a0``, to each polynomial as its series summed over the powers of the
+    nilpotent part p.
 
     The powers p^1..p^k fill one block by doubling, p^{1..n} * p^n =
     p^{n+1..2n}, so the k powers take ceil(log2 k) products, where
     Horner's rule takes k sequential ones."""
     k = a.ctx.max_order
-    # (k + 1, *shape): one series per polynomial
-    per_entry = [series_of(float(c), k) for c in np.ravel(a.coeffs[..., 0])]
-    series = np.array(per_entry).T.reshape((k + 1,) + a.shape)
+    series = series_of(a.coeffs[..., 0], k)  # (k + 1, *shape)
     powers = np.empty((k,) + a.coeffs.shape)
     powers[0] = a.coeffs
     powers[0, ..., 0] = 0.0

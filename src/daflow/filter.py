@@ -11,7 +11,9 @@ deterministic, so that one map is the only evaluation path.  Both filters
 integrate the dynamics with ``DYNAMICS_SPEC`` and the measurement flow with
 ``FLOW_SPEC``, one RK7(8) call over the flow's log pseudo-time, whose
 step count follows the flow's error: many steps on a track's first epochs,
-one on a converged epoch.
+one on a converged epoch.  The attitude truth
+(:func:`daflow.models.simulate_truth`) runs ``DYNAMICS_SPEC`` too, so no
+integration of an experiment takes a fixed step.
 
 Both maps and ODE solves realize only the drift of the measurement flow,
 which carries deviations by Phi = P1 P0^-1 and leaves the ensemble with
@@ -34,7 +36,6 @@ from .algebra import AlgebraContext, DAScalar, compose, evaluate_many, identity_
 from .flow import (
     Ensemble,
     GaussianBelief,
-    LambdaSchedule,
     MeasurementModel,
     build_flow_map,
     flow_ensemble_ode,
@@ -63,7 +64,7 @@ FLOW_SPEC = IntegratorSpec("rk78_adaptive", tolerance=1e-6)
 
 @dataclass
 class DynamicsModel:
-    """Equations of motion dx/dt = f(x, t), evaluable on real vectors,
+    """Equations of motion x' = f(x, t), evaluable on real vectors,
     (N, n) batches, and polynomial states ((n,) DAScalar arrays), returning
     the same kind."""
 
@@ -92,11 +93,9 @@ class FilterState:
 @dataclass
 class FilterConfig:
     """Knobs shared by both filters for one scenario; both integrate the
-    dynamics with ``DYNAMICS_SPEC`` and the flow with ``FLOW_SPEC``, which
-    reads no ``schedule``."""
+    dynamics with ``DYNAMICS_SPEC`` and the flow with ``FLOW_SPEC``."""
 
     order: int
-    schedule: LambdaSchedule
     meas_period: float
     particle_postprocess: Callable | None = None
 
@@ -191,8 +190,8 @@ def daruff_step(state: FilterState, dynamics: DynamicsModel,
 
     tic = time.perf_counter()
     prior = GaussianBelief(stpm.constant, ensemble_stats(Ensemble(predicted)).cov)
-    epoch_map, post_cov = build_flow_map(prior, model, y, cfg.schedule, stpm,
-                                         FLOW_SPEC, return_cov=True)
+    epoch_map, post_cov = build_flow_map(prior, model, y, None, stpm, FLOW_SPEC,
+                                         return_cov=True)
     t_flow = time.perf_counter() - tic
 
     tic = time.perf_counter()
@@ -217,8 +216,8 @@ def baseline_pff_step(state: FilterState, dynamics: DynamicsModel,
 
     tic = time.perf_counter()
     prior = ensemble_stats(Ensemble(predicted))
-    flowed, post_cov = flow_ensemble_ode(predicted, prior, model, y, cfg.schedule,
-                                         FLOW_SPEC, return_cov=True)
+    flowed, post_cov = flow_ensemble_ode(predicted, prior, model, y, None, FLOW_SPEC,
+                                         return_cov=True)
     flowed = flowed + spread_correction(predicted, prior.cov, post_cov)
     t_flow = time.perf_counter() - tic
 

@@ -33,13 +33,11 @@ that is its truncated expansion (as in DACE, Rasotto et al., 2016).  So the
 drift never calls h and never forms H; the model's Jacobian is evaluated
 only at the running mean, a real state, for J's rate.
 
-The pseudo-time is integrated in one of two ways.  ``rk4_fixed`` takes
-one integration per segment of a :class:`LambdaSchedule`, short where the
-flow is stiff.  ``rk78_adaptive`` ignores the schedule and makes one
-error-controlled integration over tau in [0, 1], with
+The pseudo-time is integrated in one call over tau in [0, 1], with
 l(tau) = ((1 + kappa)^tau - 1) / kappa and kappa = tr(P0 H^T R^-1 H) at
-the prior mean, so the stiffness the schedule worked around is absorbed by
-the change of variable and the step control sets the work.
+the prior mean, so the change of variable absorbs the flow's stiffness
+near l = 0, which a schedule of short early steps once worked around
+(Dai & Daum, 2022), and the integrator's step control sets the work.
 
 The drift alone carries deviations by Phi = P1 P0^-1, so a drift-flowed
 ensemble has covariance P1 P0^-1 P1 rather than P1; the filters restore
@@ -62,9 +60,7 @@ from .integrate import IntegrationError, IntegratorSpec, Stacked, integrate
 __all__ = [
     "GaussianBelief",
     "MeasurementModel",
-    "LambdaSchedule",
     "Ensemble",
-    "geometric_schedule",
     "flow_mean_cov",
     "build_flow_map",
     "flow_ensemble_ode",
@@ -170,45 +166,6 @@ def da_jacobian(h: Callable, x, m: int) -> np.ndarray:
 
 
 @dataclass
-class LambdaSchedule:
-    """Strictly increasing pseudo-time nodes from 0 to 1."""
-
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        self.nodes = np.asarray(self.nodes, dtype=float)
-        if not np.isfinite(self.nodes).all():
-            raise ValueError("schedule nodes must be finite")
-        if (
-            self.nodes.ndim != 1
-            or len(self.nodes) < 2
-            or self.nodes[0] != 0.0
-            or self.nodes[-1] != 1.0
-            or np.any(np.diff(self.nodes) <= 0)
-        ):
-            raise ValueError("schedule nodes must satisfy 0 = l0 < l1 < ... < lM = 1")
-
-    def segments(self):
-        return zip(self.nodes[:-1], self.nodes[1:])
-
-
-def geometric_schedule(first: float, count: int) -> LambdaSchedule:
-    """{0} followed by ``count`` geometrically spaced nodes from first to 1.
-
-    Small early steps move particles gently where the flow is stiffest;
-    later steps grow as the flow relaxes.
-    """
-    if not (0.0 < first < 1.0):
-        raise ValueError(f"need 0 < first < 1, got {first}")
-    if count < 2:
-        raise ValueError("count must be >= 2")
-    ratio = (1.0 / first) ** (1.0 / (count - 1))
-    nodes = np.concatenate([[0.0], first * ratio ** np.arange(count)])
-    nodes[-1] = 1.0
-    return LambdaSchedule(nodes)
-
-
-@dataclass
 class Ensemble:
     """Equally weighted particles representing a distribution."""
 
@@ -246,8 +203,7 @@ def _log_time_rate(kappa: float):
     return lambda tau: log_growth * math.exp(tau * log_growth) / kappa
 
 
-def _flow(x, cov, model: MeasurementModel, y, schedule: LambdaSchedule,
-          spec: IntegratorSpec):
+def _flow(x, cov, model: MeasurementModel, y, spec: IntegratorSpec):
     """Carry the state ``x`` and the information gained from pseudo-time 0
     to 1.
 
@@ -258,8 +214,7 @@ def _flow(x, cov, model: MeasurementModel, y, schedule: LambdaSchedule,
     J = 0, whose rate H^T R^-1 H takes H at the running mean; the drift's
     covariance is P = (I + P0 J)^-1 P0.  Returns ``(x1, P1)``.
 
-    ``rk4_fixed`` takes one integration per segment of ``schedule``.
-    ``rk78_adaptive`` takes one integration over tau in [0, 1], with
+    One integration runs over tau in [0, 1], with
     l(tau) = ((1 + kappa)^tau - 1) / kappa and kappa = tr(P0 H^T R^-1 H), H
     at the prior mean.  Along a direction that gains information kappa per
     unit l, a linear drift contracts at the rate kappa / (1 + kappa l),
@@ -269,12 +224,8 @@ def _flow(x, cov, model: MeasurementModel, y, schedule: LambdaSchedule,
     y = _measurement(model, y)
     poly = isinstance(x, DAScalar)
     eye = np.eye(len(cov))
-    if spec.method == "rk4_fixed":
-        spans, rate = schedule.segments(), _log_time_rate(0.0)
-    else:
-        H = model.jac(x.constant if poly else x[0])
-        kappa = float(np.trace(cov @ H.T @ model.noise_inv @ H))
-        spans, rate = [(0.0, 1.0)], _log_time_rate(kappa)
+    H = model.jac(x.constant if poly else x[0])
+    rate = _log_time_rate(float(np.trace(cov @ H.T @ model.noise_inv @ H)))
 
     def rhs(s, tau):
         x, J = s.parts
@@ -283,24 +234,22 @@ def _flow(x, cov, model: MeasurementModel, y, schedule: LambdaSchedule,
         P = dl * np.linalg.solve(eye + cov @ J, cov)
         return Stacked(_drift(x, P, model, y), dl * (H.T @ model.noise_inv @ H))
 
-    state = Stacked(x, np.zeros_like(cov))
-    for t0, t1 in spans:
-        state = integrate(rhs, state, t0, t1, spec)
-    x1, J1 = state.parts
+    x1, J1 = integrate(rhs, Stacked(x, np.zeros_like(cov)), 0.0, 1.0, spec).parts
     P1 = np.linalg.solve(eye + cov @ J1, cov)
     return x1, 0.5 * (P1 + P1.T)
 
 
 def flow_mean_cov(prior: GaussianBelief, model: MeasurementModel, y,
-                  schedule: LambdaSchedule, spec: IntegratorSpec) -> GaussianBelief:
+                  spec: IntegratorSpec) -> GaussianBelief:
     """Flow the prior mean and covariance to pseudo-time 1: the mean through
     the drift, the covariance as P1 = (I + P0 J1)^-1 P0."""
-    x1, P1 = _flow(prior.mean[None, :], prior.cov, model, y, schedule, spec)
+    x1, P1 = _flow(prior.mean[None, :], prior.cov, model, y, spec)
     return GaussianBelief(x1[0], P1)
 
 
+# the unread schedule slot is perfbench/workloads.py's positional call (line 250)
 def build_flow_map(prior: GaussianBelief, model: MeasurementModel, y,
-                   schedule: LambdaSchedule, start, spec: IntegratorSpec,
+                   schedule, start, spec: IntegratorSpec,
                    *, return_cov: bool = False):
     """Polynomial flow map from ``start``'s deviations to posterior states.
 
@@ -309,7 +258,8 @@ def build_flow_map(prior: GaussianBelief, model: MeasurementModel, y,
     is exactly the prior mean, such as the dynamics map that propagated it.
     It is integrated through the drift with a polynomial-valued H.  The
     covariance entering the drift comes from the real information J, whose
-    rate takes H at the running mean.
+    rate takes H at the running mean.  ``schedule`` is not read; the
+    library passes None.
 
     The map realizes the drift only.  ``return_cov=True`` returns
     ``(map, P1)`` instead, where P1 is the covariance at pseudo-time 1 from
@@ -319,22 +269,24 @@ def build_flow_map(prior: GaussianBelief, model: MeasurementModel, y,
         start = identity_map(AlgebraContext(prior.dim, start), prior.mean)
     elif not np.array_equal(start.constant, prior.mean):
         raise ValueError("the start map's constant part is not the prior mean")
-    fmap, post_cov = _flow(start, prior.cov, model, y, schedule, spec)
+    fmap, post_cov = _flow(start, prior.cov, model, y, spec)
     return (fmap, post_cov) if return_cov else fmap
 
 
+# the unread schedule slot is perfbench/workloads.py's positional call (line 261)
 def flow_ensemble_ode(particles, prior: GaussianBelief, model: MeasurementModel,
-                      y, schedule: LambdaSchedule, spec: IntegratorSpec,
+                      y, schedule, spec: IntegratorSpec,
                       *, return_cov: bool = False):
     """Flow every particle of an (N, n) array through the drift ODE.
 
     All particles share one covariance trajectory, read off the information
     J, whose rate takes H at the running prior mean.  Each particle's drift
-    evaluates H at the particle itself.  Returns the flowed (N, n) array;
+    evaluates H at the particle itself.  ``schedule`` is not read; the
+    library passes None.  Returns the flowed (N, n) array;
     ``return_cov=True`` returns ``(flowed, P1)`` as :func:`build_flow_map`
     does.
     """
     x = np.atleast_2d(np.asarray(particles, dtype=float))
-    x1, post_cov = _flow(np.vstack([prior.mean, x]), prior.cov, model, y, schedule, spec)
+    x1, post_cov = _flow(np.vstack([prior.mean, x]), prior.cov, model, y, spec)
     flowed = x1[1:]
     return (flowed, post_cov) if return_cov else flowed

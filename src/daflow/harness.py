@@ -19,14 +19,7 @@ import numpy as np
 from . import models
 from .algebra import DomainError, evaluate_many, truncation_indicator
 from .filter import FLOW_SPEC, FilterConfig, FilterState, baseline_pff_step, daruff_step
-from .flow import (
-    Ensemble,
-    GaussianBelief,
-    LambdaSchedule,
-    build_flow_map,
-    flow_ensemble_ode,
-    geometric_schedule,
-)
+from .flow import Ensemble, GaussianBelief, build_flow_map, flow_ensemble_ode
 from .integrate import IntegrationError, IntegratorSpec
 
 __all__ = [
@@ -45,13 +38,15 @@ __all__ = [
 # flow integrator per scenario, each one RK7(8) call over the log
 # pseudo-time: the attitude filter's, and for the toy the default tolerance,
 # 1e-10, since the toy's DA-vs-ODE agreement is the accuracy oracle of the
-# flow map; neither reads the lambda_schedule
+# flow map
 FLOW_SPECS = {
     "toy_range": IntegratorSpec("rk78_adaptive"),
     "attitude": FLOW_SPEC,
 }
 # the attitude filter's settings, which the toy's single flow update has none of
-FILTER_KEYS = ("n_mc", "duration", "dt", "meas_period")
+FILTER_KEYS = ("n_mc", "duration", "meas_period")
+# retired keys that stay as unread fields for perfbench; no config may set them
+SHIM_KEYS = ("lambda_schedule", "dt")
 # a real-valued config key may be written as an integer, 2 for 2.0
 REAL = (int, float)
 # timed filter steps per method and ensemble size in bench_timing
@@ -79,27 +74,26 @@ class ConfigError(ValueError):
 
 @dataclass
 class ScenarioConfig:
-    """Flat, JSON-compatible description of one experiment.  The first five
-    fields are required; the last four set up the attitude filter, which
+    """Flat, JSON-compatible description of one experiment.  The first four
+    fields are required; the next three set up the attitude filter, which
     requires them, and the toy, one flow update with no filter, refuses them.
-    The filters integrate with ``daflow.filter``'s constants, and ``dt`` is the
-    truth simulation's RK4 step only.  ``lambda_schedule`` is validated and
-    passed on, but no experiment reads it: every flow spec is RK7(8), which
-    takes its own steps.  Every experiment runs both filters."""
+    The filters and the attitude truth integrate with ``daflow.filter``'s
+    constants, so no config sets a step or a pseudo-time schedule; the
+    retired ``lambda_schedule`` and ``dt`` stay as fields that nothing reads
+    (``SHIM_KEYS``), and a config file that sets one is refused.  Every
+    experiment runs both filters."""
 
     scenario: str
     order: int
     n_particles_per_dim: int
-    lambda_schedule: tuple
     seed: int
     n_mc: int | None = None
     duration: float | None = None
-    dt: float | None = None
     meas_period: float | None = None
+    lambda_schedule: tuple | None = None  # perfbench/tests/test_bench.py:27,29 sets it
+    dt: float | None = None  # perfbench/workloads.py:131 reads it
 
     def __post_init__(self):
-        if isinstance(self.lambda_schedule, list):
-            self.lambda_schedule = tuple(self.lambda_schedule)
         self.validate()
 
     def validate(self) -> None:
@@ -111,16 +105,10 @@ class ScenarioConfig:
         if wrong:
             verb = "needs" if attitude else "runs no filter; drop"
             raise ConfigError(f"scenario {self.scenario!r} {verb} config keys: {', '.join(wrong)}")
-        if not isinstance(self.lambda_schedule, tuple) or len(self.lambda_schedule) != 3:
-            raise ConfigError("lambda_schedule must be [first, last, count]")
-        first, last, count = self.lambda_schedule
         typed = [(name, getattr(self, name), int) for name in ("order", "n_particles_per_dim", "seed")]
-        typed += [("lambda_schedule count", count, int),
-                  ("lambda_schedule first", first, REAL),
-                  ("lambda_schedule last", last, REAL)]
         if attitude:
             typed += [("n_mc", self.n_mc, int)]
-            typed += [(name, getattr(self, name), REAL) for name in ("duration", "dt", "meas_period")]
+            typed += [(name, getattr(self, name), REAL) for name in ("duration", "meas_period")]
         for name, value, kinds in typed:
             # bool is an int to Python, but true is no order or count
             if isinstance(value, bool) or not isinstance(value, kinds):
@@ -133,22 +121,18 @@ class ScenarioConfig:
         # each run draws from default_rng([seed, i]), which takes no negative seed
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        try:
-            self.schedule()
-        except ValueError as exc:
-            raise ConfigError(f"lambda_schedule {list(self.lambda_schedule)}: {exc}") from exc
         if not attitude:
             return
         if self.n_mc < 1:
             raise ConfigError("n_mc must be positive")
         try:
-            models.measurement_epochs(self.duration, self.dt, self.meas_period)
+            models.measurement_epochs(self.duration, self.meas_period)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        names = [f.name for f in fields(cls)]
+        names = [f.name for f in fields(cls) if f.name not in SHIM_KEYS]
         unknown = sorted(set(data) - set(names))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -171,11 +155,8 @@ class ScenarioConfig:
         data = {name: value for name, value in asdict(self).items() if value is not None}
         Path(path).write_text(json.dumps(data, indent=2) + "\n")
 
-    def schedule(self) -> LambdaSchedule:
-        first, last, count = self.lambda_schedule
-        if last != 1:
-            raise ValueError(f"the schedule ends at 1, got last = {last}")
-        return geometric_schedule(first, count)
+    def schedule(self) -> None:  # perfbench/workloads.py:215 calls it
+        return None
 
     def flow_spec(self) -> IntegratorSpec:
         return FLOW_SPECS[self.scenario]
@@ -185,7 +166,6 @@ class ScenarioConfig:
             raise ConfigError(f"scenario {self.scenario!r} has no dynamics to integrate")
         return FilterConfig(
             order=self.order,
-            schedule=self.schedule(),
             meas_period=self.meas_period,
             particle_postprocess=particle_postprocess,
         )
@@ -229,7 +209,7 @@ def run_toy(cfg: ScenarioConfig) -> ToyResult:
     The DA route evaluates one flow map for the whole cloud, except at the
     particles whose truncation indicator exceeds ``TOY_TRUNCATION_BOUND``:
     those take their rows from the ODE route, which flows every particle
-    once with the same prior and schedule.
+    once with the same prior and integrator.
     """
     if cfg.scenario != "toy_range":
         raise ConfigError(f"run_toy needs scenario 'toy_range', got {cfg.scenario!r}")
@@ -238,14 +218,13 @@ def run_toy(cfg: ScenarioConfig) -> ToyResult:
     prior_cloud = rng.multivariate_normal(TOY_PRIOR_MEAN, TOY_PRIOR_COV, size=n)
     prior = GaussianBelief(TOY_PRIOR_MEAN, TOY_PRIOR_COV)
     model = models.range_model(TOY_NOISE_SIGMA)
-    schedule = cfg.schedule()
     spec = cfg.flow_spec()
     y = [TOY_MEASUREMENT]
 
-    fmap = build_flow_map(prior, model, y, schedule, cfg.order, spec)
+    fmap = build_flow_map(prior, model, y, None, cfg.order, spec)
     devs = prior_cloud - TOY_PRIOR_MEAN
     beyond = truncation_indicator(fmap, devs) > TOY_TRUNCATION_BOUND
-    post_ode = flow_ensemble_ode(prior_cloud, prior, model, y, schedule, spec)
+    post_ode = flow_ensemble_ode(prior_cloud, prior, model, y, None, spec)
     post_da = np.where(beyond[:, None], post_ode, evaluate_many(fmap, devs))
 
     return ToyResult(
@@ -302,7 +281,7 @@ def _draw_truth(rng, cfg: ScenarioConfig, duration: float) -> tuple:
     """A simulated truth and an initial estimate one prior draw off its start."""
     truth = models.simulate_truth(models.DEFAULT_INITIAL_STATE,
                                   models.DEFAULT_PARAMS, duration,
-                                  cfg.dt, cfg.meas_period,
+                                  None, cfg.meas_period,
                                   seed=rng.integers(2 ** 32))
     xhat0 = models.normalize_quaternion_block(
         truth.initial_state

@@ -2,19 +2,19 @@
 
 One integrator serves plain float vectors, batches of particles,
 polynomial states (:class:`~daflow.algebra.DAScalar` arrays), and
-heterogeneous bundles (:class:`Stacked`).  Two methods are provided:
+heterogeneous bundles (:class:`Stacked`).  Both methods read the state's
+float leaves: a float array, a ``DAScalar``'s coefficient block, and each
+part of a ``Stacked``, laid end to end in one flat vector, and hand the
+right-hand side a state of the state's own type built on it.
 
-- ``rk4_fixed``, classic RK4 in fixed steps, runs on the state's own
-  arithmetic, so the state only has to support ``a + b`` and
-  ``scalar * a``.
 - ``rk78_adaptive``, the Fehlberg 7(8) embedded adaptive pair, holds its
-  error estimate within the spec's ``tolerance``.  It reads the state's
-  float leaves: a float array, a ``DAScalar``'s coefficient block, and
-  each part of a ``Stacked``, laid end to end in one flat vector.  It
-  forms every stage from one flat block of stage derivatives, into one
-  buffer that a state of the state's own type views.  An attempt that
-  overflows is rejected and retried with a shorter step, without a
-  floating-point warning.
+  error estimate within the spec's ``tolerance``.  It forms every stage
+  from one flat block of stage derivatives, into one buffer that a state
+  of the state's own type views.  An attempt that overflows is rejected
+  and retried with a shorter step, without a floating-point warning.
+  Every integration of the library runs it.
+- ``rk4_fixed``, classic RK4 in fixed steps, is the fixed-step reference
+  that tests hold ``rk78_adaptive`` and the flow against.
 """
 
 from __future__ import annotations
@@ -72,24 +72,13 @@ class Stacked:
     """Fixed-shape bundle of states integrated as one ODE state.
 
     Parts may be float arrays, polynomial arrays or ``Stacked`` bundles;
-    elementwise add and scalar multiply, which RK4 uses, distribute over
-    the parts.
+    the integrators read and rebuild them through their float leaves.
     """
 
     __slots__ = ("parts",)
 
     def __init__(self, *parts):
         self.parts = parts
-
-    # the parts as lists: unpacking a generator costs more per op, and an
-    # RK4 step makes 13 of these ops
-    def __add__(self, other):
-        return Stacked(*[p + q for p, q in zip(self.parts, other.parts)])
-
-    def __mul__(self, s):
-        return Stacked(*[s * p for p in self.parts])
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"<Stacked {len(self.parts)} parts>"
@@ -119,11 +108,15 @@ def _rebuild(like, values):
     return next(values).reshape(np.shape(like))
 
 
-def _state_finite(y) -> bool:
-    for a, _ in _leaves(y):
-        if not np.isfinite(a).all():
-            return False
-    return True
+def _flat(y) -> np.ndarray:
+    """The float leaves of a state laid end to end in one new flat vector."""
+    return np.concatenate([a.ravel() for a, _ in _leaves(y)], dtype=float)
+
+
+def _bounds(leaves) -> list:
+    """The ``(lo, hi)`` slice of each leaf in the flat vector."""
+    ends = np.cumsum([a.size for a, _ in leaves])
+    return list(zip([0, *ends[:-1]], ends))
 
 
 def integrate(rhs, y0, t0: float, t1: float, spec: IntegratorSpec):
@@ -138,6 +131,8 @@ def integrate(rhs, y0, t0: float, t1: float, spec: IntegratorSpec):
 
 
 def _rk4(rhs, y0, t0, t1, spec):
+    """Classic RK4 on the flat vector of the state's float leaves; each
+    stage state is a new state of ``y0``'s type on the stage's values."""
     span = t1 - t0
     n = max(1, math.ceil(span / spec.step_size - 1e-12))
     if n > MAX_STEPS:
@@ -145,16 +140,23 @@ def _rk4(rhs, y0, t0, t1, spec):
             f"rk4_fixed needs {n} steps, exceeding max_steps={MAX_STEPS}"
         )
     h = span / n
+    bounds = _bounds(_leaves(y0))
+
+    def state(values):
+        return _rebuild(y0, (values[lo:hi] for lo, hi in bounds))
+
     y = y0
+    values = _flat(y0)
     for i in range(n):
         t = t0 + i * h
-        k1 = rhs(y, t)
-        k2 = rhs(y + (h / 2) * k1, t + h / 2)
-        k3 = rhs(y + (h / 2) * k2, t + h / 2)
-        k4 = rhs(y + h * k3, t + h)
-        y = y + (h / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not _state_finite(y):
+        k1 = _flat(rhs(y, t))
+        k2 = _flat(rhs(state(values + (h / 2) * k1), t + h / 2))
+        k3 = _flat(rhs(state(values + (h / 2) * k2), t + h / 2))
+        k4 = _flat(rhs(state(values + h * k3), t + h))
+        values = values + (h / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(values).all():
             raise IntegrationError(f"non-finite state at t={t + h}")
+        y = state(values)
     return y
 
 
@@ -195,14 +197,13 @@ def _rk78(rhs, y0, t0, t1, tol):
     checks, not a warning, decide whether the attempt is rejected or the
     integration fails."""
     leaves = _leaves(y0)
-    ends = np.cumsum([a.size for a, _ in leaves])
-    bounds = list(zip([0, *ends[:-1]], ends))
+    bounds = _bounds(leaves)
     # the leading values of the flat vector, where the error is measured
     lead = np.concatenate([np.arange(lo, hi, stride)
                            for (lo, hi), (_, stride) in zip(bounds, leaves)])
-    if len(lead) == ends[-1]:  # every value leads: read them in place
+    if len(lead) == bounds[-1][1]:  # every value leads: read them in place
         lead = slice(None)
-    values = np.concatenate([a.ravel() for a, _ in leaves], dtype=float)  # y, flat
+    values = _flat(y0)  # y, flat
     block = np.empty((13, values.size))
     buf = np.empty(values.size)
     stage = _rebuild(y0, (buf[lo:hi] for lo, hi in bounds))

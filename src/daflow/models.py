@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .filter import DynamicsModel
+from .filter import DYNAMICS_SPEC, DynamicsModel
 from .flow import MeasurementModel
-from .integrate import IntegratorSpec, integrate
+from .integrate import integrate
 
 __all__ = [
     "AttitudeState",
@@ -328,39 +328,39 @@ class TruthLog:
     initial_state: np.ndarray
 
 
-def measurement_epochs(duration: float, dt: float, meas_period: float) -> int:
-    """Epochs the truth runs: every value positive and finite, ``meas_period``
-    a whole number (>= 1) of ``dt`` steps and ``duration`` one of periods."""
-    grid = {"duration": duration, "dt": dt, "meas_period": meas_period}
-    for name, value in grid.items():
+def measurement_epochs(duration: float, meas_period: float) -> int:
+    """Epochs the truth runs: both values positive and finite, and
+    ``duration`` a whole number (>= 1) of measurement periods."""
+    for name, value in (("duration", duration), ("meas_period", meas_period)):
         if not (value > 0 and np.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    for name, unit in (("meas_period", "dt"), ("duration", "meas_period")):
-        # a quotient of finite values can still overflow
-        ratio = grid[name] / grid[unit]
-        if not (np.isfinite(ratio) and round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-9):
-            raise ValueError(f"{name} must be a whole multiple (>= 1) of {unit}")
-    return round(duration / meas_period)
+    # a quotient of finite values can still overflow
+    ratio = duration / meas_period
+    if not (np.isfinite(ratio) and round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-9):
+        raise ValueError("duration must be a whole multiple (>= 1) of meas_period")
+    return round(ratio)
 
 
+# the unread dt slot is perfbench/workloads.py's positional call (lines 129-131)
 def simulate_truth(x0: AttitudeState, params: RigidBodyParams, duration: float,
-                   dt: float, meas_period: float, seed) -> TruthLog:
-    """Propagate the truth with fixed-step RK4 and log noisy measurements.
+                   dt, meas_period: float, seed) -> TruthLog:
+    """Propagate the truth from one measurement to the next with the
+    filters' ``DYNAMICS_SPEC`` (adaptive RK7(8)) and log noisy measurements.
 
-    ``seed=None`` disables measurement noise entirely.
+    ``dt`` is not read; the library passes None.  ``seed=None`` disables
+    measurement noise entirely.
     """
-    n_epochs = measurement_epochs(duration, dt, meas_period)
+    n_epochs = measurement_epochs(duration, meas_period)
     model = stacked_measurement()
     rng = None if seed is None else np.random.default_rng(seed)
     noise_scale = np.sqrt(np.diag(model.noise_cov))
-    spec = IntegratorSpec("rk4_fixed", step_size=dt)
     x = x0.as_vector()
     times = np.empty(n_epochs)
     states = np.empty((n_epochs, STATE_DIM))
     meas = np.empty((n_epochs, model.dim))
     rhs = lambda s, t: attitude_rhs(s, params)
     for k in range(n_epochs):
-        x = integrate(rhs, x, k * meas_period, (k + 1) * meas_period, spec)
+        x = integrate(rhs, x, k * meas_period, (k + 1) * meas_period, DYNAMICS_SPEC)
         times[k] = (k + 1) * meas_period
         states[k] = x
         clean = model.h(x)

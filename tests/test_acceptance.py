@@ -18,14 +18,7 @@ from daflow.filter import (
     ensemble_stats,
 )
 from daflow.filter import DynamicsModel
-from daflow.flow import (
-    Ensemble,
-    GaussianBelief,
-    LambdaSchedule,
-    build_flow_map,
-    flow_mean_cov,
-    geometric_schedule,
-)
+from daflow.flow import Ensemble, GaussianBelief, build_flow_map, flow_mean_cov
 from daflow.integrate import IntegratorSpec, integrate
 from test_filter import linear_dynamics
 from test_flow import kalman_information_update, linear_model
@@ -48,15 +41,15 @@ class TestCriterion1LinearGaussianOracle:
         x0 = rng.normal(size=3)
         y = rng.normal(size=2)
         model = linear_model(A, R)
-        schedule = LambdaSchedule(np.linspace(0.0, 1.0, 201))
-        spec = IntegratorSpec("rk4_fixed", step_size=1.0)
+        # 200 RK4 steps over the log pseudo-time
+        spec = IntegratorSpec("rk4_fixed", step_size=0.005)
 
-        post = flow_mean_cov(GaussianBelief(x0, P0), model, y, schedule, spec)
+        post = flow_mean_cov(GaussianBelief(x0, P0), model, y, spec)
         x_k, p_k = kalman_information_update(x0, P0, A, R, y)
         mean_err = np.abs(post.mean - x_k).max() / np.abs(x_k).max()
         cov_err = np.abs(post.cov - p_k).max() / np.abs(p_k).max()
 
-        fmap = build_flow_map(GaussianBelief(x0, P0), model, y, schedule, 1, spec)
+        fmap = build_flow_map(GaussianBelief(x0, P0), model, y, None, 1, spec)
         map_err = 0.0
         for _ in range(10):
             d = rng.normal(size=3) * 0.5
@@ -134,11 +127,12 @@ class TestCriterion5MapCombination:
         stpm = build_stpm(x0, linear_dynamics(A), 0.0, 1.0, 1,
                           IntegratorSpec("rk4_fixed", step_size=0.01))
         prior = GaussianBelief(stpm.constant, np.eye(2))
-        flow_args = (linear_model(H, [[0.5]]), [0.3], LambdaSchedule(np.linspace(0, 1, 201)))
-        one_step = IntegratorSpec("rk4_fixed", step_size=1.0)
-        fmap = build_flow_map(prior, *flow_args, 1, one_step)
+        flow_args = (linear_model(H, [[0.5]]), [0.3], None)
+        # 200 RK4 steps over the log pseudo-time
+        dense = IntegratorSpec("rk4_fixed", step_size=0.005)
+        fmap = build_flow_map(prior, *flow_args, 1, dense)
         # the flow started from the dynamics map is the combined map
-        combined = build_flow_map(prior, *flow_args, stpm, one_step)
+        combined = build_flow_map(prior, *flow_args, stpm, dense)
         c1 = stpm.coeffs                    # columns: constant, d0, d1
         c2 = fmap.coeffs
         oracle = np.empty_like(c1)
@@ -153,9 +147,12 @@ class TestCriterion5MapCombination:
         stpm_a = build_stpm(xa, dyn, 0.0, 2.0, 2,
                             IntegratorSpec("rk4_fixed", step_size=0.01))
         prior_a = GaussianBelief(stpm_a.constant, models.INITIAL_STATE_COV)
-        flow_args_a = (model, model.h(stpm_a.constant), geometric_schedule(0.001, 50))
-        fmap_a = build_flow_map(prior_a, *flow_args_a, 2, one_step)
-        combined_a = build_flow_map(prior_a, *flow_args_a, stpm_a, one_step)
+        flow_args_a = (model, model.h(stpm_a.constant), None)
+        # 50 fixed RK4 steps: at y = h(prior mean) RK7(8) takes one step,
+        # and its error estimate misses the map's moving coefficients
+        fifty_steps = IntegratorSpec("rk4_fixed", step_size=0.02)
+        fmap_a = build_flow_map(prior_a, *flow_args_a, 2, fifty_steps)
+        combined_a = build_flow_map(prior_a, *flow_args_a, stpm_a, fifty_steps)
         seq_err = 0.0
         for _ in range(100):
             d = 0.005 * rng.standard_normal(10)

@@ -17,21 +17,17 @@ from daflow.filter import (
     ensemble_stats,
     spread_correction,
 )
-from daflow.flow import (
-    Ensemble,
-    GaussianBelief,
-    LambdaSchedule,
-    build_flow_map,
-    geometric_schedule,
-)
+from daflow.flow import Ensemble, GaussianBelief, build_flow_map
 from daflow.integrate import IntegratorSpec, integrate
 from daflow import models
 from daflow.harness import ScenarioConfig
 from test_flow import CONFIGS, kalman_information_update, linear_model, record_integrations
 
 RK4 = IntegratorSpec("rk4_fixed", step_size=0.01)
-ONE_STEP = IntegratorSpec("rk4_fixed", step_size=1.0)
-DENSE = LambdaSchedule(np.linspace(0.0, 1.0, 201))
+# fixed-step flows over the log pseudo-time tau: 200 RK4 steps, and 50, as
+# many as the retired 50-segment schedule took
+TAU_RK4 = IntegratorSpec("rk4_fixed", step_size=0.005)
+FIFTY_STEPS = IntegratorSpec("rk4_fixed", step_size=0.02)
 
 
 def linear_dynamics(A):
@@ -49,7 +45,7 @@ def linear_dynamics(A):
 ], ids=["order", "meas_period"])
 def test_filter_config_rejects(changes, message):
     with pytest.raises(ValueError, match=message):
-        FilterConfig(**{"order": 2, "schedule": DENSE, "meas_period": 1.0, **changes})
+        FilterConfig(**{"order": 2, "meas_period": 1.0, **changes})
 
 
 class TestBuildStpm:
@@ -160,7 +156,7 @@ class TestFlowFromStpm:
         stpm = build_stpm([1.0, 2.0], dyn, 0.0, 0.7, 3, RK4)
         prior = GaussianBelief(stpm.constant, np.eye(2))
         combined = build_flow_map(prior, linear_model(np.zeros((1, 2)), [[0.25]]), [0.7],
-                                  DENSE, stpm, ONE_STEP)
+                                  None, stpm, TAU_RK4)
         np.testing.assert_allclose(combined.coeffs, stpm.coeffs, atol=1e-13)
 
     def test_sequential_evaluation_oracle(self):
@@ -172,9 +168,10 @@ class TestFlowFromStpm:
         stpm = build_stpm(x0, dyn, 0.0, 2.0, 2, RK4)
         prior = GaussianBelief(stpm.constant, models.INITIAL_STATE_COV)
         truth_meas = model.h(stpm.constant)
-        schedule = geometric_schedule(0.001, 50)
-        fmap = build_flow_map(prior, model, truth_meas, schedule, 2, ONE_STEP)
-        combined = build_flow_map(prior, model, truth_meas, schedule, stpm, ONE_STEP)
+        # a fixed-step flow: at y = h(prior mean) RK7(8) takes one step and
+        # its error estimate misses the map's moving coefficients
+        fmap = build_flow_map(prior, model, truth_meas, None, 2, FIFTY_STEPS)
+        combined = build_flow_map(prior, model, truth_meas, None, stpm, FIFTY_STEPS)
         for _ in range(100):
             d = 0.005 * rng.standard_normal(10)
             sequential = da.evaluate(fmap, da.evaluate(stpm, d) - stpm.constant)
@@ -195,7 +192,7 @@ class TestFlowFromStpm:
         phi = expm(A * dt)
         p_minus = phi @ P0 @ phi.T
         prior = GaussianBelief(stpm.constant, p_minus)
-        combined = build_flow_map(prior, linear_model(H, R), y, DENSE, stpm, ONE_STEP)
+        combined = build_flow_map(prior, linear_model(H, R), y, None, stpm, TAU_RK4)
         for _ in range(5):
             d = rng.normal(size=2)
             x_pred = phi @ (x0 + d)
@@ -209,7 +206,7 @@ class TestFlowFromStpm:
         # truth, at the initial covariance.  RK7(8)'s first attempt spans
         # all of pseudo-time and is rejected; on the ODE route it overflows
         # at some particles, which must warn nothing.  The call still takes
-        # fewer rhs than RK4's 200 on the 50-segment schedule
+        # fewer rhs than the 200 of RK4 on the retired 50-segment schedule
         cfg = ScenarioConfig.from_json(CONFIGS / "attitude_arc10.json")
         dyn = models.attitude_dynamics()
         model = models.stacked_measurement()
@@ -225,15 +222,14 @@ class TestFlowFromStpm:
                 stpm = build_stpm(xhat, dyn, 0.0, cfg.meas_period, cfg.order,
                                   dfilter.DYNAMICS_SPEC)
                 prior = GaussianBelief(stpm.constant, models.INITIAL_STATE_COV)
-                out = build_flow_map(prior, model, y, cfg.schedule(), stpm,
-                                     dfilter.FLOW_SPEC).coeffs
+                out = build_flow_map(prior, model, y, None, stpm, dfilter.FLOW_SPEC).coeffs
             else:
                 cloud = xhat + rng.multivariate_normal(np.zeros(10), models.INITIAL_STATE_COV,
                                                        size=20)
                 predicted = integrate(dyn.f, cloud, 0.0, cfg.meas_period,
                                       dfilter.DYNAMICS_SPEC)
                 prior = ensemble_stats(Ensemble(predicted))
-                out = dflow.flow_ensemble_ode(predicted, prior, model, y, cfg.schedule(),
+                out = dflow.flow_ensemble_ode(predicted, prior, model, y, None,
                                               dfilter.FLOW_SPEC)
         [(t0, t1, ts)] = calls
         starts = ts[::13]
@@ -248,7 +244,7 @@ class TestFlowFromStpm:
         prior = GaussianBelief([1.0, 1.0 + 1e-12], np.eye(2))
         with pytest.raises(ValueError, match="not the prior mean"):
             build_flow_map(prior, linear_model(np.eye(2), np.eye(2)), [1.0, 1.0],
-                           DENSE, stpm, ONE_STEP)
+                           None, stpm, TAU_RK4)
 
 
 def _map_and_point(name):
@@ -267,8 +263,8 @@ def _map_and_point(name):
     prior = GaussianBelief(stpm.constant, np.eye(2))
     model, y = linear_model([[1.0, 0.5]], [[0.25]]), [0.7]
     start = 2 if name == "flow-from-order" else stpm
-    return (build_flow_map(prior, model, y, DENSE, start, ONE_STEP),
-            dflow.flow_mean_cov(prior, model, y, DENSE, ONE_STEP).mean)
+    return (build_flow_map(prior, model, y, None, start, TAU_RK4),
+            dflow.flow_mean_cov(prior, model, y, TAU_RK4).mean)
 
 
 @pytest.mark.parametrize("name", ["identity_map", "build_stpm", "compose",
@@ -301,7 +297,6 @@ class TestEnsembleStats:
 def make_filter_config(**overrides):
     defaults = dict(
         order=1,
-        schedule=DENSE,
         meas_period=1.0,
     )
     defaults.update(overrides)
@@ -492,7 +487,7 @@ class TestAttitudeStepParity:
     def test_single_epoch_matches_baseline_within_one_percent(self):
         rng = np.random.default_rng(16)
         truth = models.simulate_truth(models.DEFAULT_INITIAL_STATE,
-                                      models.DEFAULT_PARAMS, 2.0, 0.01, 2.0, seed=17)
+                                      models.DEFAULT_PARAMS, 2.0, None, 2.0, seed=17)
         xhat0 = models.normalize_quaternion_block(
             truth.initial_state + rng.multivariate_normal(
                 np.zeros(10), models.INITIAL_STATE_COV))
@@ -501,7 +496,6 @@ class TestAttitudeStepParity:
         ens = Ensemble(parts)
         cfg = FilterConfig(
             order=2,
-            schedule=geometric_schedule(0.001, 50),
             meas_period=2.0,
             particle_postprocess=models.normalize_quaternion_block,
         )
@@ -530,7 +524,7 @@ class TestBaselineStep:
             state = FilterState(0.0, ensemble_stats(ens), ens)
             out = baseline_pff_step(
                 state, DynamicsModel(f=lambda x, t: 0.0 * x), model, [1.0],
-                make_filter_config(schedule=geometric_schedule(0.001, 50)))
+                make_filter_config())
             radii = np.linalg.norm(out.ensemble.particles, axis=1)
             spreads.append(radii.std())
         assert spreads[0] > spreads[1] > spreads[2]

@@ -55,7 +55,7 @@ def _attitude_maps():
     # a measurement off the predicted one by about one noise sigma per component
     sigma = np.sqrt(np.diag(model.noise_cov))
     y = model.h(stpm.constant) + sigma * np.linspace(-1.0, 1.0, model.dim)
-    fmap = build_flow_map(prior, model, y, cfg.schedule(), cfg.order, cfg.flow_spec())
+    fmap = build_flow_map(prior, model, y, None, cfg.order, cfg.flow_spec())
     return stpm, fmap
 
 
@@ -63,7 +63,7 @@ def _toy_map(order):
     cfg = ScenarioConfig.from_json(CONFIGS / "toy.json")
     prior = GaussianBelief(TOY_PRIOR_MEAN, TOY_PRIOR_COV)
     return build_flow_map(prior, models.range_model(TOY_NOISE_SIGMA), [TOY_MEASUREMENT],
-                          cfg.schedule(), order, cfg.flow_spec())
+                          None, order, cfg.flow_spec())
 
 
 BUILDERS = {

@@ -51,8 +51,7 @@ class TestScenarioConfig:
         cfg = ScenarioConfig.from_json(CONFIGS / "attitude.json")
         assert cfg == ScenarioConfig(
             scenario="attitude", order=2, n_particles_per_dim=250, n_mc=100,
-            duration=120.0, dt=0.01, meas_period=2.0, lambda_schedule=(0.001, 1.0, 50),
-            seed=0)
+            duration=120.0, meas_period=2.0, seed=0)
         assert DYNAMICS_SPEC == IntegratorSpec("rk78_adaptive")
         assert harness.FLOW_SPECS["attitude"] is FLOW_SPEC
         assert committed("toy").flow_spec() == IntegratorSpec("rk78_adaptive")
@@ -64,6 +63,11 @@ class TestScenarioConfig:
         data = json.loads((CONFIGS / "toy.json").read_text())
         with pytest.raises(ConfigError, match="unknown config keys: method$"):
             ScenarioConfig.from_dict({**data, "method": "both"})
+        # retired: the flow takes no schedule and the truth no fixed step,
+        # though both names stay as unread fields
+        for key, value in (("lambda_schedule", [0.001, 1.0, 50]), ("dt", 0.01)):
+            with pytest.raises(ConfigError, match=f"unknown config keys: {key}$"):
+                ScenarioConfig.from_dict({**data, key: value})
 
     @pytest.mark.parametrize("patch", [
         {"scenario": "orbit"},
@@ -71,22 +75,22 @@ class TestScenarioConfig:
         {"order": 0},
         {"n_mc": 0},
         {"duration": -1.0},
-        {"lambda_schedule": (0.0, 1.0, 50)},
-        {"lambda_schedule": (0.1, 1.0)},
+        {"lambda_schedule": (0.001, 1.0, 50)},  # retired key: the flow takes no schedule
+        {"meas_period": 0.0},
         {"integrator": "rk2"},
         {"rel_tol": 0.0},
         {"innovation": "cubic"},
         {"cov_coupling": "particle"},  # retired key: stale configs must fail
-        {"dt": 0.03},
+        {"dt": 0.01},  # retired key: the truth takes no fixed step
         {"innovation": "nonlinear"},  # retired key: stale configs must fail
         {"integrator": "rk4_fixed"},  # retired key: the scenario sets the integrators
         {"seed": DROP},  # every key is required
         {"duration": 63.0},  # off the 2 s measurement grid
         {"duration": 1.0},  # shorter than one measurement period
-        {"lambda_schedule": (0.001, 0.5, 50)},  # the pseudo-time ends at 1
+        {"meas_period": float("nan")},
         {"seed": -1},  # default_rng takes no negative seed
         {"duration": float("inf")},
-        {"dt": 1e12},  # longer than the measurement period
+        {"meas_period": 1e12},  # longer than the duration
     ])
     def test_invalid_values_rejected(self, patch):
         data = json.loads((CONFIGS / "attitude.json").read_text())
@@ -101,15 +105,11 @@ class TestScenarioConfig:
         ("n_particles_per_dim", 2.5, "n_particles_per_dim must be an integer"),
         ("n_mc", 1.5, "n_mc must be an integer"),
         ("seed", 1.5, "seed must be an integer"),
-        ("lambda_schedule", [0.001, 1.0, 50.5], "lambda_schedule count must be an integer"),
-        ("lambda_schedule", [0.001, 1.0, "50"], "lambda_schedule count must be an integer"),
-        ("lambda_schedule", ["0.001", 1.0, 50], "lambda_schedule first must be a number"),
-        ("lambda_schedule", [0.001, "1", 50], "lambda_schedule last must be a number"),
-        ("lambda_schedule", 50, r"lambda_schedule must be \[first, last, count\]"),
         ("duration", "60", "duration must be a number"),
-        ("dt", "0.01", "dt must be a number"),
         ("meas_period", True, "meas_period must be a number"),
-        ("scenario", ["attitude"], "scenario must be one of"),
+        # the id this case had while the retired keys' cases preceded it
+        pytest.param("scenario", ["attitude"], "scenario must be one of",
+                     id="scenario-value13-scenario must be one of"),
     ])
     def test_wrong_types_rejected(self, key, value, message):
         # a value of the wrong type fails validation, naming its key, rather
@@ -124,9 +124,9 @@ class TestScenarioConfig:
         cfg.to_json(path)
         again = ScenarioConfig.from_json(path)
         assert again == cfg
-        assert len(json.loads(path.read_text())) == 5  # the toy has no filter keys
+        assert len(json.loads(path.read_text())) == 4  # the toy has no filter keys
 
-    @pytest.mark.parametrize("key", ["n_mc", "duration", "dt", "meas_period"])
+    @pytest.mark.parametrize("key", ["n_mc", "duration", "meas_period"])
     def test_filter_keys_only_on_attitude(self, key):
         toy = json.loads((CONFIGS / "toy.json").read_text())
         attitude = json.loads((CONFIGS / "attitude.json").read_text())
@@ -202,8 +202,8 @@ class TestRunToy:
         assert len(calls) == 1  # one ODE pass serves both routes
         prior = GaussianBelief(TOY_PRIOR_MEAN, TOY_PRIOR_COV)
         model = range_model(TOY_NOISE_SIGMA)
-        fmap = build_flow_map(prior, model, [1.0], small_toy.schedule(),
-                              small_toy.order, small_toy.flow_spec())
+        fmap = build_flow_map(prior, model, [1.0], None, small_toy.order,
+                              small_toy.flow_spec())
         devs = result.prior - TOY_PRIOR_MEAN
         beyond = truncation_indicator(fmap, devs) > TOY_TRUNCATION_BOUND
         assert 0 < result.n_ode_fallback == beyond.sum() < len(devs)
@@ -458,11 +458,10 @@ class TestCli:
         assert "duration must be a whole multiple" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value,message", [
-        ("lambda_schedule", [0.001, 0.5, 50], "the schedule ends at 1"),
         ("seed", -1, "seed must be non-negative"),
         ("duration", float("inf"), "duration must be positive and finite"),
-        ("dt", 1e12, "meas_period must be a whole multiple (>= 1) of dt"),
-    ], ids=["last", "seed", "duration", "dt"])
+        ("meas_period", 1e12, "duration must be a whole multiple (>= 1) of meas_period"),
+    ], ids=["seed", "duration", "meas_period"])
     def test_validate_rejects_a_setting_every_run_would_fail_on(
             self, tmp_path, capsys, key, value, message):
         path = tmp_path / "bad.json"

@@ -196,14 +196,28 @@ class TestRK78:
         assert y.parts[1][0] == pytest.approx(1.0 / math.sqrt(20.01), rel=1e-8)
 
 
+def _add(a, b):
+    """a + b on the state's own arithmetic, part by part for a ``Stacked``."""
+    if isinstance(a, Stacked):
+        return Stacked(*[_add(p, q) for p, q in zip(a.parts, b.parts)])
+    return a + b
+
+
+def _scale(w, a):
+    """w * a on the state's own arithmetic, part by part for a ``Stacked``."""
+    if isinstance(a, Stacked):
+        return Stacked(*[_scale(w, p) for p in a.parts])
+    return w * a
+
+
 def _weighted_sum(terms):
     """sum of (weight, state) pairs, skipping zero weights."""
     acc = None
     for w, k in terms:
         if w == 0.0:
             continue
-        wk = w * k
-        acc = wk if acc is None else acc + wk
+        wk = _scale(w, k)
+        acc = wk if acc is None else _add(acc, wk)
     return acc
 
 
@@ -228,9 +242,9 @@ def reference_rk78(rhs, y0, t0, t1):
         ks = []
         for s in range(13):
             inc = _weighted_sum(zip(A[s, :s], ks))
-            ys = y if inc is None else y + h * inc
+            ys = y if inc is None else _add(y, _scale(h, inc))
             ks.append(rhs(ys, t + C[s] * h))
-        y8 = y + h * _weighted_sum(zip(B8, ks))
+        y8 = _add(y, _scale(h, _weighted_sum(zip(B8, ks))))
         diff = h * sum((b8 - b7) * _leading_values(k)
                        for b7, b8, k in zip(B7, B8, ks) if b8 != b7)
         ref = np.maximum(np.abs(_leading_values(y)), np.abs(_leading_values(y8)))
@@ -241,6 +255,22 @@ def reference_rk78(rhs, y0, t0, t1):
         else:
             factor = max(0.2, 0.9 * err ** -0.125)
         h = h * factor
+    return y
+
+
+def reference_rk4(rhs, y0, t0, t1, step_size):
+    """Classic RK4 on the state's own ``+`` and ``*``, in the same steps
+    and with the same sums, in the same order, as ``integrate``'s."""
+    n = max(1, math.ceil((t1 - t0) / step_size - 1e-12))
+    h = (t1 - t0) / n
+    y = y0
+    for i in range(n):
+        t = t0 + i * h
+        k1 = rhs(y, t)
+        k2 = rhs(_add(y, _scale(h / 2, k1)), t + h / 2)
+        k3 = rhs(_add(y, _scale(h / 2, k2)), t + h / 2)
+        k4 = rhs(_add(y, _scale(h, k3)), t + h)
+        y = _add(y, _scale(h / 6, _add(_add(_add(k1, _scale(2.0, k2)), _scale(2.0, k3)), k4)))
     return y
 
 
@@ -304,6 +334,24 @@ class TestRK78AgainstReference:
         # the rounding of the two sums to about 1e-8 relative
         assert block[:13] == reference[:13]
         np.testing.assert_allclose(block, reference, rtol=1e-7, atol=0)
+
+
+class TestRK4AgainstReference:
+    @pytest.mark.parametrize("rhs,y0", [
+        (forced_oscillator, np.array([1.0, 0.5])),
+        (forced_oscillator, np.random.default_rng(3).normal(size=(6, 2))),
+        (forced_oscillator, _POLY),
+        (oscillator_with_information, Stacked(_POLY, np.eye(2))),
+    ], ids=["vector", "batch", "polynomial", "stacked"])
+    def test_leaf_block_matches_state_arithmetic(self, rhs, y0):
+        # RK4 on the flat vector of float leaves takes the same elementwise
+        # operations in the same order as RK4 on the state's own arithmetic
+        got = integrate(rhs, y0, 0.0, 3.0, IntegratorSpec("rk4_fixed", step_size=0.07))
+        want = reference_rk4(rhs, y0, 0.0, 3.0, 0.07)
+        assert type(got) is type(want)
+        for g, w in zip(_arrays(got), _arrays(want), strict=True):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
 
 
 class TestRK78StageBuffer:

@@ -501,50 +501,79 @@ class TestNormalizeQuaternionBlock:
         np.testing.assert_allclose(np.linalg.norm(out[:, :4], axis=1), np.ones(5))
 
 
+FINE_TRUTH_PERIOD = 2.0
+
+
+@pytest.fixture(scope="module")
+def fine_rk4_truth():
+    """The truth's states every 2 s over 120 s, by RK4 at dt = 1e-3."""
+    rhs = lambda s, t: models.attitude_rhs(s, models.DEFAULT_PARAMS)
+    spec = IntegratorSpec("rk4_fixed", step_size=1e-3)
+    x = models.DEFAULT_INITIAL_STATE.as_vector()
+    states = []
+    for k in range(round(120.0 / FINE_TRUTH_PERIOD)):
+        x = integrate(rhs, x, k * FINE_TRUTH_PERIOD, (k + 1) * FINE_TRUTH_PERIOD, spec)
+        states.append(x)
+    return np.array(states)
+
+
 class TestSimulateTruth:
     def test_quaternion_norm_drift(self):
         log = models.simulate_truth(models.DEFAULT_INITIAL_STATE,
-                                    models.DEFAULT_PARAMS, 120.0, 0.01, 2.0, seed=1)
+                                    models.DEFAULT_PARAMS, 120.0, None, 2.0, seed=1)
         norms = np.linalg.norm(log.states[:, :4], axis=1)
         assert np.abs(norms - 1.0).max() < 1e-9
 
     def test_kinetic_energy_conserved_without_torque(self):
         log = models.simulate_truth(models.DEFAULT_INITIAL_STATE,
-                                    models.DEFAULT_PARAMS, 120.0, 0.01, 2.0, seed=1)
+                                    models.DEFAULT_PARAMS, 120.0, None, 2.0, seed=1)
         w = log.states[:, 4:7]
         ke = 0.5 * np.einsum("ni,ij,nj->n", w, models.DEFAULT_PARAMS.inertia, w)
         assert np.abs(ke - ke[0]).max() < 1e-9 * ke[0]
 
     def test_zero_noise_mode_reproduces_model(self):
         log = models.simulate_truth(models.DEFAULT_INITIAL_STATE,
-                                    models.DEFAULT_PARAMS, 6.0, 0.01, 2.0, seed=None)
+                                    models.DEFAULT_PARAMS, 6.0, None, 2.0, seed=None)
         model = models.stacked_measurement()
         for k in range(len(log.times)):
             np.testing.assert_array_equal(log.measurements[k], model.h(log.states[k]))
 
     def test_noise_is_seeded(self):
         a = models.simulate_truth(models.DEFAULT_INITIAL_STATE,
-                                  models.DEFAULT_PARAMS, 4.0, 0.01, 2.0, seed=3)
+                                  models.DEFAULT_PARAMS, 4.0, None, 2.0, seed=3)
         b = models.simulate_truth(models.DEFAULT_INITIAL_STATE,
-                                  models.DEFAULT_PARAMS, 4.0, 0.01, 2.0, seed=3)
+                                  models.DEFAULT_PARAMS, 4.0, None, 2.0, seed=3)
         np.testing.assert_array_equal(a.measurements, b.measurements)
 
     def test_meas_period_must_divide(self):
         with pytest.raises(ValueError, match="multiple"):
             models.simulate_truth(models.DEFAULT_INITIAL_STATE,
-                                  models.DEFAULT_PARAMS, 4.0, 0.03, 2.0, seed=1)
+                                  models.DEFAULT_PARAMS, 4.0, None, 3.0, seed=1)
 
-    @pytest.mark.parametrize("duration,dt,message", [
-        (4.0, 1e12, r"meas_period must be a whole multiple \(>= 1\) of dt"),
-        (float("inf"), 0.01, "duration must be positive and finite"),
-    ], ids=["dt", "duration"])
-    def test_grid_refuses_unrunnable_values(self, duration, dt, message):
+    @pytest.mark.parametrize("duration,meas_period,message", [
+        (4.0, float("inf"), "meas_period must be positive and finite"),
+        (float("inf"), 2.0, "duration must be positive and finite"),
+    ], ids=["meas_period", "duration"])
+    def test_grid_refuses_unrunnable_values(self, duration, meas_period, message):
         with pytest.raises(ValueError, match=message):
             models.simulate_truth(models.DEFAULT_INITIAL_STATE,
-                                  models.DEFAULT_PARAMS, duration, dt, 2.0, seed=1)
+                                  models.DEFAULT_PARAMS, duration, None, meas_period, seed=1)
 
     @pytest.mark.parametrize("duration", [5.0, 1.0])
     def test_duration_must_be_whole_epochs(self, duration):
         with pytest.raises(ValueError, match="duration must be a whole multiple"):
             models.simulate_truth(models.DEFAULT_INITIAL_STATE,
-                                  models.DEFAULT_PARAMS, duration, 0.01, 2.0, seed=1)
+                                  models.DEFAULT_PARAMS, duration, None, 2.0, seed=1)
+
+    @pytest.mark.parametrize("duration,meas_period,bound", [
+        (120.0, 2.0, 1e-11),
+        (60.0, 10.0, 2.5e-10),
+    ], ids=["2s-period", "10s-period"])
+    def test_matches_fixed_step_rk4(self, fine_rk4_truth, duration, meas_period, bound):
+        # RK7(8) from one measurement to the next lands within its error
+        # control of RK4 at dt = 1e-3 (measured 5.8e-12 and 1.1e-10)
+        log = models.simulate_truth(models.DEFAULT_INITIAL_STATE, models.DEFAULT_PARAMS,
+                                    duration, None, meas_period, seed=None)
+        every = round(meas_period / FINE_TRUTH_PERIOD)
+        reference = fine_rk4_truth[every - 1:len(log.times) * every:every]
+        assert np.abs(log.states - reference).max() < bound
