@@ -67,10 +67,11 @@ class AlgebraContext:
     degree ``max_order``.
 
     Holds the monomial basis, its degree ladder and the multiplication
-    table shared by every polynomial in the context.  The table and its slot
-    index are built on the first product of each ``(n_vars, max_order)``
-    shape in a process and kept, so a fresh context of a shape already used
-    builds none.
+    table shared by every polynomial in the context.  The basis and ladder
+    are built by the first context of each ``(n_vars, max_order)`` shape in
+    a process, the table and its slot index on the shape's first product,
+    and all are kept, so a fresh context of a shape already used builds
+    none.
     """
 
     def __init__(self, n_vars: int, max_order: int):
@@ -80,34 +81,12 @@ class AlgebraContext:
             raise ValueError(f"max_order must be >= 1, got {max_order}")
         self.n_vars = int(n_vars)
         self.max_order = int(max_order)
-
-        exps = []
-        index = {}
-        for degree in range(max_order + 1):
-            for combo in itertools.combinations_with_replacement(range(n_vars), degree):
-                e = [0] * n_vars
-                for v in combo:
-                    e[v] += 1
-                index[tuple(e)] = len(exps)
-                exps.append(e)
-        self.exponents = np.array(exps, dtype=np.int64)
-        self.size = len(exps)
-        self.degrees = self.exponents.sum(axis=1)
-        self._index = index
-        # monomials are degree-sorted: degree d occupies [starts[d], starts[d + 1])
-        self._degree_starts = starts = np.searchsorted(self.degrees, np.arange(max_order + 2))
-        # the monomial ladder: in graded-lex order the degree-d monomials
-        # (d >= 2) with lowest variable v form a run, which is the tail of the
-        # degree-(d - 1) block with lowest variable >= v times x_v, in order;
-        # (dst, lo, hi, v) writes rows[lo:hi] * x_v at dst
-        lowest = np.argmax(self.exponents > 0, axis=1)
-        self._ladder = []
-        for d in range(2, max_order + 1):
-            dst = int(starts[d])
-            for v in range(n_vars):
-                lo = int(starts[d - 1] + np.searchsorted(lowest[starts[d - 1]:starts[d]], v))
-                self._ladder.append((dst, lo, int(starts[d]), v))
-                dst += int(starts[d]) - lo
+        key = (self.n_vars, self.max_order)
+        if key not in _BASES:
+            _BASES[key] = _build_basis(*key)
+        (self.exponents, self.degrees, self._index, self._degree_starts,
+         self._ladder) = _BASES[key]
+        self.size = len(self.exponents)
         self._products = None
 
     def __repr__(self):
@@ -160,6 +139,46 @@ class AlgebraContext:
             else:
                 np.multiply(rows[lo:hi], rows[1 + v], out=rows[dst:dst + hi - lo])
         return DAScalar(x.ctx, rows) if poly else rows.T
+
+
+def _build_basis(n_vars: int, max_order: int) -> tuple:
+    """The basis of one ``(n_vars, max_order)`` shape, as
+    :class:`AlgebraContext` holds it: exponents, degrees, the index of each
+    exponent tuple, the start of each degree's block and the monomial
+    ladder.  The arrays are read-only, since every context of the shape
+    shares them."""
+    exps = []
+    index = {}
+    for degree in range(max_order + 1):
+        for combo in itertools.combinations_with_replacement(range(n_vars), degree):
+            e = [0] * n_vars
+            for v in combo:
+                e[v] += 1
+            index[tuple(e)] = len(exps)
+            exps.append(e)
+    exponents = np.array(exps, dtype=np.int64)
+    degrees = exponents.sum(axis=1)
+    # monomials are degree-sorted: degree d occupies [starts[d], starts[d + 1])
+    starts = np.searchsorted(degrees, np.arange(max_order + 2))
+    # the monomial ladder: in graded-lex order the degree-d monomials
+    # (d >= 2) with lowest variable v form a run, which is the tail of the
+    # degree-(d - 1) block with lowest variable >= v times x_v, in order;
+    # (dst, lo, hi, v) writes rows[lo:hi] * x_v at dst
+    lowest = np.argmax(exponents > 0, axis=1)
+    ladder = []
+    for d in range(2, max_order + 1):
+        dst = int(starts[d])
+        for v in range(n_vars):
+            lo = int(starts[d - 1] + np.searchsorted(lowest[starts[d - 1]:starts[d]], v))
+            ladder.append((dst, lo, int(starts[d]), v))
+            dst += int(starts[d]) - lo
+    for a in (exponents, degrees, starts):
+        a.setflags(write=False)
+    return exponents, degrees, index, starts, tuple(ladder)
+
+
+# (n_vars, max_order) -> the tuple of _build_basis
+_BASES = {}
 
 
 class _Products:
@@ -574,7 +593,14 @@ def DAVector(components, center) -> DAScalar:
 def identity_map(ctx: AlgebraContext, center) -> DAScalar:
     """The map ``center_i + d_i``, one component per entry of ``center``."""
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    return stack([make_variable(ctx, c, i) for i, c in enumerate(center)], 0)
+    n = len(center)
+    if center.ndim != 1 or n > ctx.n_vars:
+        raise ValueError(f"center of shape {center.shape} has no variable per entry in {ctx!r}")
+    coeffs = np.zeros((n, ctx.size))
+    coeffs[:, 0] = center
+    # degree-1 monomials sit right after the constant, in variable order
+    coeffs[np.arange(n), 1 + np.arange(n)] = 1.0
+    return DAScalar(ctx, coeffs)
 
 
 def compose(outer: DAScalar, inner: DAScalar) -> DAScalar:

@@ -9,7 +9,7 @@ the image of the current estimate.  The baseline filter does the same work
 with direct numerical integration of every particle.  The dynamics are
 deterministic, so that one map is the only evaluation path.  Both filters
 integrate the dynamics with ``DYNAMICS_SPEC`` and the measurement flow with
-``FLOW_SPEC``, one RK7(8) call over the flow's log pseudo-time, whose
+``FLOW_SPEC``, one DOP853 call over the flow's log pseudo-time, whose
 step count follows the flow's error: many steps on a track's first epochs,
 one on a converged epoch.  The attitude truth
 (:func:`daflow.models.simulate_truth`) runs ``DYNAMICS_SPEC`` too, so no
@@ -54,12 +54,12 @@ __all__ = [
     "baseline_pff_step",
 ]
 
-# RK7(8) holds the map's integration error far below its truncation error in a few steps
-DYNAMICS_SPEC = IntegratorSpec("rk78_adaptive")
-# one RK7(8) call over the flow's log pseudo-time (daflow.flow._flow); its
+# DOP853 holds the map's integration error far below its truncation error in a few steps
+DYNAMICS_SPEC = IntegratorSpec("dop853")
+# one DOP853 call over the flow's log pseudo-time (daflow.flow._flow); its
 # integration error stays far below the order-2 attitude map's truncation
 # error, 1.6e-3 at most and 1.2e-5 at the median particle
-FLOW_SPEC = IntegratorSpec("rk78_adaptive", tolerance=1e-6)
+FLOW_SPEC = IntegratorSpec("dop853", tolerance=1e-6)
 
 
 @dataclass

@@ -35,12 +35,12 @@ __all__ = [
     "emit_csv",
 ]
 
-# flow integrator per scenario, each one RK7(8) call over the log
+# flow integrator per scenario, each one DOP853 call over the log
 # pseudo-time: the attitude filter's, and for the toy the default tolerance,
 # 1e-10, since the toy's DA-vs-ODE agreement is the accuracy oracle of the
 # flow map
 FLOW_SPECS = {
-    "toy_range": IntegratorSpec("rk78_adaptive"),
+    "toy_range": IntegratorSpec("dop853"),
     "attitude": FLOW_SPEC,
 }
 # the attitude filter's settings, which the toy's single flow update has none of

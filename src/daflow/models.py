@@ -345,7 +345,7 @@ def measurement_epochs(duration: float, meas_period: float) -> int:
 def simulate_truth(x0: AttitudeState, params: RigidBodyParams, duration: float,
                    dt, meas_period: float, seed) -> TruthLog:
     """Propagate the truth from one measurement to the next with the
-    filters' ``DYNAMICS_SPEC`` (adaptive RK7(8)) and log noisy measurements.
+    filters' ``DYNAMICS_SPEC`` (adaptive DOP853) and log noisy measurements.
 
     ``dt`` is not read; the library passes None.  ``seed=None`` disables
     measurement noise entirely.

@@ -148,8 +148,9 @@ class TestCriterion5MapCombination:
                             IntegratorSpec("rk4_fixed", step_size=0.01))
         prior_a = GaussianBelief(stpm_a.constant, models.INITIAL_STATE_COV)
         flow_args_a = (model, model.h(stpm_a.constant), None)
-        # 50 fixed RK4 steps: at y = h(prior mean) RK7(8) takes one step,
-        # and its error estimate misses the map's moving coefficients
+        # 50 fixed RK4 steps: at y = h(prior mean) the running mean does not
+        # move, and DOP853's error estimate reads no map coefficient but the
+        # constant ones
         fifty_steps = IntegratorSpec("rk4_fixed", step_size=0.02)
         fmap_a = build_flow_map(prior_a, *flow_args_a, 2, fifty_steps)
         combined_a = build_flow_map(prior_a, *flow_args_a, stpm_a, fifty_steps)

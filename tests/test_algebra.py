@@ -414,6 +414,33 @@ class TestContext:
         assert len(other[0]) != len(table[0])
         assert not any(t is u for t, u in zip(other, table))
 
+    def test_basis_is_built_once_per_shape(self, monkeypatch):
+        built = []
+        build = da._build_basis
+
+        def counted_build(n_vars, max_order):
+            built.append((n_vars, max_order))
+            return build(n_vars, max_order)
+
+        monkeypatch.setattr(da, "_BASES", {})
+        monkeypatch.setattr(da, "_build_basis", counted_build)
+        a, b = da.AlgebraContext(3, 4), da.AlgebraContext(3, 4)
+        assert built == [(3, 4)]
+        assert a.exponents is b.exponents and a._ladder is b._ladder
+        # every context of the shape reads the arrays, so none may write them
+        with pytest.raises(ValueError, match="read-only"):
+            a.degrees[0] = 1
+        assert da.AlgebraContext(4, 3).size == a.size and built == [(3, 4), (4, 3)]
+
+    def test_identity_map_is_one_variable_per_entry(self):
+        ctx = da.AlgebraContext(3, 2)
+        got = da.identity_map(ctx, [1.5, -2.0])
+        want = da.stack([da.make_variable(ctx, 1.5, 0), da.make_variable(ctx, -2.0, 1)], 0)
+        np.testing.assert_array_equal(got.coeffs, want.coeffs)
+        assert da.identity_map(ctx, 4.0).coeffs.shape == (1, ctx.size)
+        with pytest.raises(ValueError, match="no variable per entry"):
+            da.identity_map(ctx, np.zeros(4))
+
 
 class TestEvaluationHomomorphism:
     def test_mul_exact_within_budget(self):

@@ -155,3 +155,31 @@ def test_resolved_worse_move_within_the_bound_is_named():
         "toy-range.step_rel: worse, within bound, move +4.2%, parent IQR 0.4%, bound 25%",
         "toy-range.step_tail_rel: within bound, move +6.7%, parent IQR 11.7%, bound 25%",
     ]
+
+
+def test_peak_memory_row_shows_the_operations_attempted():
+    # peak_rss_mb grows with the operations a run makes, so its row carries
+    # each side's median count, read off the report lines of each run
+    def run(rss, attempted):
+        lines = [json.dumps({"provenance": {"seed": 1}}),
+                 json.dumps({"report": {"workload": "toy-range", "attempted": attempted}}),
+                 json.dumps({"report": {"workload": "attitude-da", "attempted": 7}})]
+        return {"correct": True, "attempted": attempted + 7, "failed": 0,
+                "attempted_by_workload": bench_pairs.attempted_by_workload(lines),
+                "metrics": {"toy-range.peak_rss_mb": {"value": rss, "unit": "MB"},
+                            "toy-range.step_rel": {"value": 5.0, "unit": "ref"}}}
+
+    pairs = [(run(44.0, 116), run(45.0, 170)), (run(44.2, 120), run(45.1, 180)),
+             (run(44.1, 118), run(45.3, 176))]
+    assert pairs[0][0]["attempted_by_workload"] == {"toy-range": 116, "attitude-da": 7}
+    rows = {r["metric"]: r for r in bench_pairs.summarize(pairs)}
+    assert rows["toy-range.peak_rss_mb"]["attempted"] == (118, 176)
+    assert rows["toy-range.step_rel"]["attempted"] is None
+    table = bench_pairs.format_rows(bench_pairs.summarize(pairs)).splitlines()
+    assert table[1].split()[-4:] == ["attempted", "118", "->", "176"]
+    assert table[2].split()[-1] == "no"  # no count on other rows
+    # a log written before the counts were kept has none to show
+    for pair in pairs:
+        del pair[1]["attempted_by_workload"]
+    rows = {r["metric"]: r for r in bench_pairs.summarize(pairs)}
+    assert rows["toy-range.peak_rss_mb"]["attempted"] is None

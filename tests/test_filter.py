@@ -22,6 +22,7 @@ from daflow.integrate import IntegratorSpec, integrate
 from daflow import models
 from daflow.harness import ScenarioConfig
 from test_flow import CONFIGS, kalman_information_update, linear_model, record_integrations
+from test_integrate import rejected_attempts
 
 RK4 = IntegratorSpec("rk4_fixed", step_size=0.01)
 # fixed-step flows over the log pseudo-time tau: 200 RK4 steps, and 50, as
@@ -71,7 +72,7 @@ class TestBuildStpm:
         np.testing.assert_allclose(stpm.constant, direct, rtol=1e-12)
 
     def test_adaptive_attitude_map_against_fine_reference(self):
-        # rk78_adaptive controls its error on constant parts only, so pin
+        # DOP853 controls its error on constant parts only, so pin
         # every coefficient of the attitude STPM, and a particle batch,
         # against fine-step RK4 over one 2 s epoch.  Truncated arithmetic
         # commutes with truncation and graded-lex bases nest, so the order-3
@@ -80,7 +81,7 @@ class TestBuildStpm:
         rng = np.random.default_rng(5)
         dyn = models.attitude_dynamics()
         fine = IntegratorSpec("rk4_fixed", step_size=1e-3)
-        adaptive = IntegratorSpec("rk78_adaptive")
+        adaptive = IntegratorSpec("dop853")
         x0 = models.DEFAULT_INITIAL_STATE.as_vector()
         draws = rng.multivariate_normal(x0, models.INITIAL_STATE_COV, size=2)
         for center in [x0, *models.normalize_quaternion_block(draws)]:
@@ -89,17 +90,17 @@ class TestBuildStpm:
             for order in (1, 2, 3):
                 got = build_stpm(center, dyn, 0.0, 2.0, order, adaptive).coeffs
                 err = np.abs(got - ref[:, :got.shape[1]]).max(axis=1) / scale
-                # at most 1.7e-11, 4.0e-10 and 6.9e-9 at orders 1, 2 and 3;
+                # at most 2.5e-12, 7.6e-11 and 1.9e-9 at orders 1, 2 and 3;
                 # 1e-7 is still four orders of magnitude below the order-2
                 # map's own truncation error, 6.9e-3 at the initial spread
                 assert err.max() < 1e-7, (order, err.max())
         particles = rng.multivariate_normal(x0, models.INITIAL_STATE_COV, size=2500)
         got = integrate(dyn.f, particles, 0.0, 2.0, adaptive)
         ref = integrate(dyn.f, particles, 0.0, 2.0, fine)
-        assert np.abs(got - ref).max() < 1e-10  # 3.3e-12
+        assert np.abs(got - ref).max() < 1e-10  # 9.2e-12
 
     def test_attitude_epoch_takes_one_attempt(self, monkeypatch):
-        # the tracer counts RK7(8) attempts off the rhs t values
+        # one accepted attempt: its first stage and 12 more right-hand sides
         cfg = ScenarioConfig.from_json(CONFIGS / "attitude.json")
         calls = record_integrations(monkeypatch, dfilter)
         build_stpm(models.DEFAULT_INITIAL_STATE.as_vector(), models.attitude_dynamics(),
@@ -168,8 +169,9 @@ class TestFlowFromStpm:
         stpm = build_stpm(x0, dyn, 0.0, 2.0, 2, RK4)
         prior = GaussianBelief(stpm.constant, models.INITIAL_STATE_COV)
         truth_meas = model.h(stpm.constant)
-        # a fixed-step flow: at y = h(prior mean) RK7(8) takes one step and
-        # its error estimate misses the map's moving coefficients
+        # a fixed-step flow: at y = h(prior mean) the running mean does not
+        # move, and DOP853's error estimate reads no map coefficient but
+        # the constant ones
         fmap = build_flow_map(prior, model, truth_meas, None, 2, FIFTY_STEPS)
         combined = build_flow_map(prior, model, truth_meas, None, stpm, FIFTY_STEPS)
         for _ in range(100):
@@ -200,10 +202,27 @@ class TestFlowFromStpm:
             np.testing.assert_allclose(da.evaluate(combined, d), expected,
                                        rtol=1e-6, atol=1e-8)
 
+    def test_flow_spec_map_at_a_still_mean_is_error_controlled(self):
+        # at y = h(prior mean) the running mean does not move, so the only
+        # leaf whose error steers the steps is the information J, a
+        # quadrature in tau.  DOP853 reads its error and lands within 4.6e-9
+        # of 200 RK4 steps at 200 prior draws; a pair whose estimate reads
+        # such a quadrature as exact takes one step and lands 17 off
+        x0 = models.DEFAULT_INITIAL_STATE.as_vector()
+        stpm = build_stpm(x0, models.attitude_dynamics(), 0.0, 2.0, 2, RK4)
+        prior = GaussianBelief(stpm.constant, models.INITIAL_STATE_COV)
+        model = models.stacked_measurement()
+        y = model.h(stpm.constant)
+        d = np.random.default_rng(0).multivariate_normal(
+            np.zeros(10), models.INITIAL_STATE_COV, size=200)
+        got, want = (da.evaluate_many(build_flow_map(prior, model, y, None, 2, spec), d)
+                     for spec in (dfilter.FLOW_SPEC, TAU_RK4))
+        assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
+
     @pytest.mark.parametrize("route", ["map", "ode"])
     def test_track_start_epoch_under_flow_spec(self, route, monkeypatch):
         # the first epoch of a 10 s arc: an estimate one prior draw off the
-        # truth, at the initial covariance.  RK7(8)'s first attempt spans
+        # truth, at the initial covariance.  DOP853's first attempt spans
         # all of pseudo-time and is rejected; on the ODE route it overflows
         # at some particles, which must warn nothing.  The call still takes
         # fewer rhs than the 200 of RK4 on the retired 50-segment schedule
@@ -232,9 +251,8 @@ class TestFlowFromStpm:
                 out = dflow.flow_ensemble_ode(predicted, prior, model, y, None,
                                               dfilter.FLOW_SPEC)
         [(t0, t1, ts)] = calls
-        starts = ts[::13]
-        assert (t0, t1) == (0.0, 1.0) and len(ts) % 13 == 0
-        assert any(a == b for a, b in zip(starts, starts[1:]))  # a rejected attempt
+        assert (t0, t1) == (0.0, 1.0) and len(ts) % 12 == 1
+        assert any(rejected_attempts(ts))
         assert len(ts) < 200
         assert np.isfinite(out).all()
 

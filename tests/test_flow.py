@@ -29,7 +29,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # the fixed-step reference: 200 RK4 steps over the log pseudo-time tau
 TAU_RK4 = IntegratorSpec("rk4_fixed", step_size=0.005)
-RK78 = IntegratorSpec("rk78_adaptive")
+DOP853 = IntegratorSpec("dop853")
 
 
 def linear_model(A, R):
@@ -148,10 +148,10 @@ class TestCovRhs:
         np.testing.assert_array_equal(post.cov, P0)
 
     def test_scalar(self):
-        # P0 = R = 1 gives P1 = 1/2; one RK7(8) call over the log
+        # P0 = R = 1 gives P1 = 1/2; one DOP853 call over the log
         # pseudo-time lands there within its tolerance, 1e-10
         model = linear_model([[1.0]], [[1.0]])
-        post = flow_mean_cov(GaussianBelief([0.0], [[1.0]]), model, [0.0], RK78)
+        post = flow_mean_cov(GaussianBelief([0.0], [[1.0]]), model, [0.0], DOP853)
         assert post.cov[0, 0] == pytest.approx(0.5, rel=1e-10)
 
     def test_scalar_closed_form(self):
@@ -221,10 +221,10 @@ class TestBuildFlowMap:
         assert fmap.coeffs.shape == (3, 4)  # constant + one slope per variable
 
     def test_toy_flow_is_one_integration_over_unit_time(self, monkeypatch):
-        # one RK7(8) call over the log pseudo-time [0, 1], whose step
+        # one DOP853 call over the log pseudo-time [0, 1], whose step
         # control spends fewer rhs calls than one attempt in each of the 50
-        # segments the retired schedule took (650); the tracer counts
-        # attempts off the rhs t values, 13 per attempt
+        # segments the retired schedule took (650); the first attempt
+        # evaluates 13 right-hand sides and every later one 12
         toy = ScenarioConfig.from_json(CONFIGS / "toy.json")
         calls = record_integrations(monkeypatch, dflow)
         build_flow_map(GaussianBelief(TOY_PRIOR_MEAN, TOY_PRIOR_COV),
@@ -232,18 +232,18 @@ class TestBuildFlowMap:
                        toy.order, toy.flow_spec())
         assert [(t0, t1) for t0, t1, _ in calls] == [(0.0, 1.0)]
         ts = calls[0][2]
-        assert len(ts) % 13 == 0 and ts[0] == 0.0
+        assert len(ts) % 12 == 1 and ts[0] == 0.0
         assert len(ts) < 650
 
     @pytest.mark.parametrize("noise", [0.3, 1e-6])
     def test_adaptive_flow_lands_on_kalman(self, linear_case, noise):
-        # one RK7(8) call over the log pseudo-time reaches l = 1 however
+        # one DOP853 call over the log pseudo-time reaches l = 1 however
         # informative the measurement: kappa = tr(P0 A^T R^-1 A) is 34 and
         # 1e7 here, and the mean and P1 are the Kalman posterior's
         A, _, P0, x0, y = linear_case
         R = noise * np.eye(2)
         fmap, p1 = build_flow_map(GaussianBelief(x0, P0), linear_model(A, R), y, None, 1,
-                                  RK78, return_cov=True)
+                                  DOP853, return_cov=True)
         x_k, p_k = kalman_information_update(x0, P0, A, R, y)
         assert np.abs(fmap.constant - x_k).max() <= 1e-8 * np.abs(x_k).max()
         assert np.abs(p1 - p_k).max() <= 1e-8 * np.abs(p_k).max()
@@ -342,8 +342,8 @@ class TestFlowEnsembleOde:
                 np.testing.assert_allclose(p1, p1_map, atol=1e-14)
                 np.testing.assert_allclose(p1, post.cov, rtol=1e-12)
             else:
-                # RK7(8) measures the ODE route's error at every particle, so
-                # that route picks its own steps: 3.2e-11 apart on the toy
+                # DOP853 measures the ODE route's error at every particle, so
+                # that route picks its own steps: 2.7e-12 apart on the toy
                 np.testing.assert_allclose(p1, post.cov, rtol=1e-10)
 
     def test_toy_ring_concentration(self):
@@ -351,7 +351,7 @@ class TestFlowEnsembleOde:
         prior = GaussianBelief([-3.5, 0.0], [[1.0, 0.5], [0.5, 1.0]])
         rng = np.random.default_rng(9)
         X0 = rng.multivariate_normal(prior.mean, prior.cov, size=400)
-        out = flow_ensemble_ode(X0, prior, model, [1.0], None, RK78)
+        out = flow_ensemble_ode(X0, prior, model, [1.0], None, DOP853)
         radii = np.linalg.norm(out, axis=1)
         assert np.mean(np.abs(radii - 1.0) < 0.3) >= 0.9
         # the posterior hugs the prior's side of the ring (rare far-tail
@@ -430,13 +430,13 @@ class TestValidation:
             Ensemble(np.array([[0.0, np.inf], [1.0, 2.0]]))
 
     def test_one_huge_step_gives_the_kalman_cov(self):
-        # RK7(8)'s first attempt spans all of tau in [0, 1]; in the log
+        # DOP853's first attempt spans all of tau in [0, 1]; in the log
         # pseudo-time the information's rate is smooth however informative
         # y is (kappa = 1e4 here), so the call lands on the Kalman
         # covariance within its tolerance, 1e-10
         model = linear_model([[1.0]], [[1e-4]])
         prior = GaussianBelief([0.0], [[1.0]])
-        post = flow_mean_cov(prior, model, [0.5], RK78)
+        post = flow_mean_cov(prior, model, [0.5], DOP853)
         _, p_k = kalman_information_update(prior.mean, prior.cov, np.eye(1), model.noise_cov,
                                            [0.5])
         assert np.abs(post.cov - p_k).max() <= 1e-10 * np.abs(p_k).max()
@@ -444,7 +444,7 @@ class TestValidation:
     @pytest.mark.parametrize("kind", ["moments", "map", "ode"])
     def test_one_step_runs_every_route(self, kind):
         # a linear flow whose one unit step in l made the covariance law's
-        # P1 indefinite (eigenvalues -0.092, 0.712); RK7(8)'s first attempt
+        # P1 indefinite (eigenvalues -0.092, 0.712); DOP853's first attempt
         # spans all of tau in [0, 1], and the information law returns the
         # Kalman P1 on every route
         A = [[0.8402512931077276, -1.3118265094485249],
@@ -456,13 +456,13 @@ class TestValidation:
         y = [0.3, -0.2]
         X0 = np.random.default_rng(13).multivariate_normal(prior.mean, prior.cov, size=4)
         if kind == "moments":
-            post = flow_mean_cov(prior, model, y, RK78)
+            post = flow_mean_cov(prior, model, y, DOP853)
             out, p1 = post.mean, post.cov
         elif kind == "map":
-            fmap, p1 = build_flow_map(prior, model, y, None, 1, RK78, return_cov=True)
+            fmap, p1 = build_flow_map(prior, model, y, None, 1, DOP853, return_cov=True)
             out = fmap.coeffs
         else:
-            out, p1 = flow_ensemble_ode(X0, prior, model, y, None, RK78, return_cov=True)
+            out, p1 = flow_ensemble_ode(X0, prior, model, y, None, DOP853, return_cov=True)
         _, p_k = kalman_information_update(prior.mean, prior.cov, np.asarray(A), R, y)
         assert np.isfinite(out).all()
         assert np.abs(p1 - p_k).max() <= 1e-12 * np.abs(p_k).max()

@@ -104,10 +104,11 @@ def test_scaled_attitude_rmse_matches_pinned_csv(attitude_mc_scaled):
 
     The filter's feedback grows a round-off change in h or the flow about
     1e5-fold, so the CSV cannot be pinned byte for byte.  1e-8 is 150 times
-    the largest move a round-off or integrator change has caused (6.5e-11)
-    and 1e4 times below the move of a new flow law (1.4e-4).  Regenerate the
-    file, with BLAS on one thread, only for a change that moves the filter on
-    purpose::
+    the largest move a round-off change has caused (6.5e-11) and 1e4 times
+    below the move of a new flow law (1.4e-4).  A new integrator pair moves
+    it by up to the flow's tolerance (Fehlberg 7(8) to DOP853: 4.6e-7).
+    Regenerate the file, with BLAS on one thread, only for a change that
+    moves the filter on purpose::
 
         OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=src \
             python3 -m daflow.cli attitude --config configs/attitude_scaled.json --out OUT
@@ -129,7 +130,7 @@ def test_toy_particles_match_pinned_csv(toy_sweep):
     per-particle ODE posteriors to ``TOY_RTOL``.
 
     The toy is one update with no feedback, but a round-off change can still
-    flip an adaptive RK7(8) step or a particle's route: scaling h by
+    flip an adaptive step or a particle's route: scaling h by
     1 + 1e-14 moved the posteriors by up to 4.4e-10 relative.  1e-8 is 20
     times that and 5e4 times below the map's own DA-vs-ODE discrepancy (RMS
     5.1e-4).  Regenerate the file, with BLAS on one thread, only for a

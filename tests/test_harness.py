@@ -52,9 +52,9 @@ class TestScenarioConfig:
         assert cfg == ScenarioConfig(
             scenario="attitude", order=2, n_particles_per_dim=250, n_mc=100,
             duration=120.0, meas_period=2.0, seed=0)
-        assert DYNAMICS_SPEC == IntegratorSpec("rk78_adaptive")
+        assert DYNAMICS_SPEC == IntegratorSpec("dop853")
         assert harness.FLOW_SPECS["attitude"] is FLOW_SPEC
-        assert committed("toy").flow_spec() == IntegratorSpec("rk78_adaptive")
+        assert committed("toy").flow_spec() == IntegratorSpec("dop853")
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys: particles"):

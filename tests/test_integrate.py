@@ -10,7 +10,7 @@ from daflow.integrate import IntegrationError, IntegratorSpec, Stacked, integrat
 # the package exports the function integrate under the module's name
 INTEGRATE = importlib.import_module("daflow.integrate")
 RK4 = IntegratorSpec("rk4_fixed", step_size=0.01)
-RK78 = IntegratorSpec("rk78_adaptive")
+DOP853 = IntegratorSpec("dop853")
 
 
 def exponential(y, t):
@@ -32,8 +32,8 @@ class TestSpecValidation:
 
     def test_rk78_takes_no_step(self):
         # an ignored step size would read as a setting that took effect
-        with pytest.raises(ValueError, match="rk78_adaptive takes no step_size"):
-            IntegratorSpec("rk78_adaptive", step_size=0.01)
+        with pytest.raises(ValueError, match="dop853 takes no step_size"):
+            IntegratorSpec("dop853", step_size=0.01)
 
     def test_rk4_takes_no_tolerance(self):
         with pytest.raises(ValueError, match="rk4_fixed takes no tolerance"):
@@ -42,11 +42,11 @@ class TestSpecValidation:
     @pytest.mark.parametrize("tolerance", [0.0, -1e-6, float("nan"), float("inf")])
     def test_rk78_needs_a_positive_finite_tolerance(self, tolerance):
         with pytest.raises(ValueError, match="tolerance"):
-            IntegratorSpec("rk78_adaptive", tolerance=tolerance)
+            IntegratorSpec("dop853", tolerance=tolerance)
 
     def test_rk78_tolerance_defaults_to_module_tolerance(self):
-        assert IntegratorSpec("rk78_adaptive").tolerance == INTEGRATE.TOLERANCE
-        assert IntegratorSpec("rk78_adaptive", tolerance=1e-6).tolerance == 1e-6
+        assert IntegratorSpec("dop853").tolerance == INTEGRATE.TOLERANCE
+        assert IntegratorSpec("dop853", tolerance=1e-6).tolerance == 1e-6
 
 
 def _infinite_coefficient(bundle=lambda poly: poly):
@@ -54,11 +54,12 @@ def _infinite_coefficient(bundle=lambda poly: poly):
     # constant parts only, so the step is accepted and the finiteness check trips
     ctx = da.AlgebraContext(1, 1)
     huge = bundle(da.DAScalar(ctx, np.array([0.0, 1e308])))
-    return integrate(lambda y, t: huge, huge, 0.0, 1.0, RK78)
+    return integrate(lambda y, t: huge, huge, 0.0, 1.0, DOP853)
 
 
 def _nan_rhs(y0, nan_of):
-    # the first attempt's error estimate is NaN: one attempt, 13 stages
+    # the first attempt's error estimate is NaN: one attempt, 13 right-hand
+    # sides (the first stage, 11 more and the derivative at its end)
     calls = []
 
     def rhs(y, t):
@@ -66,7 +67,7 @@ def _nan_rhs(y0, nan_of):
         return nan_of(y)
 
     try:
-        integrate(rhs, y0, 0.0, 1.0, RK78)
+        integrate(rhs, y0, 0.0, 1.0, DOP853)
     finally:
         assert len(calls) == 13
 
@@ -83,15 +84,15 @@ def _stacked_nan_rhs():
     (lambda: _nan_rhs(np.array([1.0]), lambda y: y * np.nan),
      IntegrationError, r"non-finite right-hand side at t=0\.0"),
     (_stacked_nan_rhs, IntegrationError, r"non-finite right-hand side at t=0\.0"),
-    (lambda: integrate(lambda y, t: -1e15 * y, np.array([1.0]), 0.0, 1.0, RK78),
-     IntegrationError, "rk78_adaptive step size collapsed"),
+    (lambda: integrate(lambda y, t: -1e15 * y, np.array([1.0]), 0.0, 1.0, DOP853),
+     IntegrationError, "dop853 step size collapsed"),
     (_infinite_coefficient, IntegrationError, r"non-finite state at t=1\.0"),
     (lambda: _infinite_coefficient(lambda poly: Stacked(poly, np.zeros((2, 2)))),
      IntegrationError, r"non-finite state at t=1\.0"),
 ], ids=["stacked-repr", "rk78-nan-rhs", "rk78-stacked-nan-rhs", "rk78-stiff-collapses",
         "rk78-accepts-infinite-coefficient", "rk78-stacked-accepts-infinite-coefficient"])
 def test_edge_paths(run, expected, match):
-    """Stacked's repr, and the RK7(8) failures, on plain and ``Stacked``
+    """Stacked's repr, and the DOP853 failures, on plain and ``Stacked``
     states: an exception type and message, or a value."""
     if match is None:
         assert run() == expected
@@ -153,15 +154,15 @@ class TestRK78:
         def ho(y, t):
             return np.array([y[1], -y[0]])
 
-        y = integrate(ho, np.array([1.0, 0.0]), 0.0, 2.0 * math.pi, RK78)
+        y = integrate(ho, np.array([1.0, 0.0]), 0.0, 2.0 * math.pi, DOP853)
         assert np.abs(y - [1.0, 0.0]).max() < 1e-8
 
     def test_loose_tolerance_is_less_accurate(self):
         def ho(y, t):
             return np.array([y[1], -y[0]])
 
-        y_tight = integrate(ho, np.array([1.0, 0.0]), 0.0, 20.0, RK78)
-        loose = IntegratorSpec("rk78_adaptive", tolerance=1e-4)
+        y_tight = integrate(ho, np.array([1.0, 0.0]), 0.0, 20.0, DOP853)
+        loose = IntegratorSpec("dop853", tolerance=1e-4)
         y_loose = integrate(ho, np.array([1.0, 0.0]), 0.0, 20.0, loose)
         exact = np.array([math.cos(20.0), -math.sin(20.0)])
         assert np.abs(y_tight - exact).max() < np.abs(y_loose - exact).max()
@@ -174,14 +175,14 @@ class TestRK78:
             return np.array([y[1], -y[0]])
 
         with pytest.raises(IntegrationError, match="max_steps"):
-            integrate(ho, np.array([1.0, 0.0]), 0.0, 100.0, RK78)
+            integrate(ho, np.array([1.0, 0.0]), 0.0, 100.0, DOP853)
 
     def test_stage_overflow_on_first_attempt_is_retried(self):
         # y' = -y^3, y(0) = 10: y(t) = 1 / sqrt(2 t + 0.01). The first attempt
         # spans all 10 s and its later stages overflow although rhs(y0) is
         # finite; the step is rejected and shrunk, not reported as a NaN RHS,
         # and no overflow warning escapes (the test suite makes it an error)
-        y = integrate(lambda y, t: -y ** 3, np.array([10.0]), 0.0, 10.0, RK78)
+        y = integrate(lambda y, t: -y ** 3, np.array([10.0]), 0.0, 10.0, DOP853)
         assert y[0] == pytest.approx(1.0 / math.sqrt(20.01), rel=1e-8)
 
 
@@ -192,8 +193,40 @@ class TestRK78:
         ctx = da.AlgebraContext(1, 2)
         y0 = Stacked(da.identity_map(ctx, [1.0]), np.array([10.0]))
         y = integrate(lambda s, t: Stacked(0.0 * s.parts[0], -s.parts[1] ** 3),
-                      y0, 0.0, 10.0, RK78)
+                      y0, 0.0, 10.0, DOP853)
         assert y.parts[1][0] == pytest.approx(1.0 / math.sqrt(20.01), rel=1e-8)
+
+
+class TestDOP853:
+    def test_time_only_rhs_is_error_controlled(self):
+        # y' = exp(10 t): every stage derivative depends on t alone, which
+        # a pair whose error weights pair off stages of equal c reads as 0
+        y = integrate(lambda y, t: np.array([math.exp(10 * t)]), np.array([0.0]),
+                      0.0, 1.0, DOP853)
+        assert y[0] == pytest.approx((math.exp(10) - 1) / 10, rel=1e-9)  # 8.5e-13
+
+    def test_tableau_is_consistent(self):
+        A, B, C = INTEGRATE._A, INTEGRATE._B, INTEGRATE._C
+        assert A.shape == (12, 12) and not np.triu(A).any()
+        np.testing.assert_allclose(A.sum(axis=1), C, rtol=0, atol=2e-15)
+        assert B.sum() == pytest.approx(1.0, abs=1e-15)
+        assert INTEGRATE._E3.sum() == pytest.approx(0.0, abs=1e-15)
+        assert INTEGRATE._E5.sum() == pytest.approx(0.0, abs=1e-15)
+
+    def test_tableau_matches_scipy(self):
+        # scipy is a test dependency only; the library reads numpy alone
+        pytest.importorskip("scipy")
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        n = ref.N_STAGES
+        pairs = [(INTEGRATE._A, ref.A[:n, :n]), (INTEGRATE._B, ref.B),
+                 (INTEGRATE._C, ref.C[:n]), (INTEGRATE._E3, ref.E3[:n]),
+                 (INTEGRATE._E5, ref.E5[:n])]
+        for mine, theirs in pairs:
+            assert mine.shape == theirs.shape
+            assert (np.abs(mine - theirs) <= np.spacing(np.abs(theirs))).all()
+        # scipy's error weights read the derivative at the step's end with weight 0
+        assert ref.E3[n] == ref.E5[n] == 0.0
 
 
 def _add(a, b):
@@ -229,33 +262,56 @@ def _leading_values(y):
     return np.asarray(y).ravel().astype(float)
 
 
-def reference_rk78(rhs, y0, t0, t1):
-    """The sequential Fehlberg 7(8) step on the state's own ``+`` and
-    ``*``: each stage a sum of scaled derivatives, zero weights skipped.
-    Same tableau, tolerance and step control as ``integrate``; no failure
-    checks."""
-    A, B7, B8, C = INTEGRATE._A, INTEGRATE._B7, INTEGRATE._B8, INTEGRATE._C
+def reference_dop853(rhs, y0, t0, t1):
+    """The sequential Dormand-Prince 8(5,3) step on the state's own ``+``
+    and ``*``: each stage a sum of scaled derivatives, zero weights
+    skipped, and the derivative at an accepted step's end the next step's
+    first stage.  Same tableau, tolerance, error norm and step control as
+    ``integrate``; no failure checks."""
+    A, B, C = INTEGRATE._A, INTEGRATE._B, INTEGRATE._C
+    tol = INTEGRATE.TOLERANCE
     t, y, h = t0, y0, t1 - t0
     tiny = 1e-14 * (t1 - t0)
+    k1 = rhs(y0, t0)
     while t < t1 - tiny:
         h = min(h, t1 - t)
-        ks = []
-        for s in range(13):
-            inc = _weighted_sum(zip(A[s, :s], ks))
-            ys = y if inc is None else _add(y, _scale(h, inc))
-            ks.append(rhs(ys, t + C[s] * h))
-        y8 = _add(y, _scale(h, _weighted_sum(zip(B8, ks))))
-        diff = h * sum((b8 - b7) * _leading_values(k)
-                       for b7, b8, k in zip(B7, B8, ks) if b8 != b7)
+        ks = [k1]
+        for s in range(1, 12):
+            ks.append(rhs(_add(y, _scale(h, _weighted_sum(zip(A[s, :s], ks)))), t + C[s] * h))
+        y8 = _add(y, _scale(h, _weighted_sum(zip(B, ks))))
+        end = rhs(y8, t + h)
         ref = np.maximum(np.abs(_leading_values(y)), np.abs(_leading_values(y8)))
-        err = float(np.max(np.abs(diff) / (INTEGRATE.TOLERANCE + INTEGRATE.TOLERANCE * ref)))
+
+        def scaled_max(E):
+            diff = h * sum(e * _leading_values(k) for e, k in zip(E, ks) if e)
+            return float(np.max(np.abs(diff) / (tol + tol * ref)))
+
+        err5, err3 = scaled_max(INTEGRATE._E5), scaled_max(INTEGRATE._E3)
+        denominator = err5 ** 2 + 0.01 * err3 ** 2
+        err = 0.0 if denominator == 0.0 else err5 ** 2 / math.sqrt(denominator)
         if err <= 1.0:
-            y, t = y8, t + h
+            y, t, k1 = y8, t + h, end
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
         else:
             factor = max(0.2, 0.9 * err ** -0.125)
         h = h * factor
     return y
+
+
+def attempt_ends(ts):
+    """The t at which each DOP853 attempt of one call ends, read off the t
+    of its rhs calls: the first attempt evaluates 13 right-hand sides and
+    every later one 12, the last of them at the attempt's end."""
+    assert len(ts) % 12 == 1, len(ts)
+    return ts[12::12]
+
+
+def rejected_attempts(ts):
+    """Whether each attempt but the last was rejected: a retry starts from
+    the same t with a shorter step, so it ends before the attempt it
+    retries, and an accepted attempt's successor ends after it."""
+    ends = attempt_ends(ts)
+    return [b < a for a, b in zip(ends, ends[1:])]
 
 
 def reference_rk4(rhs, y0, t0, t1, step_size):
@@ -316,22 +372,21 @@ class TestRK78AgainstReference:
                 return rhs(y, t)
             return f
 
-        got = integrate(recorded("block"), y0, 0.0, 3.0, RK78)
-        want = reference_rk78(recorded("reference"), y0, 0.0, 3.0)
+        got = integrate(recorded("block"), y0, 0.0, 3.0, DOP853)
+        want = reference_dop853(recorded("reference"), y0, 0.0, 3.0)
         assert type(got) is type(want)
         scale = max(np.abs(a).max() for a in _arrays(want))
         for g, w in zip(_arrays(got), _arrays(want), strict=True):
             assert g.shape == w.shape
             assert np.abs(g - w).max() <= 1e-14 * scale
-        # the same attempts, rejections at the same places: a rejected
-        # attempt's retry starts at the same t
+        # the same attempts, rejections at the same places
         block, reference = calls["block"], calls["reference"]
         assert len(block) == len(reference)
-        rejected = [[a == b for a, b in zip(ts[::13], ts[13::13])] for ts in (block, reference)]
+        rejected = [rejected_attempts(ts) for ts in (block, reference)]
         assert rejected[0] == rejected[1] and any(rejected[0])
         # the first attempt spans the whole interval in both; later step sizes
-        # follow error estimates that cancel four stages, which amplifies
-        # the rounding of the two sums to about 1e-8 relative
+        # follow error estimates, small differences of stage sums, which
+        # amplify the rounding of the two sums to about 1e-8 relative
         assert block[:13] == reference[:13]
         np.testing.assert_allclose(block, reference, rtol=1e-7, atol=0)
 
@@ -363,8 +418,8 @@ class TestRK78StageBuffer:
     ], ids=["vector", "polynomial", "stacked"])
     def test_rhs_that_returns_its_argument(self, y0):
         # y' = y: each stage derivative is the stage buffer itself
-        got = integrate(lambda y, t: y, y0, 0.0, 1.0, RK78)
-        want = reference_rk78(lambda y, t: y, y0, 0.0, 1.0)
+        got = integrate(lambda y, t: y, y0, 0.0, 1.0, DOP853)
+        want = reference_dop853(lambda y, t: y, y0, 0.0, 1.0)
         for g, w, a in zip(_arrays(got), _arrays(want), _arrays(y0), strict=True):
             np.testing.assert_allclose(g, w, rtol=1e-14, atol=0)
             np.testing.assert_allclose(g, math.e * a, rtol=1e-9, atol=0)
@@ -377,14 +432,21 @@ class TestRK78StageBuffer:
             return oscillator_with_information(s, t)
 
         y0 = Stacked(_POLY, np.eye(2))
-        got = integrate(rhs, y0, 0.0, 3.0, RK78)
-        want = reference_rk78(oscillator_with_information, y0, 0.0, 3.0)
+        got = integrate(rhs, y0, 0.0, 3.0, DOP853)
+        want = reference_dop853(oscillator_with_information, y0, 0.0, 3.0)
         for g, w in zip(_arrays(got), _arrays(want), strict=True):
             assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
-        # stage 0 reads the step's start, every later stage the buffer
-        assert len(kept) % 13 == 0 and kept[1] is kept[2]
+        # the call's first rhs reads y0, every later one the buffer
+        assert kept[0] is y0 and all(s is kept[1] for s in kept[2:])
+        assert len(kept) % 12 == 1 and len(kept) > 13
+        # the buffer is a row of the call's one workspace, which the
+        # returned state shares no memory with
+        workspace = _arrays(kept[1])[0]
+        while workspace.base is not None:
+            workspace = workspace.base
+        assert workspace.shape == (15, sum(a.size for a in _arrays(y0)))
         for g in _arrays(got):
-            assert not any(np.shares_memory(g, a) for a in _arrays(kept[1]))
+            assert not np.shares_memory(g, workspace)
 
 
 class TestGenericStates:
@@ -427,7 +489,7 @@ class TestGenericStates:
     def test_polynomial_state_rk78(self):
         ctx = da.AlgebraContext(1, 2)
         y0 = da.identity_map(ctx, [1.0])
-        y = integrate(exponential, y0, 0.0, 1.0, RK78)
+        y = integrate(exponential, y0, 0.0, 1.0, DOP853)
         assert abs(y[0].constant - math.e) < 1e-9
 
 

@@ -570,8 +570,8 @@ class TestSimulateTruth:
         (60.0, 10.0, 2.5e-10),
     ], ids=["2s-period", "10s-period"])
     def test_matches_fixed_step_rk4(self, fine_rk4_truth, duration, meas_period, bound):
-        # RK7(8) from one measurement to the next lands within its error
-        # control of RK4 at dt = 1e-3 (measured 5.8e-12 and 1.1e-10)
+        # DOP853 from one measurement to the next lands within its error
+        # control of RK4 at dt = 1e-3 (measured 1.1e-12 and 3.6e-11)
         log = models.simulate_truth(models.DEFAULT_INITIAL_STATE, models.DEFAULT_PARAMS,
                                     duration, None, meas_period, seed=None)
         every = round(meas_period / FINE_TRUTH_PERIOD)

@@ -23,6 +23,10 @@ moved worse by more than the parent's IQR but not past the bound, and
 met`` marks a metric on which the change read better in at least nine
 tenths of the pairs and moved its median by more than the parent's IQR.
 
+A ``peak_rss_mb`` row ends with each side's median count of operations
+the workload attempted, ``attempted PARENT -> CHANGE``, since a run's
+peak memory grows with the operations it makes.
+
 ``--log`` writes every run's result line to a JSON-lines file as it
 comes; ``--from-log`` summarizes such a file without running anything.
 """
@@ -86,7 +90,19 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{tree}: perfbench exited with code {done.returncode}\n"
                            f"{done.stderr}")
-    return normalize(json.loads(lines[-1]), workload)
+    result = normalize(json.loads(lines[-1]), workload)
+    return {**result, "attempted_by_workload": attempted_by_workload(lines[:-1])}
+
+
+def attempted_by_workload(lines) -> dict:
+    """Operations each workload attempted, read off the ``{"report": ...}``
+    lines that ``perfbench/run.py`` prints before its result line."""
+    counts = {}
+    for line in lines:
+        report = json.loads(line).get("report")
+        if report is not None:
+            counts[report["workload"]] = report["attempted"]
+    return counts
 
 
 def normalize(result: dict, workload: str) -> dict:
@@ -111,13 +127,16 @@ def summarize(pairs) -> list:
     read better by :func:`read_directions`.  Only metrics present on both
     sides of every pair count.  End-to-end metrics also get their
     :func:`verdict` and whether a claim on them is met; other rows hold
-    ``None`` there."""
+    ``None`` there.  A ``peak_rss_mb`` row holds each side's median count
+    of operations its workload attempted, when every run recorded it, and
+    ``None`` otherwise."""
     directions = read_directions()
     bounds = read_bounds()
     names = set.intersection(*(set(r["metrics"]) for pair in pairs for r in pair))
     rows = []
     for name in sorted(names):
         # names read <workload>.<metric>; workload names hold no dot
+        workload = name.split(".", 1)[0]
         metric = name.split(".", 1)[-1]
         higher = directions.get(metric) == "higher"
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
@@ -140,7 +159,14 @@ def summarize(pairs) -> list:
             "bound": bounds.get(metric),
             "verdict": None,
             "claim_met": None,
+            "attempted": None,
         }
+        if metric == "peak_rss_mb" and all(
+                workload in r.get("attempted_by_workload", {}) for pair in pairs for r in pair):
+            # peak memory grows with the operations a run makes
+            row["attempted"] = tuple(
+                statistics.median(pair[i]["attempted_by_workload"][workload] for pair in pairs)
+                for i in range(len(SIDES)))
         if row["bound"] is not None:
             row["verdict"] = verdict(row, higher)
             moved_better = (change_median > parent_median) if higher else (
@@ -165,10 +191,12 @@ def format_rows(rows) -> str:
     header = ("metric", "unit", "parent", "parent IQR", "change", "move", "better", "resolved")
     lines = ["  ".join(header)]
     for r in rows:
-        lines.append("  ".join([
-            r["metric"], r["unit"], f"{r['parent_median']:.4g}", f"{r['parent_iqr']:.3g}",
-            f"{r['change_median']:.4g}", f"{100 * r['rel']:+.1f}%",
-            f"{r['better']} of {r['pairs']}", RESOLVED[r["resolved"]]]))
+        cells = [r["metric"], r["unit"], f"{r['parent_median']:.4g}", f"{r['parent_iqr']:.3g}",
+                 f"{r['change_median']:.4g}", f"{100 * r['rel']:+.1f}%",
+                 f"{r['better']} of {r['pairs']}", RESOLVED[r["resolved"]]]
+        if r["attempted"] is not None:
+            cells.append("attempted {:g} -> {:g}".format(*r["attempted"]))
+        lines.append("  ".join(cells))
     return "\n".join(lines)
 
 
